@@ -26,7 +26,7 @@ from .executive import (
 from .parse import Lexicon, ParseTree, TreeError, load_parse_tree, validate_against_lexicon
 from .percept import PerceptionConfig, PerceptionError, Scene, load_registry, run_perception
 from .symbols import DetectorSet, SymbolSpace, detectors_from_groundings, load_symbol_space
-from .world import WorldModel
+from .world import WorldError, WorldModel
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -140,6 +140,14 @@ def _load_scene(path) -> Scene:
         raise StageError("io", f"bad scene {p}: {e}", EXIT_IO)
 
 
+def _load_world(path) -> WorldModel:
+    p = _require_file("world", path)
+    try:
+        return WorldModel.load(p)
+    except (json.JSONDecodeError, KeyError, WorldError) as e:
+        raise StageError("io", f"bad world {p}: {e}", EXIT_IO)
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay a run-config JSON under explicit flags; relative paths are
     resolved against the config file's directory."""
@@ -170,7 +178,8 @@ def cmd_train(args) -> int:
         kind, raw = dcg.load_corpus(corpus_path)
         examples = dcg.build_examples(kind, raw, space)
         corpus = dcg.CompiledCorpus(examples)
-    except (json.JSONDecodeError, dcg.CorpusError, TreeError, ValueError) as e:
+    except (json.JSONDecodeError, dcg.CorpusError, dcg.GroundingError, TreeError,
+            ValueError) as e:
         raise StageError("io", f"bad corpus {corpus_path}: {e}", EXIT_IO)
     config = dcg.TrainConfig(iterations=args.iterations, step=args.step,
                              l2=args.l2)
@@ -222,7 +231,7 @@ def cmd_ground(args) -> int:
     else:
         if not args.world:
             raise StageError("io", "behavior grounding needs --world", EXIT_IO)
-        world = WorldModel.load(_require_file("world", args.world))
+        world = _load_world(args.world)
         request = ground_behavior(tree, model, space, world)
         label = world.objects[request.target_a].label
         out = {
@@ -497,6 +506,9 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error [{e.stage}]: {e}", file=sys.stderr)
         return e.code
+    except (dcg.GroundingError, dcg.NumericError) as e:
+        print(f"error [grounding]: {e}", file=sys.stderr)
+        return EXIT_GROUNDING
     except OSError as e:
         print(f"error [io]: {e}", file=sys.stderr)
         return EXIT_IO

@@ -11,7 +11,16 @@ maximum likelihood on annotated corpora.
 
 Features are named conjunctions of phrase atoms, symbol atoms, and
 child-summary atoms, suffixed with the phi literal (&T / &F) so the two
-sides of a factor never share a feature.
+sides of a factor never share a feature. One template, ``_conjunctions``,
+yields the (phrase, symbol, child-or-None) atom triples; training joins
+them into names with ``&``, so no atom may contain ``&``.
+
+Inference scores with folded weights instead of names. Within one phrase
+the phrase and child atoms are fixed, so a factor's margin is the sum,
+over the symbol's atoms s, of a_s = sum_p (theta[p,s] + sum_c
+theta[p,s,c]) with theta = w_T - w_F. Each ``Model`` folds its weights
+into a table keyed s -> p -> c|None once, and ``infer`` computes each
+a_s once per phrase and each margin as a sum of 2-3 atom scores.
 """
 
 from __future__ import annotations
@@ -135,21 +144,37 @@ def child_atoms(child_symbols, world: WorldModel | None = None) -> list[str]:
     return sorted(atoms)
 
 
+def _check_atoms(*groups) -> None:
+    for atoms in groups:
+        for a in atoms:
+            if "&" in a:
+                raise GroundingError(f"atom {a!r} contains '&', the feature "
+                                     f"name separator")
+
+
+def _conjunctions(ps, ss, cs) -> list[tuple[str, str, str | None]]:
+    """The conjunction template: every (phrase atom, symbol atom) pair,
+    alone (child None) and then with each child atom."""
+    _check_atoms(ps, ss, cs)
+    pairs = [(p, s) for p in ps for s in ss]
+    return ([(p, s, None) for p, s in pairs]
+            + [(p, s, c) for p, s in pairs for c in cs])
+
+
 def feature_names(phrase: Phrase, symbol, phi: bool, child_symbols=frozenset(),
                   world: WorldModel | None = None) -> list[str]:
-    """Expand the conjunction templates for one factor side."""
+    """Expand the conjunction template for one factor side."""
     suffix = "T" if phi else "F"
-    ps = phrase_atoms(phrase)
-    ss = symbol_atoms(symbol, world)
-    cs = child_atoms(child_symbols, world)
-    names = [f"{p}&{s}&{suffix}" for p in ps for s in ss]
-    names += [f"{p}&{s}&{c}&{suffix}" for p in ps for s in ss for c in cs]
-    return names
+    triples = _conjunctions(phrase_atoms(phrase), symbol_atoms(symbol, world),
+                            child_atoms(child_symbols, world))
+    return [f"{p}&{s}&{suffix}" if c is None else f"{p}&{s}&{c}&{suffix}"
+            for p, s, c in triples]
 
 
 class FeatureSpace:
-    """Feature-name registry. Grows while compiling a corpus, frozen for
-    inference; unknown names at inference simply carry zero weight."""
+    """Feature-name registry. Grows while compiling a corpus, then
+    frozen; a frozen registry skips unknown names, which carry zero
+    weight."""
 
     def __init__(self, names=(), frozen: bool = False):
         self._index: dict[str, int] = {n: i for i, n in enumerate(names)}
@@ -216,13 +241,6 @@ def factor_prob(fv_true: FeatureVector, fv_false: FeatureVector,
     return 1.0 - _small_side(-d)
 
 
-def _log_prob(margin: float, gold: bool) -> float:
-    # margin = s_true - s_false; log p(phi = gold)
-    if gold:
-        return -float(np.logaddexp(0.0, -margin))
-    return -float(np.logaddexp(0.0, margin))
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -285,13 +303,44 @@ class Assignment:
         return out
 
 
-@dataclass
+def _fold(names: list[str], weights: np.ndarray) -> dict:
+    """theta = w_T - w_F of every conjunction, keyed s -> p -> c|None."""
+    table: dict[str, dict[str, dict[str | None, float]]] = {}
+    shared: dict[str, str] = {}  # one string object per distinct child atom
+    for name, w in zip(names, weights.tolist()):
+        atoms = name.split("&")
+        if len(atoms) not in (3, 4) or atoms[-1] not in ("T", "F"):
+            raise CorpusError(f"feature name {name!r} is not a conjunction")
+        p, s = atoms[0], atoms[1]
+        c = shared.setdefault(atoms[2], atoms[2]) if len(atoms) == 4 else None
+        row = table.get(s)
+        if row is None:
+            row = table[s] = {}
+        by_c = row.get(p)
+        if by_c is None:
+            by_c = row[p] = {}
+        by_c[c] = by_c.get(c, 0.0) + (w if atoms[-1] == "T" else -w)
+    return table
+
+
+@dataclass(frozen=True)
 class Model:
-    """Trained factor weights bound to their feature-name registry."""
+    """Trained factor weights bound to their feature-name registry, plus
+    the weights folded by symbol atom for inference. The weights are
+    read-only so the fold cannot go stale."""
 
     kind: str
     space: FeatureSpace
     weights: np.ndarray
+    folded: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (self.space.dim,):
+            raise NumericError(f"{w.size} weights for {self.space.dim} features")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "folded", _fold(self.space.names, w))
 
     def save(self, path: str | Path) -> None:
         names = self.space.names
@@ -310,11 +359,18 @@ class Model:
             raise CorpusError(
                 f"model template version {data.get('template_version')!r} "
                 f"does not match {TEMPLATE_VERSION}")
-        weights = data["weights"]
+        kind, weights = data["kind"], data.pop("weights")
         names = sorted(weights)
-        space = FeatureSpace(names, frozen=True)
-        w = np.array([weights[n] for n in names], dtype=float)
-        return cls(data["kind"], space, w)
+        try:
+            w = np.array([weights[n] for n in names], dtype=float)
+        except (TypeError, ValueError) as e:
+            raise CorpusError(f"non-numeric weight: {e}") from None
+        if not np.isfinite(w).all():
+            bad = names[int(np.flatnonzero(~np.isfinite(w))[0])]
+            raise CorpusError(f"non-finite weight for feature {bad!r}")
+        # free the parsed file before folding, so the fold reuses its memory
+        del data, weights
+        return cls(kind, FeatureSpace(names, frozen=True), w)
 
 
 def infer(graph: FactorGraph, model: Model) -> Assignment:
@@ -324,26 +380,46 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
     model expresses nothing. Deterministic: pure arithmetic over a fixed
     traversal order.
     """
-    fs = model.space
-    w = model.weights
+    table = model.folded
+    # the bank's atoms as one flat run of slots per symbol: slot k > 0 is
+    # the k-th distinct atom the model knows, slot 0 every other atom
+    slot: dict[str, int] = {}
+    flat: list[int] = []
+    starts: list[int] = []
+    for sym in graph.bank:
+        atoms = symbol_atoms(sym, graph.world)
+        _check_atoms(atoms)
+        starts.append(len(flat))
+        flat += [slot.setdefault(a, len(slot) + 1) if a in table else 0
+                 for a in atoms]
+    flat_at = np.array(flat, dtype=np.intp)
+    starts_at = np.array(starts, dtype=np.intp)
+    known = list(slot)
+
     expressed: dict[int, frozenset[int]] = {}
-    log_score = 0.0
+    margins = []
     by_index: dict[int, set] = {}
     for phrase in graph.tree.phrases_bottom_up():
         child_syms: set = set()
         for child in phrase.children:
             child_syms |= by_index[child.index]
-        chosen = set()
-        for j, sym in enumerate(graph.bank):
-            fv_t = fs.featurize(phrase, sym, True, child_syms, graph.world)
-            fv_f = fs.featurize(phrase, sym, False, child_syms, graph.world)
-            margin = _score(fv_t, w) - _score(fv_f, w)
-            value = margin > 0.0
-            if value:
-                chosen.add(j)
-            log_score += _log_prob(margin, value)
+        score = dict.fromkeys(known, 0.0)
+        for p, s, c in _conjunctions(phrase_atoms(phrase), known,
+                                     child_atoms(child_syms, graph.world)):
+            by_c = table[s].get(p)
+            if by_c is not None:
+                score[s] += by_c.get(c, 0.0)
+        atom_scores = np.array([0.0, *score.values()])
+        m = np.add.reduceat(atom_scores[flat_at], starts_at)
+        margins.append(m)
+        chosen = np.flatnonzero(m > 0.0).tolist()
         expressed[phrase.index] = frozenset(chosen)
         by_index[phrase.index] = {graph.bank[j] for j in chosen}
+    all_m = np.concatenate(margins)
+    if not np.isfinite(all_m).all():
+        raise NumericError("non-finite factor margin")
+    # log p(phi = argmax) = -log(1 + exp(-|margin|)), ties included
+    log_score = -float(np.logaddexp(0.0, -np.abs(all_m)).sum())
     return Assignment(expressed, log_score)
 
 

@@ -108,6 +108,61 @@ def test_ground_missing_tree(model_dir, capsys):
     capsys.readouterr()
 
 
+def _one_line_error(capsys, stage: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{stage}]: ")
+    assert err.count("\n") == 1
+    return err
+
+
+def test_ground_word_with_ampersand_exits_grounding(tmp_path, model_dir, capsys):
+    tree = tmp_path / "tree.txt"
+    tree.write_text("(VP (VB open) (NP (DT the) (NN door) (NN a&b)))\n")
+    code = main(["ground", "--tree", str(tree),
+                 "--model", str(model_dir / "perception.json")])
+    assert code == 2
+    assert "'word:a&b'" in _one_line_error(capsys, "grounding")
+
+
+def _rewrite_weights(src, dst, weight_of) -> str:
+    data = json.loads(src.read_text())
+    data["weights"] = {n: weight_of(n) for n in data["weights"]}
+    dst.write_text(json.dumps(data))
+    return str(dst)
+
+
+def test_ground_non_finite_model_weights_exit_io(trees, model_dir, tmp_path,
+                                                 capsys):
+    bad = _rewrite_weights(model_dir / "perception.json", tmp_path / "nan.json",
+                           lambda n: float("nan"))
+    assert main(["ground", "--tree", trees["open"], "--model", bad]) == 1
+    _one_line_error(capsys, "io")
+
+
+def test_ground_overflowing_margin_exits_grounding(trees, model_dir, tmp_path,
+                                                   capsys):
+    # every weight is finite, but w_T - w_F overflows to inf
+    huge = _rewrite_weights(model_dir / "perception.json", tmp_path / "huge.json",
+                            lambda n: 1.7e308 if n.endswith("&T") else -1.7e308)
+    assert main(["ground", "--tree", trees["open"], "--model", huge]) == 2
+    _one_line_error(capsys, "grounding")
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"objects": [{"id": 1}]}',
+    '{"objects": [{"id": 1, "label": "door", "pose": {"x": 0, "y": 0},'
+    ' "bbox": {"min": [1, 1, 1], "max": [0, 0, 0]}}]}',
+])
+def test_ground_bad_world_exits_io(text, trees, model_dir, tmp_path, capsys):
+    world = tmp_path / "world.json"
+    world.write_text(text)
+    code = main(["ground", "--tree", trees["open"],
+                 "--model", str(model_dir / "behavior.json"), "--world", str(world)])
+    assert code == 1
+    _one_line_error(capsys, "io")
+
+
 # -- perceive ----------------------------------------------------------------
 
 def test_perceive_adaptive(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -8,8 +9,10 @@ import pytest
 
 from minworld import dcg
 from minworld.parse import load_parse_tree
-from minworld.symbols import BehaviorSymbol, build_symbol_space
-from minworld.world import Aabb, Detection, Pose, WorldModel
+from minworld.symbols import BehaviorSymbol, SymbolSpace
+from minworld.world import Aabb, Detection, Pose, WorldModel, WorldObject
+
+from helpers_oracle import hash_model
 
 OPEN = "(VP (VB open) (NP (DT the) (NN door)))"
 
@@ -86,6 +89,16 @@ def test_child_atoms_sorted_and_deduped(space):
     assert "child_has:door" in atoms
     assert "child_has_hier:door.handle" in atoms
     assert dcg.child_atoms(set()) == ["child_none"]
+
+
+def test_atoms_with_the_name_separator_are_rejected(space):
+    phrase = load_parse_tree("(NP (DT the) (NN a&b))").root
+    with pytest.raises(dcg.GroundingError):
+        dcg.feature_names(phrase, space.semantic("door"), True)
+    graph = dcg.build_perception_graph(load_parse_tree("(NP (NN a&b))"), space)
+    fs = dcg.FeatureSpace(frozen=True)
+    with pytest.raises(dcg.GroundingError):
+        dcg.infer(graph, dcg.Model("perception", fs, np.zeros(0)))
 
 
 def test_feature_space_grows_then_freezes(space):
@@ -237,6 +250,131 @@ def test_model_load_rejects_other_template_versions(tmp_path, perception_model):
     path.write_text(text)
     with pytest.raises(dcg.CorpusError):
         dcg.Model.load(path)
+
+
+def test_model_load_rejects_non_finite_weights(tmp_path, perception_model):
+    path = tmp_path / "m.json"
+    perception_model.save(path)
+    data = json.loads(path.read_text())
+    data["weights"] = {n: math.nan for n in data["weights"]}
+    path.write_text(json.dumps(data))
+    with pytest.raises(dcg.CorpusError):
+        dcg.Model.load(path)
+
+
+def test_model_rejects_malformed_names_and_lengths():
+    with pytest.raises(dcg.CorpusError):
+        dcg.Model("perception", dcg.FeatureSpace(["word:door&T"]), np.zeros(1))
+    with pytest.raises(dcg.NumericError):
+        dcg.Model("perception", dcg.FeatureSpace(["a&b&T"]), np.zeros(2))
+
+
+def test_model_weights_are_read_only(perception_model):
+    with pytest.raises(ValueError):
+        perception_model.weights[0] = 1.0
+
+
+# -- folded inference against per-factor featurization -------------------------
+
+def _reference_infer(graph, model):
+    """Inference as a sum over named features: featurize both sides of
+    every factor and sum each side's weights."""
+    fs, w = model.space, model.weights
+    expressed, by_index, log_score = {}, {}, 0.0
+    for phrase in graph.tree.phrases_bottom_up():
+        ctx: set = set()
+        for child in phrase.children:
+            ctx |= by_index[child.index]
+        chosen = set()
+        for j, sym in enumerate(graph.bank):
+            s_t, s_f = (float(w[list(fs.featurize(phrase, sym, phi, ctx,
+                                                   graph.world).indices)].sum())
+                        for phi in (True, False))
+            margin = s_t - s_f
+            if margin > 0.0:
+                chosen.add(j)
+            log_score -= float(np.logaddexp(0.0, -abs(margin)))
+        expressed[phrase.index] = frozenset(chosen)
+        by_index[phrase.index] = {graph.bank[j] for j in chosen}
+    return expressed, log_score
+
+
+def _bundled_trees(assets):
+    return [load_parse_tree(p.read_text().strip())
+            for p in sorted((assets / "trees").glob("*.txt"))]
+
+
+def _padded_space(space, n_symbols, seed=0):
+    rng = random.Random(seed)
+    labels = set(space.labels)
+    extra = []
+    while len(space.perception) + len(extra) < n_symbols * 2 // 3:
+        word = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(8))
+        if word not in labels:
+            labels.add(word)
+            extra.append(word)
+    pairs = set(space.hierarchy_pairs)
+    while len(labels) + len(pairs) < n_symbols:
+        pairs.add(tuple(rng.sample(extra, 2)))
+    return SymbolSpace(sorted(labels), sorted(pairs), space.actions)
+
+
+def _random_world(rng, n_objects):
+    pool = ["door", "door_handle", "box", "drawer", "ball", "suitcase", "pitcher"]
+    objects = []
+    for i in range(n_objects):
+        x, y = rng.uniform(-4, 4), rng.uniform(-4, 4)
+        objects.append(WorldObject(
+            i + 1, rng.choice(pool), Pose(x, y, 0.5),
+            Aabb((x - 0.3, y - 0.3, 0.0), (x + 0.3, y + 0.3, 1.0))))
+    return WorldModel(objects)
+
+
+def _assert_same(graph, model):
+    got = dcg.infer(graph, model)
+    want_expressed, want_log_score = _reference_infer(graph, model)
+    assert got.expressed == want_expressed
+    assert abs(got.log_score - want_log_score) < 1e-9
+
+
+def test_folded_inference_bundled_and_padded_banks(assets, space,
+                                                   perception_model):
+    padded = _padded_space(space, 750)
+    assert 740 <= len(padded.perception) <= 760
+    for i, tree in enumerate(_bundled_trees(assets)):
+        bundled = dcg.build_perception_graph(tree, space)
+        hashed = hash_model(bundled, salt=f"tree{i}")
+        _assert_same(bundled, perception_model)
+        _assert_same(bundled, hashed)
+        _assert_same(dcg.build_perception_graph(tree, padded), perception_model)
+        if tree.instruction == "open the door":
+            # hashed weights on the shared category atoms express hundreds
+            # of padded symbols, so the root sees hundreds of child atoms;
+            # the reference pays for each by name, hence one tree only
+            _assert_same(dcg.build_perception_graph(tree, padded), hashed)
+
+
+def test_folded_inference_behavior_over_random_worlds(assets, space,
+                                                      behavior_model):
+    rng = random.Random(7)
+    trees = _bundled_trees(assets)
+    small = WorldModel([
+        WorldObject(1, "door", Pose(5, 0, 1), Aabb((4.9, -0.5, 0), (5.1, 0.5, 2))),
+        WorldObject(2, "box", Pose(1, 1, 0.5), Aabb((0.7, 0.7, 0), (1.3, 1.3, 1))),
+    ])
+    # two actions keep hash_model's exhaustive child contexts small; the
+    # other actions still score through their shared atoms
+    two_actions = SymbolSpace(space.labels, space.hierarchy_pairs,
+                              ("navigate", "open"))
+    hashed = [hash_model(dcg.build_behavior_graph(t, two_actions, small),
+                         salt=f"b{i}")
+              for i, t in enumerate(trees)]
+    for n_objects in (1, 3, 6, 12):
+        world = _random_world(rng, n_objects)
+        for tree, hashed_model in zip(trees, hashed):
+            graph = dcg.build_behavior_graph(tree, space, world)
+            for model in (behavior_model, hashed_model):
+                _assert_same(graph, model)
 
 
 # -- corpora and training ----------------------------------------------------
