@@ -148,24 +148,44 @@ def _load_world(path) -> WorldModel:
         raise StageError("io", f"bad world {p}: {e}", EXIT_IO)
 
 
+# Flags a run config may set, so argparse leaves them None; filled in
+# after the overlay.
+CONFIG_DEFAULTS = {"seed": 0, "frames": percept.DEFAULT_FRAME_BUDGET}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
-    """Overlay a run-config JSON under explicit flags; relative paths are
-    resolved against the config file's directory."""
-    if getattr(args, "config", None) is None:
-        return
-    cfg_path = _require_file("config", args.config)
-    try:
-        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise StageError("io", f"bad config JSON {cfg_path}: {e}", EXIT_IO)
-    path_keys = {"space", "registry", "scene", "lexicon", "tree",
-                 "perception_model", "behavior_model", "out_dir"}
-    for key, value in cfg.items():
-        if key in path_keys:
-            value = str((cfg_path.parent / value).resolve()) \
-                if not Path(value).is_absolute() else value
-        if getattr(args, key, None) in (None, False):
-            setattr(args, key, value)
+    """Overlay a run-config JSON under explicit flags, then give the
+    flags neither set their defaults; relative paths are resolved against
+    the config file's directory."""
+    if args.config is not None:
+        cfg_path = _require_file("config", args.config)
+        try:
+            cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise StageError("io", f"bad config JSON {cfg_path}: {e}", EXIT_IO)
+        if not isinstance(cfg, dict):
+            raise StageError("io", f"bad config {cfg_path}: not a JSON object",
+                             EXIT_IO)
+        path_keys = {"space", "registry", "scene", "lexicon", "tree",
+                     "perception_model", "behavior_model", "out_dir"}
+        for key, value in cfg.items():
+            if key in path_keys:
+                if not isinstance(value, str):
+                    raise StageError("io", f"bad config {cfg_path}: {key} must "
+                                     "be a path string", EXIT_IO)
+                value = str((cfg_path.parent / value).resolve()) \
+                    if not Path(value).is_absolute() else value
+            # identity tests: an explicit --seed 0 equals False but is set
+            current = getattr(args, key, None)
+            if current is None or current is False:
+                setattr(args, key, value)
+    for key, default in CONFIG_DEFAULTS.items():
+        value = getattr(args, key)
+        if value is None:
+            setattr(args, key, default)
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise StageError("io", f"config {key} must be an integer, got {value!r}",
+                             EXIT_IO)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene")
     p.add_argument("--registry")
     p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=percept.DEFAULT_FRAME_BUDGET)
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--frames", type=int,
+                   help=f"default {percept.DEFAULT_FRAME_BUDGET}")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--drop-detector", action="append", metavar="ID",
                    help="remove a detector from the inferred set (repeatable)")
@@ -489,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene")
     p.add_argument("--registry")
     p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=percept.DEFAULT_FRAME_BUDGET)
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--frames", type=int,
+                   help=f"default {percept.DEFAULT_FRAME_BUDGET}")
     p.add_argument("--case", action="append", metavar="TREE[=MODE]",
                    help="benchmark row (default: the three bundled rows)")
     p.add_argument("--out", help="also write the JSON rows to this file")

@@ -18,7 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .symbols import DetectorSet
-from .world import Aabb, Detection, Pose, WorldModel, WorldObject
+from .world import (
+    Aabb,
+    Detection,
+    Pose,
+    WorldError,
+    WorldModel,
+    WorldObject,
+    finite_number,
+    json_number,
+    json_object,
+)
 
 DEFAULT_MAX_RANGE = 6.0
 DEFAULT_FOV_DEG = 87.0
@@ -46,6 +56,11 @@ class DetectorSpec:
     baseline: bool = True
 
     def __post_init__(self):
+        for name in ("frame_cost", "false_positive_rate", "noise_sigma"):
+            value = getattr(self, name)
+            if not finite_number(value):
+                raise PerceptionError(
+                    f"detector {self.id}: {name} must be a finite number, got {value!r}")
         if self.frame_cost <= 0:
             raise PerceptionError(f"detector {self.id}: frame cost must be positive")
         if not 0.0 <= self.false_positive_rate < 1.0:
@@ -71,15 +86,20 @@ class Scene:
         WorldModel(self.objects)
 
     @classmethod
-    def from_json(cls, data: dict) -> "Scene":
-        vis_raw = data.get("visibility", {})
+    def from_json(cls, data) -> "Scene":
+        data = json_object(data, "scene")
+        vis_raw = json_object(data.get("visibility", {}), "visibility")
         vis = Visibility(
-            max_range=vis_raw.get("max_range", DEFAULT_MAX_RANGE),
-            fov=math.radians(vis_raw.get("fov_deg", DEFAULT_FOV_DEG)),
+            max_range=json_number(vis_raw.get("max_range", DEFAULT_MAX_RANGE),
+                                  "max_range"),
+            fov=math.radians(json_number(vis_raw.get("fov_deg", DEFAULT_FOV_DEG),
+                                         "fov_deg")),
         )
         start = Pose.from_json(data.get("robot_start", {"x": 0.0, "y": 0.0}))
-        objects = [WorldObject.from_json(d) for d in data.get("objects", [])]
-        return cls(objects, vis, start)
+        objects = data.get("objects", [])
+        if not isinstance(objects, list):
+            raise WorldError("scene objects must be a list")
+        return cls([WorldObject.from_json(d) for d in objects], vis, start)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scene":
@@ -194,6 +214,7 @@ def run_perception(scene: Scene, config: PerceptionConfig,
     detection per frame at its false-positive rate. Detections are
     integrated immediately. Frame timestamps advance by the summed frame
     cost, so total cost is exactly frames times the active period.
+    Visibility is computed once per distinct robot pose, grouped by label.
     """
     active = active_detectors(config)
     links = integration_links(config) if config.mode == "adaptive" else frozenset()
@@ -207,30 +228,38 @@ def run_perception(scene: Scene, config: PerceptionConfig,
             poses += [last] * (config.frame_budget - len(poses))
     rng = np.random.default_rng(config.seed)
     world = WorldModel()
-    truth = sorted(scene.objects, key=lambda o: o.id)
+    truth_by_label: dict[str, list[WorldObject]] = {}
+    for obj in sorted(scene.objects, key=lambda o: o.id):
+        truth_by_label.setdefault(obj.label, []).append(obj)
+    in_view_at: dict[Pose, dict[str, list[WorldObject]]] = {}
     emitted = 0
     spurious = 0
     time = 0.0
     for frame in range(config.frame_budget):
         robot = poses[frame]
+        in_view = in_view_at.get(robot)
+        if in_view is None:
+            in_view = in_view_at[robot] = {
+                label: [o for o in objs if visible(o, robot, scene.visibility)]
+                for label, objs in truth_by_label.items()}
         time += period
         for det in active:
-            for obj in truth:
-                if obj.label != det.emits_label:
-                    continue
-                if not visible(obj, robot, scene.visibility):
-                    continue
-                dx, dy = rng.normal(0.0, 1.0, 2) * det.noise_sigma
-                d = Detection(
-                    label=det.emits_label,
-                    pose=Pose(obj.pose.x + dx, obj.pose.y + dy,
-                              obj.pose.z, obj.pose.yaw),
-                    bbox=obj.bbox.translated(dx, dy),
-                    timestamp=time,
-                    source_detector=det.id,
-                )
-                world.integrate(d, links, config.assoc_radius)
-                emitted += 1
+            hits = in_view.get(det.emits_label)
+            if hits:
+                # one (k, 2) draw reads the stream exactly as k draws of 2
+                noise = (rng.normal(0.0, 1.0, (len(hits), 2))
+                         * det.noise_sigma).tolist()
+                for obj, (dx, dy) in zip(hits, noise):
+                    d = Detection(
+                        label=det.emits_label,
+                        pose=Pose(obj.pose.x + dx, obj.pose.y + dy,
+                                  obj.pose.z, obj.pose.yaw),
+                        bbox=obj.bbox.translated(dx, dy),
+                        timestamp=time,
+                        source_detector=det.id,
+                    )
+                    world.integrate(d, links, config.assoc_radius)
+                emitted += len(hits)
             if config.mode == "exhaustive" and det.false_positive_rate > 0.0:
                 if rng.random() < det.false_positive_rate:
                     r = rng.uniform(1.0, scene.visibility.max_range)

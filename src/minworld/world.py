@@ -2,7 +2,8 @@
 
 One writer (the perception loop) integrates detections; readers take
 immutable snapshots. Objects may carry a parent link one level deep
-(a handle on a door), never chains.
+(a handle on a door), never chains. Objects are indexed by label, so a
+detection is compared only with the objects that share its label.
 """
 
 from __future__ import annotations
@@ -20,6 +21,30 @@ PARENT_FALLBACK_RADIUS = 0.75
 
 class WorldError(ValueError):
     pass
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else WorldError naming ``what``."""
+    if not isinstance(value, dict):
+        raise WorldError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float (bools are not numbers)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def json_number(value, what: str):
+    """``value`` if it is a finite JSON number, else WorldError."""
+    if not finite_number(value):
+        raise WorldError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,15 +67,14 @@ class Pose:
     def distance(self, other: "Pose") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
-    def xy_distance(self, other: "Pose") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def to_json(self) -> dict:
         return {"x": self.x, "y": self.y, "z": self.z, "yaw": self.yaw}
 
     @classmethod
-    def from_json(cls, d: dict) -> "Pose":
-        return cls(d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0))
+    def from_json(cls, d) -> "Pose":
+        d = json_object(d, "pose")
+        values = (d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0))
+        return cls(*(json_number(v, "pose component") for v in values))
 
 
 @dataclass(frozen=True)
@@ -63,11 +87,12 @@ class Aabb:
     degenerate: bool = False
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if any(a > b for a, b in zip(lo, hi)):
+        lo = (float(self.lo[0]), float(self.lo[1]), float(self.lo[2]))
+        hi = (float(self.hi[0]), float(self.hi[1]), float(self.hi[2]))
+        if lo[0] > hi[0] or lo[1] > hi[1] or lo[2] > hi[2]:
             raise WorldError(f"box min {lo} exceeds max {hi}")
-        if not self.degenerate and any(a == b for a, b in zip(lo, hi)):
+        if not self.degenerate and (
+                lo[0] == hi[0] or lo[1] == hi[1] or lo[2] == hi[2]):
             raise WorldError("zero-volume box not flagged degenerate")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -81,17 +106,23 @@ class Aabb:
                    for p, a, b in zip(point, self.lo, self.hi))
 
     def translated(self, dx: float, dy: float, dz: float = 0.0) -> "Aabb":
-        d = (dx, dy, dz)
-        return Aabb(tuple(a + v for a, v in zip(self.lo, d)),
-                    tuple(b + v for b, v in zip(self.hi, d)),
-                    self.degenerate)
+        lo, hi = self.lo, self.hi
+        return Aabb((lo[0] + dx, lo[1] + dy, lo[2] + dz),
+                    (hi[0] + dx, hi[1] + dy, hi[2] + dz), self.degenerate)
 
     def to_json(self) -> dict:
         return {"min": list(self.lo), "max": list(self.hi)}
 
     @classmethod
-    def from_json(cls, d: dict) -> "Aabb":
-        lo, hi = tuple(d["min"]), tuple(d["max"])
+    def from_json(cls, d) -> "Aabb":
+        d = json_object(d, "bbox")
+        lo, hi = d["min"], d["max"]
+        for corner in (lo, hi):
+            if not isinstance(corner, list) or len(corner) != 3:
+                raise WorldError(f"bbox corner must be a list of 3 numbers, got {corner!r}")
+            for v in corner:
+                json_number(v, "bbox corner component")
+        lo, hi = tuple(lo), tuple(hi)
         degenerate = any(a == b for a, b in zip(lo, hi))
         return cls(lo, hi, degenerate)
 
@@ -120,15 +151,23 @@ class WorldObject:
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "WorldObject":
+    def from_json(cls, d) -> "WorldObject":
+        d = json_object(d, "world object")
+        oid, label, parent = d["id"], d["label"], d.get("parent")
+        if not _is_int(oid):
+            raise WorldError(f"object id must be an integer, got {oid!r}")
+        if parent is not None and not _is_int(parent):
+            raise WorldError(f"object parent must be an integer, got {parent!r}")
+        if not isinstance(label, str):
+            raise WorldError(f"object label must be a string, got {label!r}")
         return cls(
-            id=int(d["id"]),
-            label=d["label"],
+            id=oid,
+            label=label,
             pose=Pose.from_json(d["pose"]),
             bbox=Aabb.from_json(d["bbox"]),
-            parent=d.get("parent"),
-            first_seen=d.get("first_seen", 0.0),
-            last_seen=d.get("last_seen", 0.0),
+            parent=parent,
+            first_seen=json_number(d.get("first_seen", 0.0), "first_seen"),
+            last_seen=json_number(d.get("last_seen", 0.0), "last_seen"),
         )
 
 
@@ -143,16 +182,19 @@ class Detection:
 
 
 class WorldModel:
-    """Mutable object store keyed by id; integrate() is the only writer
-    path and snapshot() hands out deep copies for readers."""
+    """Mutable object store keyed by id and indexed by label; the
+    constructor and integrate() are its only writers, and snapshot()
+    hands out copies for readers."""
 
     def __init__(self, objects=None):
         self.objects: dict[int, WorldObject] = {}
+        self._by_label: dict[str, dict[int, WorldObject]] = {}
         self._next_id = 1
         for obj in objects or []:
             if obj.id in self.objects:
                 raise WorldError(f"duplicate object id {obj.id}")
             self.objects[obj.id] = obj
+            self._by_label.setdefault(obj.label, {})[obj.id] = obj
             self._next_id = max(self._next_id, obj.id + 1)
         self._check_single_layer()
 
@@ -176,17 +218,17 @@ class WorldModel:
             out.append(obj)
         return out
 
-    def labels(self) -> set[str]:
-        return {obj.label for obj in self.objects.values()}
-
     def snapshot(self) -> "WorldModel":
-        return copy.deepcopy(self)
+        # Pose and Aabb are frozen, so a shallow copy per object isolates it
+        return WorldModel([copy.copy(o) for o in self.objects.values()])
 
     def _associate(self, d: Detection, assoc_radius: float) -> WorldObject | None:
         best = None
         best_key = None
-        for obj in self.objects.values():
-            if obj.label != d.label:
+        x, y, r = d.pose.x, d.pose.y, assoc_radius
+        for obj in self._by_label.get(d.label, {}).values():
+            # exact prefilter: the 3-D distance is never below |dx| or |dy|
+            if not (-r <= obj.pose.x - x <= r and -r <= obj.pose.y - y <= r):
                 continue
             dist = obj.pose.distance(d.pose)
             if dist > assoc_radius:
@@ -197,8 +239,8 @@ class WorldModel:
         return best
 
     def _find_parent(self, d: Detection, parent_label: str) -> int | None:
-        candidates = [o for o in self.objects.values()
-                      if o.label == parent_label and o.parent is None]
+        candidates = [o for o in self._by_label.get(parent_label, {}).values()
+                      if o.parent is None]
         inside = [o for o in candidates if o.bbox.contains(
             d.bbox.center, margin=PARENT_MARGIN)]
         pool = inside or [o for o in candidates
@@ -217,6 +259,7 @@ class WorldModel:
                               first_seen=d.timestamp, last_seen=d.timestamp)
             self._next_id += 1
             self.objects[obj.id] = obj
+            self._by_label.setdefault(obj.label, {})[obj.id] = obj
         else:
             obj.pose = d.pose
             obj.bbox = d.bbox
@@ -227,16 +270,20 @@ class WorldModel:
                 found = self._find_parent(d, parent_label)
                 if found is not None and found != obj.id:
                     obj.parent = found
+                    # the only mutation that can chain: obj may have children
+                    self._check_single_layer()
                     break
-        self._check_single_layer()
         return self
 
     def to_json(self) -> dict:
         return {"objects": [o.to_json() for o in self.query()]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "WorldModel":
-        return cls([WorldObject.from_json(d) for d in data.get("objects", [])])
+    def from_json(cls, data) -> "WorldModel":
+        objects = json_object(data, "world").get("objects", [])
+        if not isinstance(objects, list):
+            raise WorldError("world objects must be a list")
+        return cls([WorldObject.from_json(d) for d in objects])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(

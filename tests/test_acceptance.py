@@ -201,11 +201,11 @@ def test_acceptance_7_world_minimality_and_contrast(assets, space, model_dir):
         world, metrics = run_perception(
             scene, PerceptionConfig(registry, detectors, "adaptive", seed=0))
         adaptive_ok[name] = (fp_free and metrics.spurious_emitted == 0
-                             and world.labels() <= allowed)
+                             and {o.label for o in world.query()} <= allowed)
 
     exhaustive_world, _ = run_perception(
         scene, PerceptionConfig(registry, None, "exhaustive", seed=0))
-    extraneous = exhaustive_world.labels() - task_labels
+    extraneous = {o.label for o in exhaustive_world.query()} - task_labels
     ok = all(adaptive_ok.values()) and bool(extraneous)
     assert _report(7, "adaptive worlds minimal, exhaustive world cluttered", ok), {
         "adaptive": adaptive_ok, "extraneous": sorted(extraneous),

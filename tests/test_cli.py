@@ -153,6 +153,17 @@ def test_ground_overflowing_margin_exits_grounding(trees, model_dir, tmp_path,
     '{"objects": [{"id": 1}]}',
     '{"objects": [{"id": 1, "label": "door", "pose": {"x": 0, "y": 0},'
     ' "bbox": {"min": [1, 1, 1], "max": [0, 0, 0]}}]}',
+    pytest.param("[]", id="top-level-list"),
+    pytest.param('{"objects": {}}', id="objects-not-list"),
+    pytest.param('{"objects": [null]}', id="object-null"),
+    pytest.param('{"objects": [{"id": 1, "label": "door", "pose": null,'
+                 ' "bbox": {"min": [0, 0, 0], "max": [1, 1, 1]}}]}', id="pose-null"),
+    pytest.param('{"objects": [{"id": 1, "label": "door", "pose": {"x": null, "y": 0},'
+                 ' "bbox": {"min": [0, 0, 0], "max": [1, 1, 1]}}]}', id="pose-x-null"),
+    pytest.param('{"objects": [{"id": 1, "label": "door", "pose": {"x": 0, "y": 0},'
+                 ' "bbox": {"min": [0, 0], "max": [1, 1, 1]}}]}', id="bbox-2d"),
+    pytest.param('{"objects": [{"id": null, "label": "door", "pose": {"x": 0, "y": 0},'
+                 ' "bbox": {"min": [0, 0, 0], "max": [1, 1, 1]}}]}', id="id-null"),
 ])
 def test_ground_bad_world_exits_io(text, trees, model_dir, tmp_path, capsys):
     world = tmp_path / "world.json"
@@ -196,6 +207,44 @@ def test_perceive_unknown_detector(capsys):
     code = main(["perceive", "--detectors", "window"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys):
+    data = json.loads((assets / "detector_registry.json").read_text())
+    data["detectors"][0]["frame_cost"] = float("nan")
+    registry = tmp_path / "reg_nan.json"
+    registry.write_text(json.dumps(data))
+    code = main(["perceive", "--registry", str(registry), "--exhaustive", "--json"])
+    assert code == 1
+    assert "frame_cost" in _one_line_error(capsys, "io")
+    assert capsys.readouterr().out == ""
+
+
+BAD_SCENES = [
+    pytest.param("[]", id="top-level-list"),
+    pytest.param('{"robot_start": {"x": null, "y": 0}}', id="start-x-null"),
+    pytest.param('{"robot_start": null}', id="start-null"),
+    pytest.param('{"visibility": {"max_range": null}}', id="range-null"),
+    pytest.param('{"objects": [{"id": 1, "label": "door", "pose": {"x": 5, "y": null},'
+                 ' "bbox": {"min": [5, 0, 0], "max": [6, 1, 1]}}]}', id="pose-y-null"),
+]
+
+
+@pytest.mark.parametrize("text", BAD_SCENES)
+def test_perceive_bad_scene_exits_io(text, tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(text)
+    assert main(["perceive", "--scene", str(scene), "--exhaustive"]) == 1
+    _one_line_error(capsys, "io")
+
+
+@pytest.mark.parametrize("text", BAD_SCENES)
+def test_run_bad_scene_exits_io(text, trees, model_dir, tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(text)
+    code = main(_run_args(trees, model_dir, tmp_path, "open", "--scene", str(scene)))
+    assert code == 1
+    _one_line_error(capsys, "io")
 
 
 def test_perceive_bad_link_spec(capsys):
@@ -324,6 +373,43 @@ def test_run_config_relative_paths_and_flag_priority(trees, model_dir, tmp_path,
     # the explicit flag beat the config value
     assert (tmp_path / "flag_out" / "trace.json").is_file()
     assert not (cfg_path.parent / "from_config").exists()
+
+
+def test_run_config_sets_frames_and_seed_under_flags(trees, model_dir, tmp_path,
+                                                    capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"frames": 5, "seed": 3}))
+
+    def run(out, *extra):
+        code = main(_run_args(trees, model_dir, tmp_path, "open", *extra,
+                              "--out-dir", str(tmp_path / out)))
+        assert code == 0
+        capsys.readouterr()
+        return (json.loads((tmp_path / out / "metrics.json").read_text()),
+                (tmp_path / out / "world.json").read_text())
+
+    metrics, _ = run("cfg", "--config", str(cfg_path))
+    assert metrics["frames"] == 5
+    metrics, _ = run("flag", "--config", str(cfg_path), "--frames", "7")
+    assert metrics["frames"] == 7
+    # an explicit --seed 0 beats the config's seed 3
+    _, world = run("seed0", "--config", str(cfg_path), "--seed", "0")
+    assert world == run("plain0", "--frames", "5", "--seed", "0")[1]
+    assert world != run("plain3", "--frames", "5", "--seed", "3")[1]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[]", id="top-level-list"),
+    pytest.param('{"frames": "5"}', id="frames-string"),
+    pytest.param('{"scene": 3}', id="path-number"),
+])
+def test_run_bad_config_exits_io(text, trees, model_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    code = main(_run_args(trees, model_dir, tmp_path, "open",
+                          "--config", str(cfg_path)))
+    assert code == 1
+    _one_line_error(capsys, "io")
 
 
 # -- bench -------------------------------------------------------------------

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from minworld.percept import (
@@ -10,6 +12,7 @@ from minworld.percept import (
     DetectorSpec,
     PerceptionConfig,
     PerceptionError,
+    PerceptionMetrics,
     Scene,
     Visibility,
     active_detectors,
@@ -20,7 +23,16 @@ from minworld.percept import (
     visible,
 )
 from minworld.symbols import DetectorSet
-from minworld.world import Aabb, Pose, WorldObject
+from minworld.world import (
+    ASSOC_RADIUS,
+    PARENT_FALLBACK_RADIUS,
+    PARENT_MARGIN,
+    Aabb,
+    Detection,
+    Pose,
+    WorldModel,
+    WorldObject,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +125,10 @@ def test_detector_spec_validation():
         DetectorSpec("x", "x", frame_cost=0.0)
     with pytest.raises(PerceptionError):
         DetectorSpec("x", "x", frame_cost=0.1, false_positive_rate=1.0)
+    for field in ("frame_cost", "false_positive_rate", "noise_sigma"):
+        for bad in (math.nan, math.inf, None):
+            with pytest.raises(PerceptionError):
+                DetectorSpec("x", "x", **{"frame_cost": 0.1, field: bad})
 
 
 def test_config_validation(registry):
@@ -229,7 +245,7 @@ def test_adaptive_world_has_only_requested_labels(registry, scene):
     config = PerceptionConfig(
         registry, _active("door", "door_handle", links=[("door", "handle")]))
     world, metrics = run_perception(scene, config)
-    assert world.labels() <= {"door", "door_handle"}
+    assert {o.label for o in world.query()} <= {"door", "door_handle"}
     assert metrics.spurious_emitted == 0
     assert metrics.detections_emitted == 60  # 2 objects x 30 frames
 
@@ -265,7 +281,7 @@ def test_exhaustive_emits_spurious_at_seed_zero(registry, scene):
     world, metrics = run_perception(
         scene, PerceptionConfig(registry, mode="exhaustive", seed=0))
     assert metrics.spurious_emitted > 0
-    extras = world.labels() - {"door", "door_handle"}
+    extras = {o.label for o in world.query()} - {"door", "door_handle"}
     assert extras  # clutter labels the task never asked about
     assert extras <= {"ball", "cracker_box", "pitcher", "suitcase"}
 
@@ -284,9 +300,9 @@ def test_pose_stream_pads_with_last_pose():
     specs = (DetectorSpec("box", "box", 0.1),)
     config = PerceptionConfig(specs, _active("box"))
     unseen, _ = run_perception(scene, config)
-    assert "box" not in unseen.labels()
+    assert not unseen.query("box")
     seen, metrics = run_perception(scene, config, pose_stream=[Pose(5.0, 0.0)])
-    assert "box" in seen.labels()
+    assert seen.query("box")
     assert metrics.detections_emitted == 30
 
 
@@ -305,3 +321,158 @@ def test_scene_load_shape(scene):
     assert scene.visibility.fov == pytest.approx(math.radians(87.0))
     assert [o.id for o in scene.objects] == [1, 2]
     assert scene.objects[1].parent == 1
+
+
+# -- equivalence with the full-scan reference --------------------------------
+
+class _FullScanWorld(WorldModel):
+    """Reference world model without the label index: every detection
+    scans all objects, and every integrate re-checks the whole world."""
+
+    def _associate(self, d, assoc_radius):
+        best = None
+        best_key = None
+        for obj in self.objects.values():
+            if obj.label != d.label:
+                continue
+            dist = obj.pose.distance(d.pose)
+            if dist > assoc_radius:
+                continue
+            key = (dist, obj.id)
+            if best_key is None or key < best_key:
+                best, best_key = obj, key
+        return best
+
+    def _find_parent(self, d, parent_label):
+        candidates = [o for o in self.objects.values()
+                      if o.label == parent_label and o.parent is None]
+        inside = [o for o in candidates
+                  if o.bbox.contains(d.bbox.center, margin=PARENT_MARGIN)]
+        pool = inside or [o for o in candidates
+                          if o.pose.distance(d.pose) <= PARENT_FALLBACK_RADIUS]
+        if not pool:
+            return None
+        return min(pool, key=lambda o: (o.pose.distance(d.pose), o.id)).id
+
+    def integrate(self, d, links=(), assoc_radius=ASSOC_RADIUS):
+        obj = self._associate(d, assoc_radius)
+        if obj is None:
+            obj = WorldObject(self._next_id, d.label, d.pose, d.bbox,
+                              first_seen=d.timestamp, last_seen=d.timestamp)
+            self._next_id += 1
+            self.objects[obj.id] = obj
+        else:
+            obj.pose = d.pose
+            obj.bbox = d.bbox
+            obj.last_seen = d.timestamp
+        parent_labels = [p for p, c in links if c == d.label]
+        if parent_labels and obj.parent is None:
+            for parent_label in sorted(parent_labels):
+                found = self._find_parent(d, parent_label)
+                if found is not None and found != obj.id:
+                    obj.parent = found
+                    break
+        self._check_single_layer()
+        return self
+
+
+def _reference_perception(scene, config, pose_stream=None):
+    """The sensing loop with a visibility test and a noise draw per hit."""
+    active = active_detectors(config)
+    links = integration_links(config) if config.mode == "adaptive" else frozenset()
+    period = sum(d.frame_cost for d in active)
+    poses = list(pose_stream or [])[:config.frame_budget]
+    last = poses[-1] if poses else scene.robot_start
+    poses += [last] * (config.frame_budget - len(poses))
+    rng = np.random.default_rng(config.seed)
+    world = _FullScanWorld()
+    emitted = spurious = 0
+    time = 0.0
+    for robot in poses:
+        time += period
+        for det in active:
+            for obj in sorted(scene.objects, key=lambda o: o.id):
+                if obj.label != det.emits_label:
+                    continue
+                if not visible(obj, robot, scene.visibility):
+                    continue
+                dx, dy = rng.normal(0.0, 1.0, 2) * det.noise_sigma
+                world.integrate(Detection(
+                    det.emits_label,
+                    Pose(obj.pose.x + dx, obj.pose.y + dy, obj.pose.z, obj.pose.yaw),
+                    obj.bbox.translated(dx, dy), time, det.id), links,
+                    config.assoc_radius)
+                emitted += 1
+            if config.mode == "exhaustive" and det.false_positive_rate > 0.0:
+                if rng.random() < det.false_positive_rate:
+                    r = rng.uniform(1.0, scene.visibility.max_range)
+                    bearing = robot.yaw + rng.uniform(
+                        -scene.visibility.fov / 2.0, scene.visibility.fov / 2.0)
+                    x = robot.x + r * math.cos(bearing)
+                    y = robot.y + r * math.sin(bearing)
+                    world.integrate(Detection(
+                        det.emits_label, Pose(x, y, 0.5),
+                        Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
+                        time, det.id, spurious=True), links, config.assoc_radius)
+                    emitted += 1
+                    spurious += 1
+    return world, PerceptionMetrics(
+        config.mode, config.frame_budget, [d.id for d in active], period,
+        period * config.frame_budget, emitted, spurious)
+
+
+EQUIV_SPECS = (
+    DetectorSpec("box", "box", 0.05, false_positive_rate=0.5, noise_sigma=0.3),
+    DetectorSpec("cup", "cup", 0.03, false_positive_rate=0.2, noise_sigma=0.05),
+    DetectorSpec("door", "door", 0.09, false_positive_rate=0.3, noise_sigma=0.1),
+    DetectorSpec("door_handle", "door_handle", 0.07, noise_sigma=0.02,
+                 baseline=False),
+)
+
+
+def _random_scene(n: int, rng: random.Random) -> Scene:
+    """n objects packed in front of the robot, doors with handles inside."""
+    objects = []
+    while len(objects) < n:
+        x, y = rng.uniform(-1.0, 6.0), rng.uniform(-4.0, 4.0)
+        label = rng.choice(("box", "cup", "door", "door"))
+        half = 0.05 if label == "cup" else 0.3
+        oid = len(objects) + 1
+        objects.append(WorldObject(oid, label, Pose(x, y, 0.5),
+                                   Aabb((x - half, y - half, 0.0),
+                                        (x + half, y + half, 2 * half))))
+        if label == "door" and len(objects) < n:
+            hx, hy = x - 0.05, y + rng.uniform(-0.25, 0.25)
+            objects.append(WorldObject(
+                oid + 1, "door_handle", Pose(hx, hy, 0.3),
+                Aabb((hx - 0.03, hy - 0.03, 0.27), (hx + 0.03, hy + 0.03, 0.33)),
+                parent=oid))
+    rng.shuffle(objects)  # run_perception visits truth in id order anyway
+    return Scene(objects, Visibility(), Pose(-0.5, 0.0))
+
+
+def test_perception_matches_full_scan_reference():
+    rng = random.Random(7)
+    stream = [Pose(-0.5 + 0.3 * i, 0.2 * i, 0.0, 0.15 * i) for i in range(6)]
+    active = DetectorSet(frozenset({"box", "cup", "door", "door_handle"}),
+                         frozenset({("door", "handle")}))
+    merged = parented = spurious = 0
+    for n in (0, 1, 5, 30, 90, 200):
+        scene = _random_scene(n, rng)
+        for mode in ("adaptive", "exhaustive"):
+            for radius in (0.5, 1.2):
+                for poses in (None, stream):
+                    config = PerceptionConfig(
+                        EQUIV_SPECS, active if mode == "adaptive" else None, mode,
+                        seed=n, frame_budget=8, assoc_radius=radius)
+                    got_world, got = run_perception(scene, config, poses)
+                    want_world, want = _reference_perception(scene, config, poses)
+                    assert json.dumps(got_world.to_json(), sort_keys=True) == \
+                        json.dumps(want_world.to_json(), sort_keys=True), (n, config)
+                    assert got.to_json() == want.to_json()
+                    merged += got.detections_emitted - len(got_world.objects)
+                    parented += len([o for o in got_world.query()
+                                     if o.parent is not None])
+                    spurious += got.spurious_emitted
+    # the scenes exercised association, parent links and false positives
+    assert merged > 0 and parented > 0 and spurious > 0

@@ -44,7 +44,6 @@ def test_pose_distances():
     a = Pose(0, 0, 0)
     b = Pose(3, 4, 12)
     assert a.distance(b) == pytest.approx(13.0)
-    assert a.xy_distance(b) == pytest.approx(5.0)
 
 
 def test_aabb_validation():
@@ -178,6 +177,16 @@ def test_parents_never_chain():
             assert world.objects[obj.parent].parent is None
 
 
+def test_linking_a_parent_under_another_raises():
+    world = WorldModel()
+    world.integrate(_det("door", 5, 0, 1, half=1.0))
+    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
+    world.integrate(_det("wall", 5, 0, 1, half=2.0))
+    # the door already has a child, so hanging it on the wall would chain
+    with pytest.raises(WorldError):
+        world.integrate(_det("door", 5, 0, 1, half=1.0), links=(("wall", "door"),))
+
+
 def test_constructor_rejects_bad_graphs():
     box = Aabb((0, 0, 0), (1, 1, 1))
     a = WorldObject(1, "door", Pose(0, 0), box)
@@ -203,7 +212,6 @@ def test_query_filters_and_sorts():
     assert [o.id for o in world.query()] == [1, 2, 3]
     assert [o.id for o in world.query(parent=door_id)] == [2]
     assert world.query("door_handle", parent=door_id)[0].id == 2
-    assert world.labels() == {"door", "door_handle", "box"}
 
 
 def test_snapshot_is_isolated():
@@ -215,7 +223,16 @@ def test_snapshot_is_isolated():
     assert len(snap.objects) == 1
     assert snap.objects[1].last_seen == 0.0
     snap.integrate(_det("cup", 0, 0))
-    assert "cup" not in world.labels()
+    assert not world.query("cup")
+    # the copy carries its own label index: a nearby door updates object 1
+    snap.integrate(_det("door", 5.2, 0, t=4.0))
+    assert [o.id for o in snap.query("door")] == [1]
+    assert world.objects[1].last_seen == 9.0
+    # mutating an object of the snapshot leaves the source untouched
+    snap.objects[1].pose = Pose(-1.0, -1.0)
+    snap.objects[1].parent = 2
+    assert world.objects[1].pose.x == pytest.approx(5.1)
+    assert world.objects[1].parent is None
 
 
 def test_integration_order_invariant_when_far_apart():
