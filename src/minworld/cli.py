@@ -192,6 +192,11 @@ def _apply_config(args: argparse.Namespace) -> None:
 # commands
 
 def cmd_train(args) -> int:
+    try:
+        config = dcg.TrainConfig(iterations=args.iterations, step=args.step,
+                                 l2=args.l2)
+    except dcg.TrainingError as e:
+        raise StageError("training", str(e), EXIT_IO)
     space = _load_space(args.space or DEFAULTS["space"])
     corpus_path = _require_file("corpus", args.corpus)
     try:
@@ -201,8 +206,6 @@ def cmd_train(args) -> int:
     except (json.JSONDecodeError, dcg.CorpusError, dcg.GroundingError, TreeError,
             ValueError) as e:
         raise StageError("io", f"bad corpus {corpus_path}: {e}", EXIT_IO)
-    config = dcg.TrainConfig(iterations=args.iterations, step=args.step,
-                             l2=args.l2)
     try:
         result = dcg.train(corpus, config, kind=kind)
     except dcg.TrainingError as e:
@@ -215,6 +218,9 @@ def cmd_train(args) -> int:
         "factors": corpus.n_factors,
         "features": corpus.dim,
         "iterations": result.iterations,
+        "converged": result.converged,
+        "stop": result.stop,
+        "grad_norm": result.grad_norm,
         "objective": result.objective_history[-1],
         "recovery": rec,
         "model": str(args.out),

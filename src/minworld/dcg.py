@@ -40,7 +40,7 @@ from .symbols import (
     IndependentDetectorSymbol,
     SymbolSpace,
 )
-from .world import WorldModel
+from .world import WorldModel, finite_number
 
 TEMPLATE_VERSION = 1
 
@@ -161,14 +161,22 @@ def _conjunctions(ps, ss, cs) -> list[tuple[str, str, str | None]]:
             + [(p, s, c) for p, s in pairs for c in cs])
 
 
+def _stems(ps, ss, cs) -> list[str]:
+    """Feature names of the conjunction template, less the phi suffix."""
+    return [f"{p}&{s}" if c is None else f"{p}&{s}&{c}"
+            for p, s, c in _conjunctions(ps, ss, cs)]
+
+
+def _sided(stems: list[str], phi: bool) -> list[str]:
+    suffix = "&T" if phi else "&F"
+    return [stem + suffix for stem in stems]
+
+
 def feature_names(phrase: Phrase, symbol, phi: bool, child_symbols=frozenset(),
                   world: WorldModel | None = None) -> list[str]:
     """Expand the conjunction template for one factor side."""
-    suffix = "T" if phi else "F"
-    triples = _conjunctions(phrase_atoms(phrase), symbol_atoms(symbol, world),
-                            child_atoms(child_symbols, world))
-    return [f"{p}&{s}&{suffix}" if c is None else f"{p}&{s}&{c}&{suffix}"
-            for p, s, c in triples]
+    return _sided(_stems(phrase_atoms(phrase), symbol_atoms(symbol, world),
+                         child_atoms(child_symbols, world)), phi)
 
 
 class FeatureSpace:
@@ -193,19 +201,25 @@ class FeatureSpace:
     def freeze(self) -> None:
         self.frozen = True
 
-    def featurize(self, phrase: Phrase, symbol, phi: bool,
-                  child_symbols=frozenset(),
-                  world: WorldModel | None = None) -> FeatureVector:
+    def _indices(self, names: list[str]) -> tuple[int, ...]:
+        """Sorted indices of ``names``, registering new ones in order
+        unless frozen."""
+        index = self._index
         idx = []
-        for name in feature_names(phrase, symbol, phi, child_symbols, world):
-            i = self._index.get(name)
+        for name in names:
+            i = index.get(name)
             if i is None:
                 if self.frozen:
                     continue
-                i = len(self._index)
-                self._index[name] = i
+                i = index[name] = len(index)
             idx.append(i)
-        return FeatureVector(tuple(sorted(idx)), self.dim)
+        return tuple(sorted(idx))
+
+    def featurize(self, phrase: Phrase, symbol, phi: bool,
+                  child_symbols=frozenset(),
+                  world: WorldModel | None = None) -> FeatureVector:
+        names = feature_names(phrase, symbol, phi, child_symbols, world)
+        return FeatureVector(self._indices(names), self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +516,7 @@ class CompiledCorpus:
         self.examples = examples
         self.feature_space = feature_space or FeatureSpace()
         fs = self.feature_space
-        factors = []  # (gold, true idx tuple, false idx tuple)
+        golds, counts, flat_idx, flat_val = [], [], [], []
         for ex in examples:
             graph = ex.graph
             gold_at = {p.index: {j for (i, j) in ex.gold if i == p.index}
@@ -511,21 +525,23 @@ class CompiledCorpus:
                 child_syms: set = set()
                 for child in phrase.children:
                     child_syms |= {graph.bank[j] for j in gold_at[child.index]}
+                ps = phrase_atoms(phrase)
+                cs = child_atoms(child_syms, graph.world)
                 for j, sym in enumerate(graph.bank):
-                    fv_t = fs.featurize(phrase, sym, True, child_syms, graph.world)
-                    fv_f = fs.featurize(phrase, sym, False, child_syms, graph.world)
-                    factors.append((j in gold_at[phrase.index],
-                                    fv_t.indices, fv_f.indices))
+                    # one template expansion per factor; registering the
+                    # true side's names before the false side's keeps the
+                    # order of two one-sided featurize calls
+                    stems = _stems(ps, symbol_atoms(sym, graph.world), cs)
+                    ti = fs._indices(_sided(stems, True))
+                    fi = fs._indices(_sided(stems, False))
+                    golds.append(j in gold_at[phrase.index])
+                    counts.append(len(ti) + len(fi))
+                    flat_idx += ti
+                    flat_idx += fi
+                    flat_val += [1.0] * len(ti) + [-1.0] * len(fi)
         fs.freeze()
-        self.n_factors = len(factors)
-        self.golds = np.array([g for g, _, _ in factors], dtype=float)
-        counts, flat_idx, flat_val = [], [], []
-        for _, ti, fi in factors:
-            counts.append(len(ti) + len(fi))
-            flat_idx.extend(ti)
-            flat_val.extend([1.0] * len(ti))
-            flat_idx.extend(fi)
-            flat_val.extend([-1.0] * len(fi))
+        self.n_factors = len(golds)
+        self.golds = np.array(golds, dtype=float)
         self.counts = np.array(counts, dtype=int)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.flat_idx = np.array(flat_idx, dtype=int)
@@ -554,9 +570,9 @@ def compile_corpus(path_or_examples, space: SymbolSpace,
     return CompiledCorpus(examples)
 
 
-def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> float:
-    """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2."""
-    m = corpus.margins(w)
+def _objective(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,
+               l2: float) -> float:
+    """``log_likelihood`` at ``w``, given its margins ``m``."""
     signed = np.where(corpus.golds > 0.5, m, -m)
     lp = -np.logaddexp(0.0, -signed)
     val = float(lp.sum()) - 0.5 * l2 * float(w @ w)
@@ -565,18 +581,27 @@ def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> fl
     return val
 
 
-def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> np.ndarray:
-    """Analytic gradient: sum over factors of (1_gold - p_true) times
-    (f_true - f_false), minus l2 w."""
-    m = corpus.margins(w)
+def _gradient(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,
+              l2: float) -> np.ndarray:
+    """``ll_gradient`` at ``w``, given its margins ``m``."""
     with np.errstate(over="ignore"):
         p_true = 1.0 / (1.0 + np.exp(-m))
     coef = corpus.golds - p_true
-    grad = np.zeros(len(w))
-    np.add.at(grad, corpus.flat_idx,
-              np.repeat(coef, corpus.counts) * corpus.flat_val)
-    grad -= l2 * w
-    return grad
+    # not in place: bincount over an empty corpus returns integers
+    return np.bincount(corpus.flat_idx,
+                       weights=np.repeat(coef, corpus.counts) * corpus.flat_val,
+                       minlength=len(w)) - l2 * w
+
+
+def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> float:
+    """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2."""
+    return _objective(corpus, corpus.margins(w), w, l2)
+
+
+def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> np.ndarray:
+    """Analytic gradient: sum over factors of (1_gold - p_true) times
+    (f_true - f_false), minus l2 w."""
+    return _gradient(corpus, corpus.margins(w), w, l2)
 
 
 @dataclass(frozen=True)
@@ -588,13 +613,43 @@ class TrainConfig:
     max_backtracks: int = 40
     armijo: float = 1e-4
 
+    def __post_init__(self):
+        def count_from(value, low: int) -> bool:
+            return (isinstance(value, int) and not isinstance(value, bool)
+                    and value >= low)
+
+        for name, ok, want in (
+            ("iterations", count_from(self.iterations, 0), "an integer >= 0"),
+            ("step", finite_number(self.step) and self.step > 0,
+             "a finite number > 0"),
+            ("l2", finite_number(self.l2) and self.l2 >= 0,
+             "a finite number >= 0"),
+            ("tol", finite_number(self.tol) and self.tol >= 0,
+             "a finite number >= 0"),
+            ("max_backtracks", count_from(self.max_backtracks, 1),
+             "an integer >= 1"),
+            ("armijo", finite_number(self.armijo) and 0 < self.armijo < 1,
+             "a number in (0, 1)"),
+        ):
+            if not ok:
+                raise TrainingError(f"{name} must be {want}, "
+                                    f"got {getattr(self, name)!r}")
+
 
 @dataclass
 class TrainResult:
     model: Model
     objective_history: list[float]
     iterations: int
-    converged: bool
+    # why training stopped: "zero_gradient", "tol" (the gain fell under
+    # tol), "line_search" (no backtracked step passed the Armijo test) or
+    # "iterations" (the cap)
+    stop: str
+    grad_norm: float  # |gradient of the objective| at the returned weights
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "iterations"
 
 
 def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
@@ -604,46 +659,58 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
     Every accepted step satisfies the sufficient-increase condition, so
     the recorded objective history is non-decreasing. Non-finite values
     abort with the iteration number.
+
+    Margins are linear in the weights, so a trial point w + step * grad
+    has margins m + step * margins(grad): each iteration reads the sparse
+    corpus twice (the margins of the gradient, then the gradient at the
+    accepted point) however many steps the line search tries.
     """
+    l2 = config.l2
+
+    def gradient_at(m, w):
+        grad = _gradient(corpus, m, w, l2)
+        gnorm2 = float(grad @ grad)
+        if not math.isfinite(gnorm2):
+            raise NumericError("non-finite gradient")
+        return grad, gnorm2
+
     w = np.zeros(corpus.dim)
-    try:
-        obj = log_likelihood(corpus, w, config.l2)
-    except NumericError as e:
-        raise TrainingError(f"iteration 0: {e}") from e
-    history = [obj]
-    converged = False
+    stop = "iterations"
     it = 0
-    for it in range(1, config.iterations + 1):
-        try:
-            grad = ll_gradient(corpus, w, config.l2)
-            gnorm2 = float(grad @ grad)
-            if not math.isfinite(gnorm2):
-                raise NumericError("non-finite gradient")
+    try:
+        m = corpus.margins(w)
+        obj = _objective(corpus, m, w, l2)
+        grad, gnorm2 = gradient_at(m, w)
+        history = [obj]
+        for it in range(1, config.iterations + 1):
             if gnorm2 == 0.0:
-                converged = True
+                stop = "zero_gradient"
                 break
+            mg = corpus.margins(grad)
             step = config.step
             accepted = False
             for _ in range(config.max_backtracks):
                 w_new = w + step * grad
-                obj_new = log_likelihood(corpus, w_new, config.l2)
+                m_new = m + step * mg
+                obj_new = _objective(corpus, m_new, w_new, l2)
                 if obj_new >= obj + config.armijo * step * gnorm2:
                     accepted = True
                     break
                 step *= 0.5
             if not accepted:
-                converged = True
+                stop = "line_search"
                 break
             gain = obj_new - obj
-            w, obj = w_new, obj_new
+            w, m, obj = w_new, m_new, obj_new
             history.append(obj)
+            grad, gnorm2 = gradient_at(m, w)
             if gain <= config.tol * (1.0 + abs(obj)):
-                converged = True
+                stop = "tol"
                 break
-        except NumericError as e:
-            raise TrainingError(f"iteration {it}: {e}") from e
+    except NumericError as e:
+        raise TrainingError(f"iteration {it}: {e}") from e
     model = Model(kind, corpus.feature_space, w)
-    return TrainResult(model, history, it, converged)
+    return TrainResult(model, history, it, stop, math.sqrt(gnorm2))
 
 
 def recovery(corpus: CompiledCorpus, model: Model) -> float:

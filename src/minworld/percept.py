@@ -56,6 +56,11 @@ class DetectorSpec:
     baseline: bool = True
 
     def __post_init__(self):
+        for name in ("id", "emits_label"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise PerceptionError(
+                    f"detector {name} must be a non-empty string, got {value!r}")
         for name in ("frame_cost", "false_positive_rate", "noise_sigma"):
             value = getattr(self, name)
             if not finite_number(value):
@@ -148,7 +153,13 @@ class PerceptionMetrics:
 
 
 def load_registry(path: str | Path) -> tuple[DetectorSpec, ...]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json_object(json.loads(Path(path).read_text(encoding="utf-8")),
+                       "detector registry")
+    detectors = data["detectors"]
+    if not isinstance(detectors, list):
+        raise PerceptionError(f"registry detectors must be a list, "
+                              f"got {type(detectors).__name__}")
+    entries = [json_object(d, f"detector {i}") for i, d in enumerate(detectors)]
     specs = tuple(
         DetectorSpec(
             id=d["id"],
@@ -158,7 +169,7 @@ def load_registry(path: str | Path) -> tuple[DetectorSpec, ...]:
             noise_sigma=d.get("noise_sigma", 0.0),
             baseline=d.get("baseline", True),
         )
-        for d in data["detectors"]
+        for d in entries
     )
     PerceptionConfig(specs)  # id uniqueness check
     return specs

@@ -42,7 +42,22 @@ def test_train_perception_model(tmp_path, assets, capsys):
     summary = _json_out(capsys)
     assert summary["kind"] == "perception"
     assert summary["recovery"] == 1.0
+    assert (summary["converged"], summary["stop"]) == (False, "iterations")
+    assert summary["grad_norm"] > 0.0
     assert out.is_file()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--step", "-1"], ["--step", "0"], ["--step", "nan"], ["--iterations", "-3"],
+    ["--l2", "-5"], ["--l2", "inf"],
+], ids=" ".join)
+def test_train_rejects_bad_config_before_reading_corpus(flags, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    code = main(["train", "--corpus", str(tmp_path / "missing.json"),
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert flags[0][2:] in _one_line_error(capsys, "training")
+    assert not out.exists()
 
 
 def test_train_rejects_bad_corpus(tmp_path, capsys):
@@ -217,6 +232,24 @@ def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys):
     code = main(["perceive", "--registry", str(registry), "--exhaustive", "--json"])
     assert code == 1
     assert "frame_cost" in _one_line_error(capsys, "io")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[]", id="top-level-list"),
+    pytest.param('{"detectors": {}}', id="detectors-not-list"),
+    pytest.param('{"detectors": [null]}', id="detector-null"),
+    pytest.param('{"detectors": [{"id": "door", "emits_label": null, '
+                 '"frame_cost": 0.1}]}', id="emits-label-null"),
+    pytest.param('{"detectors": [{"id": "", "frame_cost": 0.1}]}', id="id-empty"),
+    pytest.param('{"detectors": [{"id": 3, "frame_cost": 0.1}]}', id="id-number"),
+])
+def test_perceive_bad_registry_exits_io(text, tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(text)
+    code = main(["perceive", "--registry", str(registry), "--exhaustive"])
+    assert code == 1
+    _one_line_error(capsys, "io")
     assert capsys.readouterr().out == ""
 
 

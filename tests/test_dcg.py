@@ -511,6 +511,146 @@ def test_zero_iterations_returns_zero_model(perception_corpus):
     assert len(result.objective_history) == 1
 
 
+def _reference_compile(examples):
+    """The corpus build as two one-sided featurize calls per factor."""
+    fs = dcg.FeatureSpace()
+    golds, counts, flat_idx, flat_val = [], [], [], []
+    for ex in examples:
+        graph = ex.graph
+        gold_at = {p.index: {j for (i, j) in ex.gold if i == p.index}
+                   for p in graph.tree.phrases_bottom_up()}
+        for phrase in graph.tree.phrases_bottom_up():
+            child_syms = set()
+            for child in phrase.children:
+                child_syms |= {graph.bank[j] for j in gold_at[child.index]}
+            for j, sym in enumerate(graph.bank):
+                ti = fs.featurize(phrase, sym, True, child_syms, graph.world).indices
+                fi = fs.featurize(phrase, sym, False, child_syms, graph.world).indices
+                golds.append(float(j in gold_at[phrase.index]))
+                counts.append(len(ti) + len(fi))
+                flat_idx += [*ti, *fi]
+                flat_val += [1.0] * len(ti) + [-1.0] * len(fi)
+    return fs.names, golds, counts, flat_idx, flat_val
+
+
+@pytest.mark.parametrize("which", ["perception", "behavior"])
+def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
+                                                     behavior_corpus):
+    corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
+    names, golds, counts, flat_idx, flat_val = _reference_compile(corpus.examples)
+    assert corpus.feature_space.names == names
+    assert corpus.golds.tolist() == golds
+    assert corpus.counts.tolist() == counts
+    assert corpus.flat_idx.tolist() == flat_idx
+    assert corpus.flat_val.tolist() == flat_val
+
+
+def _reference_gradient(corpus, w, l2):
+    m = corpus.margins(w)
+    coef = corpus.golds - 1.0 / (1.0 + np.exp(-m))
+    grad = np.zeros(len(w))
+    np.add.at(grad, corpus.flat_idx,
+              np.repeat(coef, corpus.counts) * corpus.flat_val)
+    return grad - l2 * w
+
+
+def _reference_train(corpus, config):
+    """Gradient ascent that evaluates the full objective at every
+    line-search trial: (weights, history, iterations, converged)."""
+    w = np.zeros(corpus.dim)
+    obj = dcg.log_likelihood(corpus, w, config.l2)
+    history = [obj]
+    converged = False
+    it = 0
+    for it in range(1, config.iterations + 1):
+        grad = _reference_gradient(corpus, w, config.l2)
+        gnorm2 = float(grad @ grad)
+        if gnorm2 == 0.0:
+            converged = True
+            break
+        step = config.step
+        accepted = False
+        for _ in range(config.max_backtracks):
+            w_new = w + step * grad
+            obj_new = dcg.log_likelihood(corpus, w_new, config.l2)
+            if obj_new >= obj + config.armijo * step * gnorm2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        gain = obj_new - obj
+        w, obj = w_new, obj_new
+        history.append(obj)
+        if gain <= config.tol * (1.0 + abs(obj)):
+            converged = True
+            break
+    return w, history, it, converged
+
+
+@pytest.mark.parametrize("which,iterations", [("perception", 300),
+                                              ("behavior", 40)])
+def test_cached_margin_training_matches_reference(which, iterations,
+                                                  perception_corpus,
+                                                  behavior_corpus):
+    corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
+    config = dcg.TrainConfig(iterations=iterations)
+    w, history, it, converged = _reference_train(corpus, config)
+    got = dcg.train(corpus, config, kind=which)
+    assert (got.iterations, got.converged) == (it, converged)
+    assert len(got.objective_history) == len(history)
+    assert np.allclose(got.objective_history, history, rtol=0.0, atol=1e-10)
+    assert np.allclose(got.model.weights, w, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("iterations", -3), ("iterations", 2.0), ("iterations", True),
+    ("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
+    ("l2", -5.0), ("l2", math.nan), ("l2", math.inf),
+    ("tol", -1e-9), ("tol", math.nan),
+    ("max_backtracks", 0), ("max_backtracks", 1.5),
+    ("armijo", 0.0), ("armijo", 1.0), ("armijo", math.nan),
+])
+def test_train_config_rejects_bad_values(field, bad):
+    with pytest.raises(dcg.TrainingError, match=field):
+        dcg.TrainConfig(**{field: bad})
+
+
+def test_train_config_accepts_edges():
+    dcg.TrainConfig(iterations=0, l2=0.0, tol=0.0, max_backtracks=1, step=1)
+
+
+def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
+                                                        perception_train):
+    def norm_at(result, l2):
+        g = dcg.ll_gradient(perception_corpus, np.array(result.model.weights), l2)
+        return float(np.linalg.norm(g))
+
+    capped = perception_train
+    assert (capped.stop, capped.converged) == ("iterations", False)
+    assert capped.grad_norm == pytest.approx(norm_at(capped, 1e-3), rel=1e-9)
+
+    tol = dcg.train(perception_corpus, dcg.TrainConfig(tol=1.0))
+    assert (tol.stop, tol.iterations, tol.converged) == ("tol", 1, True)
+    assert tol.grad_norm == pytest.approx(norm_at(tol, 1e-3), rel=1e-9)
+
+    stuck = dcg.train(perception_corpus,
+                      dcg.TrainConfig(step=1e6, max_backtracks=1))
+    assert (stuck.stop, stuck.iterations, stuck.converged) == \
+        ("line_search", 1, True)
+    assert len(stuck.objective_history) == 1
+    assert stuck.grad_norm == pytest.approx(norm_at(stuck, 1e-3), rel=1e-9)
+
+    zero = dcg.train(perception_corpus, dcg.TrainConfig(iterations=0))
+    assert (zero.stop, zero.converged) == ("iterations", False)
+    assert zero.grad_norm == pytest.approx(norm_at(zero, 1e-3), rel=1e-9)
+
+    empty = dcg.train(dcg.CompiledCorpus([]))
+    assert (empty.stop, empty.iterations, empty.grad_norm) == \
+        ("zero_gradient", 1, 0.0)
+
+
 def test_compile_corpus_from_path(space, assets):
     corpus = dcg.compile_corpus(assets / "perception_corpus.json", space)
     assert corpus.n_factors > 0

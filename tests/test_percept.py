@@ -129,6 +129,9 @@ def test_detector_spec_validation():
         for bad in (math.nan, math.inf, None):
             with pytest.raises(PerceptionError):
                 DetectorSpec("x", "x", **{"frame_cost": 0.1, field: bad})
+    for ident, label in (("", "x"), (None, "x"), ("x", ""), ("x", None), ("x", 3)):
+        with pytest.raises(PerceptionError):
+            DetectorSpec(ident, label, frame_cost=0.1)
 
 
 def test_config_validation(registry):
