@@ -288,6 +288,20 @@ def _parse_links(text: str | None) -> frozenset[tuple[str, str]]:
     return frozenset(out)
 
 
+def _write_outputs(out_dir: Path, world: WorldModel, metrics,
+                   status: ExecStatus | None = None) -> None:
+    """The world model and perception metrics, plus the executive trace
+    when a behavior ran."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = {"world.json": _dump_json(world.to_json()),
+             "metrics.json": _dump_json(metrics.to_json())}
+    if status is not None:
+        files["trace.json"] = _dump_json(status.to_json())
+        files["trace.log"] = "\n".join(status.log_lines()) + "\n"
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+
+
 def cmd_perceive(args) -> int:
     scene = _load_scene(args.scene or DEFAULTS["scene"])
     registry = _load_registry(args.registry or DEFAULTS["registry"])
@@ -313,12 +327,7 @@ def cmd_perceive(args) -> int:
             print(f"object {obj.id}: {obj.label} at "
                   f"({obj.pose.x:.2f}, {obj.pose.y:.2f}, {obj.pose.z:.2f}){parent}")
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "world.json").write_text(_dump_json(world.to_json()),
-                                            encoding="utf-8")
-        (out_dir / "metrics.json").write_text(_dump_json(metrics.to_json()),
-                                              encoding="utf-8")
+        _write_outputs(Path(args.out_dir), world, metrics)
     return EXIT_OK
 
 
@@ -369,15 +378,7 @@ def cmd_run(args) -> int:
     status = receive_behavior(request, world.snapshot, robot, door)
 
     out_dir = Path(args.out_dir or "minworld_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "world.json").write_text(_dump_json(world.to_json()),
-                                        encoding="utf-8")
-    (out_dir / "metrics.json").write_text(_dump_json(metrics.to_json()),
-                                          encoding="utf-8")
-    (out_dir / "trace.json").write_text(_dump_json(status.to_json()),
-                                        encoding="utf-8")
-    (out_dir / "trace.log").write_text("\n".join(status.log_lines()) + "\n",
-                                       encoding="utf-8")
+    _write_outputs(out_dir, world, metrics, status)
 
     summary = {
         "instruction": tree.instruction,
@@ -467,9 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--l2", type=float, default=1e-3)
+    defaults = dcg.TrainConfig()
+    p.add_argument("--iterations", type=int, default=defaults.iterations)
+    p.add_argument("--step", type=float, default=defaults.step)
+    p.add_argument("--l2", type=float, default=defaults.l2)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ground", help="infer detectors or behavior for a tree")

@@ -4,23 +4,25 @@ Each phrase i and candidate symbol j get a boolean correspondence
 variable phi_ij ("this phrase expresses that symbol"). A log-linear
 factor scores each variable given the phrase, the symbol, and a summary
 of what the phrase's children expressed, so the full objective factors
-as a product over (phrase, symbol) pairs. Inference walks phrases
-bottom-up and sets every variable to its own factor's argmax under the
-already-fixed child assignments; training fits the factor weights by
+as a product over (phrase, symbol) pairs. Each factor is a logistic
+regression: p(phi_ij = true) = sigmoid(margin), where the margin is the
+sum of the weights theta of the factor's active features. Inference
+walks phrases bottom-up and sets every variable to its own factor's
+argmax under the already-fixed child assignments; training fits theta by
 maximum likelihood on annotated corpora.
 
 Features are named conjunctions of phrase atoms, symbol atoms, and
-child-summary atoms, suffixed with the phi literal (&T / &F) so the two
-sides of a factor never share a feature. One template, ``_conjunctions``,
-yields the (phrase, symbol, child-or-None) atom triples; training joins
-them into names with ``&``, so no atom may contain ``&``.
+child-summary atoms, one weight per conjunction. One template,
+``_conjunctions``, yields the (phrase, symbol, child-or-None) atom
+triples; training joins them into names with ``&`` (``p&s`` or
+``p&s&c``), so no atom may contain ``&``.
 
 Inference scores with folded weights instead of names. Within one phrase
 the phrase and child atoms are fixed, so a factor's margin is the sum,
 over the symbol's atoms s, of a_s = sum_p (theta[p,s] + sum_c
-theta[p,s,c]) with theta = w_T - w_F. Each ``Model`` folds its weights
-into a table keyed s -> p -> c|None once, and ``infer`` computes each
-a_s once per phrase and each margin as a sum of 2-3 atom scores.
+theta[p,s,c]). Each ``Model`` folds its weights into a table keyed
+s -> p -> c|None once, and ``infer`` computes each a_s once per phrase
+and each margin as a sum of 2-3 atom scores.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .symbols import (
 )
 from .world import WorldModel, finite_number
 
-TEMPLATE_VERSION = 1
+TEMPLATE_VERSION = 2
 
 
 class NumericError(ArithmeticError):
@@ -67,13 +69,6 @@ class FeatureVector:
 
     indices: tuple[int, ...]
     dim: int
-
-
-@dataclass(frozen=True)
-class CorrespondenceVar:
-    phrase_index: int
-    symbol_id: int
-    value: bool
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +157,16 @@ def _conjunctions(ps, ss, cs) -> list[tuple[str, str, str | None]]:
 
 
 def _stems(ps, ss, cs) -> list[str]:
-    """Feature names of the conjunction template, less the phi suffix."""
+    """Feature names of the conjunction template."""
     return [f"{p}&{s}" if c is None else f"{p}&{s}&{c}"
             for p, s, c in _conjunctions(ps, ss, cs)]
 
 
-def _sided(stems: list[str], phi: bool) -> list[str]:
-    suffix = "&T" if phi else "&F"
-    return [stem + suffix for stem in stems]
-
-
-def feature_names(phrase: Phrase, symbol, phi: bool, child_symbols=frozenset(),
+def feature_names(phrase: Phrase, symbol, child_symbols=frozenset(),
                   world: WorldModel | None = None) -> list[str]:
-    """Expand the conjunction template for one factor side."""
-    return _sided(_stems(phrase_atoms(phrase), symbol_atoms(symbol, world),
-                         child_atoms(child_symbols, world)), phi)
+    """Expand the conjunction template for one factor."""
+    return _stems(phrase_atoms(phrase), symbol_atoms(symbol, world),
+                  child_atoms(child_symbols, world))
 
 
 class FeatureSpace:
@@ -215,44 +205,10 @@ class FeatureSpace:
             idx.append(i)
         return tuple(sorted(idx))
 
-    def featurize(self, phrase: Phrase, symbol, phi: bool,
-                  child_symbols=frozenset(),
+    def featurize(self, phrase: Phrase, symbol, child_symbols=frozenset(),
                   world: WorldModel | None = None) -> FeatureVector:
-        names = feature_names(phrase, symbol, phi, child_symbols, world)
+        names = feature_names(phrase, symbol, child_symbols, world)
         return FeatureVector(self._indices(names), self.dim)
-
-
-# ---------------------------------------------------------------------------
-# factor math
-
-def _score(fv: FeatureVector, w: np.ndarray) -> float:
-    if fv.indices and fv.indices[-1] >= len(w):
-        raise NumericError("feature index outside weight vector")
-    s = float(w[list(fv.indices)].sum()) if fv.indices else 0.0
-    if not math.isfinite(s):
-        raise NumericError("non-finite factor score")
-    return s
-
-
-def _small_side(margin: float) -> float:
-    # probability of the losing side, margin > 0; stays in (0, 0.5)
-    e = math.exp(-margin)
-    return e / (1.0 + e)
-
-
-def factor_prob(fv_true: FeatureVector, fv_false: FeatureVector,
-                w: np.ndarray) -> float:
-    """p(phi=true) under the two-sided log-linear factor.
-
-    Computed from the losing side so that swapping the arguments yields
-    exactly 1 minus the original value.
-    """
-    d = _score(fv_false, w) - _score(fv_true, w)
-    if d == 0.0:
-        return 0.5
-    if d > 0.0:
-        return _small_side(d)
-    return 1.0 - _small_side(-d)
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +264,24 @@ class Assignment:
             out |= {graph.bank[j] for j in ids}
         return out
 
-    def variables(self, graph: FactorGraph) -> list[CorrespondenceVar]:
-        out = []
-        for phrase in graph.tree.phrases_bottom_up():
-            chosen = self.expressed.get(phrase.index, frozenset())
-            for j in range(len(graph.bank)):
-                out.append(CorrespondenceVar(phrase.index, j, j in chosen))
-        return out
-
 
 def _fold(names: list[str], weights: np.ndarray) -> dict:
-    """theta = w_T - w_F of every conjunction, keyed s -> p -> c|None."""
+    """The weight of every conjunction, keyed s -> p -> c|None."""
     table: dict[str, dict[str, dict[str | None, float]]] = {}
     shared: dict[str, str] = {}  # one string object per distinct child atom
     for name, w in zip(names, weights.tolist()):
         atoms = name.split("&")
-        if len(atoms) not in (3, 4) or atoms[-1] not in ("T", "F"):
+        if len(atoms) not in (2, 3):
             raise CorpusError(f"feature name {name!r} is not a conjunction")
         p, s = atoms[0], atoms[1]
-        c = shared.setdefault(atoms[2], atoms[2]) if len(atoms) == 4 else None
+        c = shared.setdefault(atoms[2], atoms[2]) if len(atoms) == 3 else None
         row = table.get(s)
         if row is None:
             row = table[s] = {}
         by_c = row.get(p)
         if by_c is None:
             by_c = row[p] = {}
-        by_c[c] = by_c.get(c, 0.0) + (w if atoms[-1] == "T" else -w)
+        by_c[c] = w
     return table
 
 
@@ -363,7 +311,8 @@ class Model:
             "kind": self.kind,
             "weights": {n: float(self.weights[i]) for i, n in enumerate(names)},
         }
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+        Path(path).write_text(json.dumps(data, sort_keys=True,
+                                         separators=(",", ":")) + "\n",
                               encoding="utf-8")
 
     @classmethod
@@ -504,8 +453,8 @@ def build_examples(kind: str, raw_examples: list[dict],
 
 
 class CompiledCorpus:
-    """Featurized corpus: per-factor gold values and sparse feature
-    deltas (f_true - f_false), flattened for vectorized math.
+    """Featurized corpus: per-factor gold values and active feature
+    indices, flattened for vectorized math.
 
     Child conditioning during compilation uses the gold assignments of
     the children, matching what inference reconstructs once trained.
@@ -516,7 +465,7 @@ class CompiledCorpus:
         self.examples = examples
         self.feature_space = feature_space or FeatureSpace()
         fs = self.feature_space
-        golds, counts, flat_idx, flat_val = [], [], [], []
+        golds, counts, flat_idx = [], [], []
         for ex in examples:
             graph = ex.graph
             gold_at = {p.index: {j for (i, j) in ex.gold if i == p.index}
@@ -528,36 +477,28 @@ class CompiledCorpus:
                 ps = phrase_atoms(phrase)
                 cs = child_atoms(child_syms, graph.world)
                 for j, sym in enumerate(graph.bank):
-                    # one template expansion per factor; registering the
-                    # true side's names before the false side's keeps the
-                    # order of two one-sided featurize calls
-                    stems = _stems(ps, symbol_atoms(sym, graph.world), cs)
-                    ti = fs._indices(_sided(stems, True))
-                    fi = fs._indices(_sided(stems, False))
+                    idx = fs._indices(
+                        _stems(ps, symbol_atoms(sym, graph.world), cs))
                     golds.append(j in gold_at[phrase.index])
-                    counts.append(len(ti) + len(fi))
-                    flat_idx += ti
-                    flat_idx += fi
-                    flat_val += [1.0] * len(ti) + [-1.0] * len(fi)
+                    counts.append(len(idx))
+                    flat_idx += idx
         fs.freeze()
         self.n_factors = len(golds)
         self.golds = np.array(golds, dtype=float)
         self.counts = np.array(counts, dtype=int)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.flat_idx = np.array(flat_idx, dtype=int)
-        self.flat_val = np.array(flat_val, dtype=float)
 
     @property
     def dim(self) -> int:
         return self.feature_space.dim
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        """Per-factor s_true - s_false."""
+        """Per-factor sum of the active features' weights."""
         if len(w) < self.dim:
             raise NumericError("weight vector shorter than feature space")
-        contrib = w[self.flat_idx] * self.flat_val
-        return np.add.reduceat(contrib, self.offsets) if self.n_factors else \
-            np.zeros(0)
+        return np.add.reduceat(w[self.flat_idx], self.offsets) \
+            if self.n_factors else np.zeros(0)
 
 
 def compile_corpus(path_or_examples, space: SymbolSpace,
@@ -588,8 +529,7 @@ def _gradient(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,
         p_true = 1.0 / (1.0 + np.exp(-m))
     coef = corpus.golds - p_true
     # not in place: bincount over an empty corpus returns integers
-    return np.bincount(corpus.flat_idx,
-                       weights=np.repeat(coef, corpus.counts) * corpus.flat_val,
+    return np.bincount(corpus.flat_idx, weights=np.repeat(coef, corpus.counts),
                        minlength=len(w)) - l2 * w
 
 
@@ -600,15 +540,15 @@ def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> fl
 
 def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> np.ndarray:
     """Analytic gradient: sum over factors of (1_gold - p_true) times
-    (f_true - f_false), minus l2 w."""
+    the factor's features, minus l2 w."""
     return _gradient(corpus, corpus.margins(w), w, l2)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 300
-    step: float = 1.0
-    l2: float = 1e-3
+    step: float = 2.0
+    l2: float = 5e-4
     tol: float = 1e-9
     max_backtracks: int = 40
     armijo: float = 1e-4

@@ -143,6 +143,18 @@ def _approach_point(robot: Pose, target: WorldObject,
     return gx, gy, yaw
 
 
+def _standoff_goal(robot: Pose, target: WorldObject, standoff: float,
+                   obstacles) -> tuple[float, float, float]:
+    """The approach point, unless it lies inside another object's
+    footprint, which makes it unreachable."""
+    gx, gy, yaw = _approach_point(robot, target, standoff)
+    for obs in obstacles:
+        if obs.id != target.id and obs.bbox.contains((gx, gy, obs.bbox.center[2])):
+            raise NavigationError(
+                f"standoff point blocked by object {obs.id} ({obs.label})")
+    return gx, gy, yaw
+
+
 def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
              speed: float = 0.5, obstacles=()) -> RobotState:
     """Drive the base to the standoff point, facing the target.
@@ -152,11 +164,7 @@ def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
     """
     if standoff <= 0:
         raise ValueError("standoff must be positive")
-    gx, gy, yaw = _approach_point(robot.base, target, standoff)
-    for obs in obstacles:
-        if obs.id != target.id and obs.bbox.contains((gx, gy, obs.bbox.center[2])):
-            raise NavigationError(
-                f"standoff point blocked by object {obs.id} ({obs.label})")
+    gx, gy, yaw = _standoff_goal(robot.base, target, standoff, obstacles)
     dist = math.hypot(gx - robot.base.x, gy - robot.base.y)
     if dist < 1e-9 and abs(math.remainder(yaw - robot.base.yaw, math.tau)) < 1e-9:
         return robot
@@ -258,15 +266,9 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
     target = snap.objects.get(b.target_a)
     if target is None:
         return fail(f"target {b.target_a} not in world")
-    obstacles = snap.query()
     try:
         # plan before moving so an unreachable goal fails at dispatch
-        gx, gy, _ = _approach_point(robot.base, target, params.standoff)
-        for obs in obstacles:
-            if obs.id != target.id and obs.bbox.contains(
-                    (gx, gy, obs.bbox.center[2])):
-                raise NavigationError(
-                    f"standoff point blocked by object {obs.id} ({obs.label})")
+        _standoff_goal(robot.base, target, params.standoff, snap.query())
     except NavigationError as e:
         return fail(str(e))
 

@@ -88,12 +88,6 @@ class ParseTree:
         walk(self.root)
         return out
 
-    def phrase(self, index: int) -> Phrase:
-        for p in self.phrases_bottom_up():
-            if p.index == index:
-                return p
-        raise KeyError(index)
-
     def serialize(self) -> str:
         return self.root._serialize()
 
@@ -207,10 +201,6 @@ class Lexicon:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls({tag: frozenset(w.lower() for w in words)
                     for tag, words in raw.items()})
-
-    def to_json(self, path: str | Path) -> None:
-        data = {tag: sorted(words) for tag, words in sorted(self.entries.items())}
-        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,7 @@ def hash_model(graph, salt: str) -> dcg.Model:
     for phrase in graph.tree.phrases_bottom_up():
         for sym in graph.bank:
             for ctx in bank_sets:
-                for phi in (True, False):
-                    fs.featurize(phrase, sym, phi, set(ctx), graph.world)
+                fs.featurize(phrase, sym, set(ctx), graph.world)
     fs.freeze()
     w = np.array([hash_weight(n, salt) for n in fs.names])
     return dcg.Model(graph.kind, fs, w)
@@ -97,7 +96,8 @@ def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
     """Independent oracle: exhaustively enumerate every phrase's joint
     block of correspondence variables (recursing into children first so
     the conditioning contexts match inference's), keeping the first
-    maximizer in false-first lexicographic order."""
+    maximizer in false-first lexicographic order. A variable scores the
+    weights of its factor's features when true and 0 when false."""
     w = model.weights
     fs = model.space
     result: dict[int, frozenset[int]] = {}
@@ -111,8 +111,9 @@ def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
         for bits in itertools.product((False, True), repeat=len(graph.bank)):
             score = 0.0
             for j, value in enumerate(bits):
-                fv = fs.featurize(phrase, graph.bank[j], value, ctx, graph.world)
-                score += float(w[list(fv.indices)].sum()) if fv.indices else 0.0
+                if value:
+                    fv = fs.featurize(phrase, graph.bank[j], ctx, graph.world)
+                    score += float(w[list(fv.indices)].sum()) if fv.indices else 0.0
             if score > best_score:
                 best_bits, best_score = bits, score
         chosen = frozenset(j for j, v in enumerate(best_bits) if v)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from minworld.cli import main
+from minworld import dcg
+from minworld.cli import build_parser, main
 from minworld.world import Aabb, Pose, WorldModel, WorldObject
 
 
@@ -44,7 +45,17 @@ def test_train_perception_model(tmp_path, assets, capsys):
     assert summary["recovery"] == 1.0
     assert (summary["converged"], summary["stop"]) == (False, "iterations")
     assert summary["grad_norm"] > 0.0
-    assert out.is_file()
+    data = json.loads(out.read_text())
+    assert data["template_version"] == 2
+    assert len(data["weights"]) == summary["features"]
+    assert not any(n.endswith(("&T", "&F")) for n in data["weights"])
+
+
+def test_train_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
+    want = dcg.TrainConfig()
+    assert (args.iterations, args.step, args.l2) == \
+        (want.iterations, want.step, want.l2)
 
 
 @pytest.mark.parametrize("flags", [
@@ -156,11 +167,28 @@ def test_ground_non_finite_model_weights_exit_io(trees, model_dir, tmp_path,
 
 def test_ground_overflowing_margin_exits_grounding(trees, model_dir, tmp_path,
                                                    capsys):
-    # every weight is finite, but w_T - w_F overflows to inf
+    # every weight is finite, but two that share the factor of "the door"
+    # and the door label sum to inf
+    pair = {"word:door&label:door", "tag:NN&label:door"}
+    assert pair <= set(json.loads((model_dir / "perception.json").read_text())
+                       ["weights"])
     huge = _rewrite_weights(model_dir / "perception.json", tmp_path / "huge.json",
-                            lambda n: 1.7e308 if n.endswith("&T") else -1.7e308)
+                            lambda n: 1.7e308 if n in pair else 0.0)
     assert main(["ground", "--tree", trees["open"], "--model", huge]) == 2
     _one_line_error(capsys, "grounding")
+
+
+def test_ground_version_1_model_exits_io(trees, model_dir, tmp_path, capsys):
+    # the two-sided format: a weight per conjunction and phi literal
+    data = json.loads((model_dir / "perception.json").read_text())
+    weights = {}
+    for name, w in data["weights"].items():
+        weights[f"{name}&T"], weights[f"{name}&F"] = w / 2, -w / 2
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps({"template_version": 1, "kind": "perception",
+                               "weights": weights}))
+    assert main(["ground", "--tree", trees["open"], "--model", str(old)]) == 1
+    assert "template version 1" in _one_line_error(capsys, "io")
 
 
 @pytest.mark.parametrize("text", [

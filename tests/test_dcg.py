@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,32 +42,23 @@ def test_phrase_atoms_verb():
 
 
 def test_two_way_feature_names(space):
-    names = dcg.feature_names(_door_np(), space.semantic("door"), True)
-    assert "word:door&label:door&T" in names
-    assert "tag:NN&category:semantic_label&T" in names
+    names = dcg.feature_names(_door_np(), space.semantic("door"))
+    assert "word:door&label:door" in names
+    assert "tag:NN&category:semantic_label" in names
 
 
 def test_three_way_feature_name_with_child(space):
     vp = load_parse_tree(OPEN).root
     names = dcg.feature_names(
-        vp, space.hierarchy("door", "handle"), True,
+        vp, space.hierarchy("door", "handle"),
         child_symbols={space.semantic("door")},
     )
-    assert "verb:open&hier_subtype:handle&child_has:door&T" in names
+    assert "verb:open&hier_subtype:handle&child_has:door" in names
 
 
 def test_no_child_marker(space):
-    names = dcg.feature_names(_door_np(), space.semantic("door"), True)
-    assert any(n.endswith("&child_none&T") for n in names)
-
-
-def test_true_false_sides_disjoint(space):
-    phrase = _door_np()
-    for sym in space.perception:
-        t = set(dcg.feature_names(phrase, sym, True))
-        f = set(dcg.feature_names(phrase, sym, False))
-        assert not t & f
-        assert len(t) == len(f)
+    names = dcg.feature_names(_door_np(), space.semantic("door"))
+    assert any(n.endswith("&child_none") for n in names)
 
 
 def test_behavior_atoms_resolve_labels_through_world():
@@ -94,7 +86,7 @@ def test_child_atoms_sorted_and_deduped(space):
 def test_atoms_with_the_name_separator_are_rejected(space):
     phrase = load_parse_tree("(NP (DT the) (NN a&b))").root
     with pytest.raises(dcg.GroundingError):
-        dcg.feature_names(phrase, space.semantic("door"), True)
+        dcg.feature_names(phrase, space.semantic("door"))
     graph = dcg.build_perception_graph(load_parse_tree("(NP (NN a&b))"), space)
     fs = dcg.FeatureSpace(frozen=True)
     with pytest.raises(dcg.GroundingError):
@@ -103,10 +95,10 @@ def test_atoms_with_the_name_separator_are_rejected(space):
 
 def test_feature_space_grows_then_freezes(space):
     fs = dcg.FeatureSpace()
-    fv = fs.featurize(_door_np(), space.semantic("door"), True)
+    fv = fs.featurize(_door_np(), space.semantic("door"))
     assert fs.dim == len(fv.indices) > 0
     fs.freeze()
-    fv2 = fs.featurize(_door_np(), space.semantic("box"), True)
+    fv2 = fs.featurize(_door_np(), space.semantic("box"))
     # overlap (shared phrase atoms with known names) but no growth
     assert fs.dim == len(fv.indices)
     assert len(fv2.indices) < fs.dim or fs.dim == 0
@@ -114,52 +106,7 @@ def test_feature_space_grows_then_freezes(space):
 
 def test_feature_space_rejects_duplicates():
     with pytest.raises(ValueError):
-        dcg.FeatureSpace(["a&T", "a&T"])
-
-
-# -- factor math -------------------------------------------------------------
-
-def test_factor_prob_half_at_zero():
-    fv = dcg.FeatureVector((0,), 2)
-    fw = dcg.FeatureVector((1,), 2)
-    assert dcg.factor_prob(fv, fw, np.zeros(2)) == 0.5
-
-
-def test_factor_prob_ln3_margin():
-    fv = dcg.FeatureVector((0,), 2)
-    fw = dcg.FeatureVector((1,), 2)
-    w = np.array([math.log(3.0), 0.0])
-    assert abs(dcg.factor_prob(fv, fw, w) - 0.75) < 1e-12
-    assert abs(dcg.factor_prob(fw, fv, w) - 0.25) < 1e-12
-
-
-def test_factor_prob_exact_symmetry():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        dim = int(rng.integers(1, 8))
-        w = rng.normal(scale=4.0, size=dim)
-        k_t = int(rng.integers(0, dim + 1))
-        k_f = int(rng.integers(0, dim + 1))
-        fv_t = dcg.FeatureVector(
-            tuple(sorted(rng.choice(dim, size=k_t, replace=False))), dim)
-        fv_f = dcg.FeatureVector(
-            tuple(sorted(rng.choice(dim, size=k_f, replace=False))), dim)
-        p = dcg.factor_prob(fv_t, fv_f, w)
-        q = dcg.factor_prob(fv_f, fv_t, w)
-        assert p + q == 1.0
-        assert 0.0 < p < 1.0
-
-
-def test_score_rejects_out_of_range_index():
-    fv = dcg.FeatureVector((3,), 4)
-    with pytest.raises(dcg.NumericError):
-        dcg.factor_prob(fv, dcg.FeatureVector((), 4), np.zeros(2))
-
-
-def test_score_rejects_non_finite():
-    fv = dcg.FeatureVector((0,), 1)
-    with pytest.raises(dcg.NumericError):
-        dcg.factor_prob(fv, dcg.FeatureVector((), 1), np.array([math.inf]))
+        dcg.FeatureSpace(["a&b", "a&b"])
 
 
 # -- graphs and inference ----------------------------------------------------
@@ -185,8 +132,7 @@ def test_zero_model_expresses_nothing(space):
     fs = dcg.FeatureSpace()
     for phrase in tree.phrases_bottom_up():
         for sym in graph.bank:
-            fs.featurize(phrase, sym, True)
-            fs.featurize(phrase, sym, False)
+            fs.featurize(phrase, sym)
     fs.freeze()
     model = dcg.Model("perception", fs, np.zeros(fs.dim))
     got = dcg.infer(graph, model)
@@ -213,11 +159,6 @@ def test_assignment_views(space, perception_model):
     for p in tree.phrases_bottom_up():
         sym_union |= got.phrase_symbols(graph, p.index)
     assert sym_union == got.all_symbols(graph)
-    variables = got.variables(graph)
-    assert len(variables) == graph.factor_count
-    true_vars = {(v.phrase_index, v.symbol_id) for v in variables if v.value}
-    want = {(i, j) for i, ids in got.expressed.items() for j in ids}
-    assert true_vars == want
 
 
 def test_infer_with_non_finite_weights_raises(space, perception_model):
@@ -245,9 +186,9 @@ def test_model_roundtrip_preserves_inference(tmp_path, space, perception_model):
 def test_model_load_rejects_other_template_versions(tmp_path, perception_model):
     path = tmp_path / "m.json"
     perception_model.save(path)
-    text = path.read_text().replace(
-        f'"template_version": {dcg.TEMPLATE_VERSION}', '"template_version": 99')
-    path.write_text(text)
+    data = json.loads(path.read_text())
+    data["template_version"] = 99
+    path.write_text(json.dumps(data))
     with pytest.raises(dcg.CorpusError):
         dcg.Model.load(path)
 
@@ -263,10 +204,11 @@ def test_model_load_rejects_non_finite_weights(tmp_path, perception_model):
 
 
 def test_model_rejects_malformed_names_and_lengths():
-    with pytest.raises(dcg.CorpusError):
-        dcg.Model("perception", dcg.FeatureSpace(["word:door&T"]), np.zeros(1))
+    for name in ("word:door", "a&b&c&d"):
+        with pytest.raises(dcg.CorpusError):
+            dcg.Model("perception", dcg.FeatureSpace([name]), np.zeros(1))
     with pytest.raises(dcg.NumericError):
-        dcg.Model("perception", dcg.FeatureSpace(["a&b&T"]), np.zeros(2))
+        dcg.Model("perception", dcg.FeatureSpace(["a&b"]), np.zeros(2))
 
 
 def test_model_weights_are_read_only(perception_model):
@@ -277,8 +219,8 @@ def test_model_weights_are_read_only(perception_model):
 # -- folded inference against per-factor featurization -------------------------
 
 def _reference_infer(graph, model):
-    """Inference as a sum over named features: featurize both sides of
-    every factor and sum each side's weights."""
+    """Inference as a sum over named features: featurize every factor
+    and sum its weights."""
     fs, w = model.space, model.weights
     expressed, by_index, log_score = {}, {}, 0.0
     for phrase in graph.tree.phrases_bottom_up():
@@ -287,10 +229,8 @@ def _reference_infer(graph, model):
             ctx |= by_index[child.index]
         chosen = set()
         for j, sym in enumerate(graph.bank):
-            s_t, s_f = (float(w[list(fs.featurize(phrase, sym, phi, ctx,
-                                                   graph.world).indices)].sum())
-                        for phi in (True, False))
-            margin = s_t - s_f
+            fv = fs.featurize(phrase, sym, ctx, graph.world)
+            margin = float(w[list(fv.indices)].sum())
             if margin > 0.0:
                 chosen.add(j)
             log_score -= float(np.logaddexp(0.0, -abs(margin)))
@@ -443,10 +383,8 @@ def test_margins_match_direct_scores(space, perception_corpus):
             for child in phrase.children:
                 child_syms |= {graph.bank[j] for j in gold_at[child.index]}
             for sym in graph.bank:
-                fv_t = fs.featurize(phrase, sym, True, child_syms, graph.world)
-                fv_f = fs.featurize(phrase, sym, False, child_syms, graph.world)
-                want = (float(w[list(fv_t.indices)].sum())
-                        - float(w[list(fv_f.indices)].sum()))
+                fv = fs.featurize(phrase, sym, child_syms, graph.world)
+                want = float(w[list(fv.indices)].sum())
                 assert abs(got[k] - want) < 1e-9
                 k += 1
     assert k == perception_corpus.n_factors
@@ -511,9 +449,17 @@ def test_zero_iterations_returns_zero_model(perception_corpus):
     assert len(result.objective_history) == 1
 
 
-def _reference_compile(examples):
-    """The corpus build as two one-sided featurize calls per factor."""
-    fs = dcg.FeatureSpace()
+def _two_sided_compile(examples):
+    """The corpus build of the two-sided factor this module's factor
+    replaced: each conjunction has a weight for phi = true (``name&T``)
+    and one for phi = false (``name&F``), a factor's margin is its true
+    weights minus its false weights, and each factor registers its true
+    names before its false names."""
+    index: dict[str, int] = {}
+
+    def ids(names):
+        return sorted(index.setdefault(n, len(index)) for n in names)
+
     golds, counts, flat_idx, flat_val = [], [], [], []
     for ex in examples:
         graph = ex.graph
@@ -524,69 +470,81 @@ def _reference_compile(examples):
             for child in phrase.children:
                 child_syms |= {graph.bank[j] for j in gold_at[child.index]}
             for j, sym in enumerate(graph.bank):
-                ti = fs.featurize(phrase, sym, True, child_syms, graph.world).indices
-                fi = fs.featurize(phrase, sym, False, child_syms, graph.world).indices
+                stems = dcg.feature_names(phrase, sym, child_syms, graph.world)
+                ti = ids([s + "&T" for s in stems])
+                fi = ids([s + "&F" for s in stems])
                 golds.append(float(j in gold_at[phrase.index]))
                 counts.append(len(ti) + len(fi))
                 flat_idx += [*ti, *fi]
                 flat_val += [1.0] * len(ti) + [-1.0] * len(fi)
-    return fs.names, golds, counts, flat_idx, flat_val
+    counts = np.array(counts, dtype=int)
+    return SimpleNamespace(
+        names=list(index), golds=np.array(golds), counts=counts,
+        offsets=np.concatenate(([0], np.cumsum(counts)[:-1])),
+        flat_idx=np.array(flat_idx, dtype=int), flat_val=np.array(flat_val))
 
 
 @pytest.mark.parametrize("which", ["perception", "behavior"])
 def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
                                                      behavior_corpus):
+    # one weight per conjunction: the stems of the two-sided build's true
+    # names, in the same order, factor by factor
     corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
-    names, golds, counts, flat_idx, flat_val = _reference_compile(corpus.examples)
-    assert corpus.feature_space.names == names
-    assert corpus.golds.tolist() == golds
-    assert corpus.counts.tolist() == counts
-    assert corpus.flat_idx.tolist() == flat_idx
-    assert corpus.flat_val.tolist() == flat_val
+    ref = _two_sided_compile(corpus.examples)
+    assert corpus.feature_space.names == [n[:-2] for n in ref.names
+                                          if n.endswith("&T")]
+    assert corpus.golds.tolist() == ref.golds.tolist()
+    assert (2 * corpus.counts).tolist() == ref.counts.tolist()
+    names = corpus.feature_space.names
+    assert [names[i] for i in corpus.flat_idx] == \
+        [ref.names[i][:-2] for i, v in zip(ref.flat_idx, ref.flat_val) if v > 0]
 
 
-def _reference_gradient(corpus, w, l2):
-    m = corpus.margins(w)
-    coef = corpus.golds - 1.0 / (1.0 + np.exp(-m))
-    grad = np.zeros(len(w))
-    np.add.at(grad, corpus.flat_idx,
-              np.repeat(coef, corpus.counts) * corpus.flat_val)
-    return grad - l2 * w
+def _two_sided_train(ref, iterations, step=1.0, l2=1e-3, tol=1e-9,
+                     max_backtracks=40, armijo=1e-4):
+    """Gradient ascent on the two-sided weights, evaluating the full
+    objective at every line-search trial and summing the gradient with
+    np.add.at: (weights, history, iterations, stop, gradient norm)."""
+    def objective(w):
+        m = np.add.reduceat(w[ref.flat_idx] * ref.flat_val, ref.offsets)
+        signed = np.where(ref.golds > 0.5, m, -m)
+        return float(-np.logaddexp(0.0, -signed).sum()) - 0.5 * l2 * float(w @ w)
 
+    def gradient(w):
+        m = np.add.reduceat(w[ref.flat_idx] * ref.flat_val, ref.offsets)
+        coef = ref.golds - 1.0 / (1.0 + np.exp(-m))
+        grad = np.zeros(len(w))
+        np.add.at(grad, ref.flat_idx, np.repeat(coef, ref.counts) * ref.flat_val)
+        return grad - l2 * w
 
-def _reference_train(corpus, config):
-    """Gradient ascent that evaluates the full objective at every
-    line-search trial: (weights, history, iterations, converged)."""
-    w = np.zeros(corpus.dim)
-    obj = dcg.log_likelihood(corpus, w, config.l2)
+    w = np.zeros(len(ref.names))
+    obj = objective(w)
     history = [obj]
-    converged = False
+    stop = "iterations"
     it = 0
-    for it in range(1, config.iterations + 1):
-        grad = _reference_gradient(corpus, w, config.l2)
+    for it in range(1, iterations + 1):
+        grad = gradient(w)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0:
-            converged = True
+            stop = "zero_gradient"
             break
-        step = config.step
-        accepted = False
-        for _ in range(config.max_backtracks):
-            w_new = w + step * grad
-            obj_new = dcg.log_likelihood(corpus, w_new, config.l2)
-            if obj_new >= obj + config.armijo * step * gnorm2:
-                accepted = True
+        trial = step
+        for _ in range(max_backtracks):
+            w_new = w + trial * grad
+            obj_new = objective(w_new)
+            if obj_new >= obj + armijo * trial * gnorm2:
                 break
-            step *= 0.5
-        if not accepted:
-            converged = True
+            trial *= 0.5
+        else:
+            stop = "line_search"
             break
         gain = obj_new - obj
         w, obj = w_new, obj_new
         history.append(obj)
-        if gain <= config.tol * (1.0 + abs(obj)):
-            converged = True
+        if gain <= tol * (1.0 + abs(obj)):
+            stop = "tol"
             break
-    return w, history, it, converged
+    return w, history, it, stop, float(np.linalg.norm(gradient(w)))
 
 
 @pytest.mark.parametrize("which,iterations", [("perception", 300),
@@ -594,14 +552,20 @@ def _reference_train(corpus, config):
 def test_cached_margin_training_matches_reference(which, iterations,
                                                   perception_corpus,
                                                   behavior_corpus):
+    # theta = w_T - w_F with half the l2 and twice the step takes the
+    # two-sided factor's iterates exactly, up to rounding
     corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
-    config = dcg.TrainConfig(iterations=iterations)
-    w, history, it, converged = _reference_train(corpus, config)
-    got = dcg.train(corpus, config, kind=which)
-    assert (got.iterations, got.converged) == (it, converged)
+    ref = _two_sided_compile(corpus.examples)
+    w, history, it, stop, gnorm = _two_sided_train(ref, iterations)
+    got = dcg.train(corpus, dcg.TrainConfig(iterations=iterations), kind=which)
+    assert (got.iterations, got.stop) == (it, stop)
     assert len(got.objective_history) == len(history)
     assert np.allclose(got.objective_history, history, rtol=0.0, atol=1e-10)
-    assert np.allclose(got.model.weights, w, rtol=0.0, atol=1e-10)
+    at = {n: i for i, n in enumerate(ref.names)}
+    theta = np.array([w[at[n + "&T"]] - w[at[n + "&F"]]
+                      for n in corpus.feature_space.names])
+    assert np.allclose(got.model.weights, theta, rtol=0.0, atol=1e-10)
+    assert got.grad_norm == pytest.approx(gnorm / math.sqrt(2.0), rel=1e-9)
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -627,24 +591,26 @@ def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
         g = dcg.ll_gradient(perception_corpus, np.array(result.model.weights), l2)
         return float(np.linalg.norm(g))
 
+    l2 = dcg.TrainConfig().l2
+
     capped = perception_train
     assert (capped.stop, capped.converged) == ("iterations", False)
-    assert capped.grad_norm == pytest.approx(norm_at(capped, 1e-3), rel=1e-9)
+    assert capped.grad_norm == pytest.approx(norm_at(capped, l2), rel=1e-9)
 
     tol = dcg.train(perception_corpus, dcg.TrainConfig(tol=1.0))
     assert (tol.stop, tol.iterations, tol.converged) == ("tol", 1, True)
-    assert tol.grad_norm == pytest.approx(norm_at(tol, 1e-3), rel=1e-9)
+    assert tol.grad_norm == pytest.approx(norm_at(tol, l2), rel=1e-9)
 
     stuck = dcg.train(perception_corpus,
                       dcg.TrainConfig(step=1e6, max_backtracks=1))
     assert (stuck.stop, stuck.iterations, stuck.converged) == \
         ("line_search", 1, True)
     assert len(stuck.objective_history) == 1
-    assert stuck.grad_norm == pytest.approx(norm_at(stuck, 1e-3), rel=1e-9)
+    assert stuck.grad_norm == pytest.approx(norm_at(stuck, l2), rel=1e-9)
 
     zero = dcg.train(perception_corpus, dcg.TrainConfig(iterations=0))
     assert (zero.stop, zero.converged) == ("iterations", False)
-    assert zero.grad_norm == pytest.approx(norm_at(zero, 1e-3), rel=1e-9)
+    assert zero.grad_norm == pytest.approx(norm_at(zero, l2), rel=1e-9)
 
     empty = dcg.train(dcg.CompiledCorpus([]))
     assert (empty.stop, empty.iterations, empty.grad_norm) == \

@@ -32,8 +32,7 @@ def test_oracle_prefers_false_on_ties():
     fs = dcg.FeatureSpace()
     for phrase in graph.tree.phrases_bottom_up():
         for sym in graph.bank:
-            fs.featurize(phrase, sym, True, set(), graph.world)
-            fs.featurize(phrase, sym, False, set(), graph.world)
+            fs.featurize(phrase, sym, set(), graph.world)
     fs.freeze()
     model = dcg.Model(graph.kind, fs, np.zeros(fs.dim))
     want = enumerate_assignment(graph, model)
