@@ -229,20 +229,20 @@ class FactorGraph:
     def factor_count(self) -> int:
         return self.tree.n_phrases * len(self.bank)
 
-    def symbol(self, symbol_id: int):
-        return self.bank[symbol_id]
-
 
 def build_perception_graph(tree: ParseTree, space: SymbolSpace) -> FactorGraph:
-    return FactorGraph(tree, tuple(space.perception), "perception")
+    # the space's own tuple, so every graph of one space shares one bank
+    # object and ``infer`` reuses its layout
+    return FactorGraph(tree, space.perception, "perception")
 
 
 def build_behavior_graph(tree: ParseTree, space: SymbolSpace,
                          world: WorldModel) -> FactorGraph:
+    objects = world.query()
     bank = tuple(
         BehaviorSymbol(action, obj.id)
         for action in space.actions
-        for obj in world.query()
+        for obj in objects
     )
     return FactorGraph(tree, bank, "behavior", world)
 
@@ -289,12 +289,19 @@ def _fold(names: list[str], weights: np.ndarray) -> dict:
 class Model:
     """Trained factor weights bound to their feature-name registry, plus
     the weights folded by symbol atom for inference. The weights are
-    read-only so the fold cannot go stale."""
+    read-only so the fold cannot go stale.
+
+    ``perception_layout`` is ``(bank, layout)`` for the last world-free
+    bank ``infer`` laid out against this model, or None. The entry holds
+    the bank itself, so a later bank cannot share its id.
+    """
 
     kind: str
     space: FeatureSpace
     weights: np.ndarray
     folded: dict = field(init=False, repr=False, compare=False)
+    perception_layout: tuple | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -336,28 +343,49 @@ class Model:
         return cls(kind, FeatureSpace(names, frozen=True), w)
 
 
-def infer(graph: FactorGraph, model: Model) -> Assignment:
-    """Bottom-up per-factor argmax under fixed child assignments.
-
-    Ties (equal scores for both values) break to phi=false, so the zero
-    model expresses nothing. Deterministic: pure arithmetic over a fixed
-    traversal order.
-    """
-    table = model.folded
-    # the bank's atoms as one flat run of slots per symbol: slot k > 0 is
-    # the k-th distinct atom the model knows, slot 0 every other atom
+def _layout(bank: tuple, world: WorldModel | None, table: dict) -> tuple:
+    """The bank's atoms as one flat run of slots per symbol, as
+    ``(flat_at, starts_at, known)``: slot k > 0 is ``known[k - 1]``, the
+    k-th distinct atom the model knows, and slot 0 every other atom."""
     slot: dict[str, int] = {}
     flat: list[int] = []
     starts: list[int] = []
-    for sym in graph.bank:
-        atoms = symbol_atoms(sym, graph.world)
+    for sym in bank:
+        atoms = symbol_atoms(sym, world)
         _check_atoms(atoms)
         starts.append(len(flat))
         flat += [slot.setdefault(a, len(slot) + 1) if a in table else 0
                  for a in atoms]
     flat_at = np.array(flat, dtype=np.intp)
     starts_at = np.array(starts, dtype=np.intp)
-    known = list(slot)
+    flat_at.flags.writeable = starts_at.flags.writeable = False
+    return flat_at, starts_at, tuple(slot)
+
+
+def infer(graph: FactorGraph, model: Model) -> Assignment:
+    """Bottom-up per-factor argmax under fixed child assignments.
+
+    Ties (equal scores for both values) break to phi=false, so the zero
+    model expresses nothing. Deterministic: pure arithmetic over a fixed
+    traversal order.
+
+    The bank's atom slots (``_layout``) depend on the world only through
+    behavior symbols' targets. A world-free tuple bank, such as a
+    perception graph's (the space's own tuple of frozen symbols), is laid
+    out once per model: the model keeps the last such bank with its
+    layout and reuses it while ``graph.bank`` is that same object. Banks
+    over a world are laid out on every call.
+    """
+    table = model.folded
+    world_free = graph.world is None and isinstance(graph.bank, tuple)
+    cached = model.perception_layout
+    if world_free and cached is not None and cached[0] is graph.bank:
+        layout = cached[1]
+    else:
+        layout = _layout(graph.bank, graph.world, table)
+        if world_free:
+            object.__setattr__(model, "perception_layout", (graph.bank, layout))
+    flat_at, starts_at, known = layout
 
     expressed: dict[int, frozenset[int]] = {}
     margins = []
@@ -460,11 +488,9 @@ class CompiledCorpus:
     the children, matching what inference reconstructs once trained.
     """
 
-    def __init__(self, examples: list[TrainingExample],
-                 feature_space: FeatureSpace | None = None):
+    def __init__(self, examples: list[TrainingExample]):
         self.examples = examples
-        self.feature_space = feature_space or FeatureSpace()
-        fs = self.feature_space
+        self.feature_space = fs = FeatureSpace()
         golds, counts, flat_idx = [], [], []
         for ex in examples:
             graph = ex.graph

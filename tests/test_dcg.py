@@ -317,6 +317,60 @@ def test_folded_inference_behavior_over_random_worlds(assets, space,
                 _assert_same(graph, model)
 
 
+def _fresh(model):
+    return dcg.Model(model.kind, model.space, model.weights)
+
+
+def test_perception_layout_reuse_matches_fresh_models(assets, space,
+                                                      perception_model):
+    padded = _padded_space(space, 750)
+    model = _fresh(perception_model)
+    assert model.perception_layout is None
+    for tree in _bundled_trees(assets):
+        for bank_space in (padded, padded, space, padded):
+            graph = dcg.build_perception_graph(tree, bank_space)
+            got = dcg.infer(graph, model)
+            assert model.perception_layout[0] is bank_space.perception
+            want = dcg.infer(graph, _fresh(perception_model))
+            assert got.expressed == want.expressed
+            assert got.log_score == want.log_score
+
+
+def test_same_length_bank_of_another_space_is_laid_out_again(space,
+                                                             perception_model):
+    first, second = _padded_space(space, 750), _padded_space(space, 750, seed=1)
+    assert len(first.perception) == len(second.perception)
+    assert first.perception != second.perception
+    tree = load_parse_tree(OPEN)
+    model = _fresh(perception_model)
+    dcg.infer(dcg.build_perception_graph(tree, first), model)
+    graph = dcg.build_perception_graph(tree, second)
+    got = dcg.infer(graph, model)
+    assert model.perception_layout[0] is second.perception
+    want = dcg.infer(graph, _fresh(perception_model))
+    assert (got.expressed, got.log_score) == (want.expressed, want.log_score)
+
+
+def test_behavior_graphs_store_no_layout(space, behavior_model):
+    world = WorldModel()
+    world.integrate(_det("door", 5, 0, 1))
+    graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
+    model = _fresh(behavior_model)
+    dcg.infer(graph, model)
+    dcg.infer(graph, model)
+    assert model.perception_layout is None
+
+
+def test_bank_with_separator_atom_raises_on_every_call(perception_model):
+    bad = SymbolSpace(["a&b", "door"], [], ("navigate",))
+    graph = dcg.build_perception_graph(load_parse_tree(OPEN), bad)
+    model = _fresh(perception_model)
+    for _ in range(3):
+        with pytest.raises(dcg.GroundingError):
+            dcg.infer(graph, model)
+        assert model.perception_layout is None
+
+
 # -- corpora and training ----------------------------------------------------
 
 def test_load_corpus_validates_kind(tmp_path):
