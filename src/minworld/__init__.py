@@ -10,7 +10,6 @@ from .symbols import (
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolSpace,
-    build_symbol_space,
     detectors_from_groundings,
 )
 from .dcg import (
@@ -52,7 +51,6 @@ __all__ = [
     "WorldObject",
     "build_behavior_graph",
     "build_perception_graph",
-    "build_symbol_space",
     "calibrate_costs",
     "detectors_from_groundings",
     "infer",

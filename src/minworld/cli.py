@@ -10,14 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import dcg, percept
 from .executive import (
     BehaviorRequest,
     DoorSim,
-    ExecParams,
     ExecState,
     ExecStatus,
     RobotState,
@@ -43,7 +41,7 @@ class StageError(Exception):
 
 
 def _asset(name: str) -> Path:
-    return Path(str(resources.files("minworld").joinpath("assets", name)))
+    return Path(__file__).resolve().parent / "assets" / name
 
 
 DEFAULTS = {
@@ -105,7 +103,7 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
                          f"no behavior expressed at the root of {tree.instruction!r}",
                          EXIT_GROUNDING)
     sym = graph.bank[chosen[0]]
-    return BehaviorRequest(sym.action, int(sym.target_a))
+    return BehaviorRequest(sym.action, sym.target_a)
 
 
 def _load_model(label: str, path) -> dcg.Model:
@@ -302,19 +300,25 @@ def _write_outputs(out_dir: Path, world: WorldModel, metrics,
         (out_dir / name).write_text(text, encoding="utf-8")
 
 
+def _perceive(args, scene: Scene, registry, detectors: DetectorSet | None):
+    """Run the sensing loop in the mode, seed and frame budget ``args``
+    give; a bad perception configuration exits 3."""
+    mode = "exhaustive" if args.exhaustive else "adaptive"
+    try:
+        config = PerceptionConfig(registry, detectors, mode, args.seed, args.frames)
+        return run_perception(scene, config)
+    except PerceptionError as e:
+        raise StageError("perception", str(e), EXIT_PERCEPTION)
+
+
 def cmd_perceive(args) -> int:
     scene = _load_scene(args.scene or DEFAULTS["scene"])
     registry = _load_registry(args.registry or DEFAULTS["registry"])
-    mode = "exhaustive" if args.exhaustive else "adaptive"
     active = None
     if args.detectors:
         ids = frozenset(x.strip() for x in args.detectors.split(",") if x.strip())
         active = DetectorSet(ids, _parse_links(args.links))
-    try:
-        config = PerceptionConfig(registry, active, mode, args.seed, args.frames)
-        world, metrics = run_perception(scene, config)
-    except PerceptionError as e:
-        raise StageError("perception", str(e), EXIT_PERCEPTION)
+    world, metrics = _perceive(args, scene, registry, active)
     out = {"world": world.to_json(), "metrics": metrics.to_json()}
     if args.json:
         print(_dump_json(out), end="")
@@ -352,12 +356,7 @@ def _pipeline(args, tree: ParseTree):
         detectors = DetectorSet(detectors.ids - dropped,
                                 frozenset((p, s) for p, s in detectors.links
                                           if f"{p}_{s}" not in dropped))
-    mode = "exhaustive" if args.exhaustive else "adaptive"
-    try:
-        config = PerceptionConfig(registry, detectors, mode, args.seed, args.frames)
-        world, metrics = run_perception(scene, config)
-    except PerceptionError as e:
-        raise StageError("perception", str(e), EXIT_PERCEPTION)
+    world, metrics = _perceive(args, scene, registry, detectors)
     return space, scene, detectors, world, metrics
 
 

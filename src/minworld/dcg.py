@@ -37,7 +37,6 @@ import numpy as np
 from .parse import ParseTree, Phrase, load_parse_tree
 from .symbols import (
     BehaviorSymbol,
-    ConditionalPairSymbol,
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolSpace,
@@ -83,32 +82,21 @@ def phrase_atoms(phrase: Phrase) -> list[str]:
     return list(seen)
 
 
-def _target_label(target, world: WorldModel | None) -> str:
-    if isinstance(target, int):
-        if world is not None and target in world.objects:
-            return world.objects[target].label
-        return f"object{target}"
-    return str(target)
+def _target_label(target: int, world: WorldModel | None) -> str:
+    if world is not None and target in world.objects:
+        return world.objects[target].label
+    return f"object{target}"
 
 
 def symbol_atoms(symbol, world: WorldModel | None = None) -> list[str]:
     if isinstance(symbol, IndependentDetectorSymbol):
-        atoms = [f"category:{symbol.category}"]
-        if symbol.category == "semantic_label":
-            atoms.append(f"label:{symbol.value}")
-        else:
-            atoms.append(f"value:{symbol.value}")
-        return atoms
+        return [f"category:{symbol.category}", f"label:{symbol.value}"]
     if isinstance(symbol, HierarchicalDetectorSymbol):
         return [
             "kind:hierarchy",
             f"hier_parent:{symbol.parent_type}",
             f"hier_subtype:{symbol.subtype}",
         ]
-    if isinstance(symbol, ConditionalPairSymbol):
-        return (["kind:conditional_pair"]
-                + [f"first_{a}" for a in symbol_atoms(symbol.first)]
-                + [f"second_{a}" for a in symbol_atoms(symbol.second)])
     if isinstance(symbol, BehaviorSymbol):
         return [
             "kind:behavior",
@@ -122,18 +110,13 @@ def child_atoms(child_symbols, world: WorldModel | None = None) -> list[str]:
     atoms: set[str] = set()
     for sym in child_symbols:
         if isinstance(sym, IndependentDetectorSymbol):
-            if sym.category == "semantic_label":
-                atoms.add(f"child_has:{sym.value}")
-            else:
-                atoms.add(f"child_has:{sym.category}:{sym.value}")
+            atoms.add(f"child_has:{sym.value}")
         elif isinstance(sym, HierarchicalDetectorSymbol):
             atoms.add(f"child_has_hier:{sym.parent_type}.{sym.subtype}")
         elif isinstance(sym, BehaviorSymbol):
             label = _target_label(sym.target_a, world)
             atoms.add(f"child_has_behavior:{sym.action}.{label}")
             atoms.add(f"child_has_target:{label}")
-        elif isinstance(sym, ConditionalPairSymbol):
-            atoms.add("child_has:conditional_pair")
     if not atoms:
         return ["child_none"]
     return sorted(atoms)
@@ -254,9 +237,6 @@ class Assignment:
 
     expressed: dict[int, frozenset[int]]
     log_score: float
-
-    def phrase_symbols(self, graph: FactorGraph, phrase_index: int) -> set:
-        return {graph.bank[j] for j in self.expressed.get(phrase_index, frozenset())}
 
     def all_symbols(self, graph: FactorGraph) -> set:
         out: set = set()
@@ -525,16 +505,6 @@ class CompiledCorpus:
             raise NumericError("weight vector shorter than feature space")
         return np.add.reduceat(w[self.flat_idx], self.offsets) \
             if self.n_factors else np.zeros(0)
-
-
-def compile_corpus(path_or_examples, space: SymbolSpace,
-                   kind: str | None = None) -> CompiledCorpus:
-    if isinstance(path_or_examples, (str, Path)):
-        kind, raw = load_corpus(path_or_examples)
-        examples = build_examples(kind, raw, space)
-    else:
-        examples = list(path_or_examples)
-    return CompiledCorpus(examples)
 
 
 def _objective(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,

@@ -3,16 +3,17 @@
 Navigate drives the base to a standoff point at the target; open chains
 navigate, constituent detection, handle localization, turning, and the
 final push. The machine only ever takes transitions from the fixed
-graph below; anything that cannot proceed terminates in FAILURE.
+graph below, and raises RuntimeError on any other; anything that cannot
+proceed terminates in FAILURE.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .world import Pose, WorldModel, WorldObject
+from .world import Pose, WorldObject
 
 
 class ExecState(enum.Enum):
@@ -57,7 +58,6 @@ class TurnError(RuntimeError):
 class BehaviorRequest:
     action: str
     target_a: int
-    target_b: int | None = None
 
 
 @dataclass
@@ -234,15 +234,6 @@ def push(robot: RobotState, door: DoorSim,
     return robot, door
 
 
-def localize_turn_push(robot: RobotState, door: DoorSim, handle: WorldObject,
-                       params: ExecParams = ExecParams()) -> tuple[RobotState, DoorSim]:
-    """The full manipulation tail of the open behavior."""
-    localize(robot, door, handle, params)
-    turn(robot, door, params)
-    push(robot, door, params)
-    return robot, door
-
-
 def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
                      door: DoorSim,
                      params: ExecParams = ExecParams()) -> ExecStatus:
@@ -253,12 +244,16 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
     """
     trace: list[tuple[ExecState, float]] = [(ExecState.RECEIVED, robot.time)]
 
-    def fail(reason: str) -> ExecStatus:
-        trace.append((ExecState.FAILURE, robot.time))
-        return ExecStatus(ExecState.FAILURE, trace, reason)
-
     def enter(state: ExecState) -> None:
+        edge = (trace[-1][0], state)
+        if edge not in ALLOWED_TRANSITIONS:
+            raise RuntimeError(f"executive transition {edge[0].value} -> "
+                               f"{state.value} is not allowed")
         trace.append((state, robot.time))
+
+    def fail(reason: str) -> ExecStatus:
+        enter(ExecState.FAILURE)
+        return ExecStatus(ExecState.FAILURE, trace, reason)
 
     snap = world_provider()
     if b.action not in ("navigate", "open"):
@@ -280,12 +275,8 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
         return ExecStatus(ExecState.COMPLETE, trace)
 
     enter(ExecState.DETECTING)
-    snap = world_provider()
-    if b.target_b is not None:
-        handle = snap.objects.get(b.target_b)
-    else:
-        children = snap.query(parent=b.target_a)
-        handle = children[0] if children else None
+    children = world_provider().query(parent=b.target_a)
+    handle = children[0] if children else None
     if handle is None:
         return fail(f"no constituent of target {b.target_a} in world")
 

@@ -49,13 +49,6 @@ class Phrase:
                 out.extend(self.children[i].leaves())
         return out
 
-    def verb(self) -> str | None:
-        """First VB-tagged word directly under this phrase, if any."""
-        for word, tag in self.words:
-            if tag == "VB":
-                return word
-        return None
-
     def _serialize(self) -> str:
         parts = [self.label]
         for kind, i in self.layout:
@@ -172,16 +165,6 @@ def load_parse_tree(text: str) -> ParseTree:
         raise TreeError("tree has no phrase structure", 0)
     instruction = " ".join(w for w, _ in node.leaves())
     return ParseTree(node, instruction)
-
-
-def load_tree_file(path: str | Path) -> list[ParseTree]:
-    """One bracketed tree per non-blank line."""
-    trees = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            trees.append(load_parse_tree(line))
-    return trees
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Grounding symbols: what an instruction can refer to.
 
-Perception symbols name object detectors (independent properties such as
-a semantic label, or a parent/subtype pair for a constituent detector).
-Behavior symbols name robot actions over targets. A SymbolSpace collects
-them with dense integer ids for factor-graph indexing.
+Perception symbols name object detectors: a semantic label, or a
+parent/subtype pair for a constituent detector. Behavior symbols name a
+robot action over one world object; the behavior graph builds them from
+the space's actions and the world's objects. A SymbolSpace holds the
+labels, hierarchy pairs and actions, and the perception bank in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -12,14 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-INDEPENDENT_CATEGORIES = (
-    "color",
-    "geometry",
-    "semantic_label",
-    "bounding_box",
-    "spatial_relation",
-    "pose",
-)
+INDEPENDENT_CATEGORIES = ("semantic_label",)
 
 ACTIONS = ("navigate", "open", "turn", "look")
 
@@ -38,18 +33,6 @@ class IndependentDetectorSymbol:
             raise SymbolError(f"unknown detector category {self.category!r}")
         if not self.value:
             raise SymbolError("empty symbol value")
-
-
-@dataclass(frozen=True, order=True)
-class ConditionalPairSymbol:
-    """Joint detector over two independent properties of one object."""
-
-    first: IndependentDetectorSymbol
-    second: IndependentDetectorSymbol
-
-    def __post_init__(self):
-        if self.first.category == self.second.category:
-            raise SymbolError("conditional pair needs two distinct categories")
 
 
 @dataclass(frozen=True, order=True)
@@ -72,12 +55,10 @@ class HierarchicalDetectorSymbol:
 
 @dataclass(frozen=True)
 class BehaviorSymbol:
-    """An action over a target; target_a is a semantic label in the
-    abstract space or a world object id once instantiated in a graph."""
+    """An action over one world object; target_a is the object's id."""
 
     action: str
-    target_a: str | int
-    target_b: str | int | None = None
+    target_a: int
 
     def __post_init__(self):
         if self.action not in ACTIONS:
@@ -96,16 +77,12 @@ class DetectorSet:
     ids: frozenset[str]
     links: frozenset[tuple[str, str]] = frozenset()
 
-    def union(self, other: "DetectorSet") -> "DetectorSet":
-        return DetectorSet(self.ids | other.ids, self.links | other.links)
-
 
 class SymbolSpace:
-    """All symbols over a label set, with dense ids.
+    """The labels, hierarchy pairs and actions an instruction can use.
 
-    Perception symbols come first (independent semantic-label symbols in
-    sorted label order, then hierarchical symbols in sorted pair order),
-    then one behavior symbol per (action, label) pair.
+    The perception bank holds the semantic-label symbols in sorted label
+    order, then the hierarchical symbols in sorted pair order.
     """
 
     def __init__(self, labels, hierarchies, actions):
@@ -127,16 +104,6 @@ class SymbolSpace:
             [IndependentDetectorSymbol("semantic_label", x) for x in labels]
             + [HierarchicalDetectorSymbol(p, s) for p, s in pairs]
         )
-        self.behavior: tuple[BehaviorSymbol, ...] = tuple(
-            BehaviorSymbol(a, x) for a in actions for x in labels
-        )
-        self._ids = {sym: i for i, sym in enumerate(self.perception + self.behavior)}
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def id_of(self, symbol) -> int:
-        return self._ids[symbol]
 
     def semantic(self, label: str) -> IndependentDetectorSymbol:
         if label not in self.labels:
@@ -148,29 +115,10 @@ class SymbolSpace:
             raise SymbolError(f"unknown hierarchy ({parent!r}, {subtype!r})")
         return HierarchicalDetectorSymbol(parent, subtype)
 
-    def pair_for_subtype(self, subtype: str) -> tuple[str, str] | None:
-        for p, s in self.hierarchy_pairs:
-            if s == subtype:
-                return (p, s)
-        return None
-
-
-def build_symbol_space(labels, hierarchies, actions) -> SymbolSpace:
-    return SymbolSpace(labels, hierarchies, actions)
-
 
 def load_symbol_space(path: str | Path) -> SymbolSpace:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     return SymbolSpace(raw["labels"], raw.get("hierarchies", []), raw.get("actions", []))
-
-
-def save_symbol_space(space: SymbolSpace, path: str | Path) -> None:
-    data = {
-        "labels": list(space.labels),
-        "hierarchies": [list(p) for p in space.hierarchy_pairs],
-        "actions": list(space.actions),
-    }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def detectors_from_groundings(expressed) -> DetectorSet:
@@ -185,9 +133,6 @@ def detectors_from_groundings(expressed) -> DetectorSet:
     links: set[tuple[str, str]] = set()
     for sym in expressed:
         if isinstance(sym, IndependentDetectorSymbol):
-            if sym.category != "semantic_label":
-                raise SymbolError(
-                    f"no detector mapping for category {sym.category!r}")
             ids.add(sym.value)
         elif isinstance(sym, HierarchicalDetectorSymbol):
             ids.add(sym.parent_type)

@@ -59,7 +59,7 @@ def random_graph(seed: int):
     budget = [n_phrases]
     text = _rand_phrase(rng, budget, labels, 0)
     tree = parse.load_parse_tree(text)
-    space = symbols.build_symbol_space(labels, pairs, actions)
+    space = symbols.SymbolSpace(labels, pairs, actions)
     if behavior:
         objects = []
         for i in range(n_objects):

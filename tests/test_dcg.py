@@ -155,10 +155,8 @@ def test_assignment_views(space, perception_model):
     tree = load_parse_tree(OPEN)
     graph = dcg.build_perception_graph(tree, space)
     got = dcg.infer(graph, perception_model)
-    sym_union = set()
-    for p in tree.phrases_bottom_up():
-        sym_union |= got.phrase_symbols(graph, p.index)
-    assert sym_union == got.all_symbols(graph)
+    want = {graph.bank[j] for ids in got.expressed.values() for j in ids}
+    assert got.all_symbols(graph) == want
 
 
 def test_infer_with_non_finite_weights_raises(space, perception_model):
@@ -669,9 +667,3 @@ def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
     empty = dcg.train(dcg.CompiledCorpus([]))
     assert (empty.stop, empty.iterations, empty.grad_norm) == \
         ("zero_gradient", 1, 0.0)
-
-
-def test_compile_corpus_from_path(space, assets):
-    corpus = dcg.compile_corpus(assets / "perception_corpus.json", space)
-    assert corpus.n_factors > 0
-    assert corpus.feature_space.frozen

@@ -4,19 +4,18 @@ import math
 
 import pytest
 
+from minworld import executive
 from minworld.executive import (
     ALLOWED_TRANSITIONS,
     BehaviorRequest,
     DoorSim,
     ExecParams,
     ExecState,
-    ExecStatus,
     LocalizeError,
     NavigationError,
     RobotState,
     TurnError,
     localize,
-    localize_turn_push,
     navigate,
     push,
     receive_behavior,
@@ -184,7 +183,9 @@ def test_push_requires_unlatched():
 def test_push_opens_and_retracts():
     robot = _ready_robot()
     door = DoorSim()
-    localize_turn_push(robot, door, _handle())
+    localize(robot, door, _handle())
+    turn(robot, door)
+    push(robot, door)
     assert door.open_fraction == pytest.approx(0.3)
     assert not robot.arm_extended
     assert robot.contact_force == 0.0
@@ -193,7 +194,10 @@ def test_push_opens_and_retracts():
 def test_manipulation_tail_timing():
     robot = _ready_robot()
     t = robot.time
-    localize_turn_push(robot, DoorSim(), _handle())
+    door = DoorSim()
+    localize(robot, door, _handle())
+    turn(robot, door)
+    push(robot, door)
     assert robot.time == pytest.approx(t + 1.5 + 1.0 + 1.5)
 
 
@@ -222,11 +226,6 @@ def test_open_behavior_trace():
     assert not door.latched
     assert door.open_fraction == pytest.approx(0.3)
     assert robot.time > 0
-
-
-def test_open_with_explicit_constituent_target():
-    status, _, _ = _run(BehaviorRequest("open", 1, 2), _world(_door(), _handle()))
-    assert status.state is S.COMPLETE
 
 
 def test_unsupported_action_fails_from_received():
@@ -303,7 +302,6 @@ def _fault_matrix():
     full = _world(_door(), _handle())
     yield BehaviorRequest("navigate", 1), full, DoorSim()
     yield BehaviorRequest("open", 1), full, DoorSim(handle_pose=_handle().pose)
-    yield BehaviorRequest("open", 1, 2), full, DoorSim(handle_pose=_handle().pose)
     yield BehaviorRequest("turn", 1), full, DoorSim()
     yield BehaviorRequest("look", 2), full, DoorSim()
     yield BehaviorRequest("open", 77), full, DoorSim()
@@ -328,6 +326,23 @@ def test_every_trace_follows_the_transition_graph():
         times = [t for _, t in status.trace]
         assert times == sorted(times)
         assert len(states) == len(set(states))  # no revisits
+
+
+@pytest.mark.parametrize("edge, action, with_handle", [
+    # an edge ``enter`` takes on the way to COMPLETE
+    ((S.TURNING, S.PUSHING), "open", True),
+    # edges ``fail`` takes
+    ((S.RECEIVED, S.FAILURE), "look", True),
+    ((S.DETECTING, S.FAILURE), "open", False),
+], ids=["enter", "fail-at-dispatch", "fail-at-detecting"])
+def test_transition_outside_the_graph_raises(monkeypatch, edge, action,
+                                             with_handle):
+    monkeypatch.setattr(executive, "ALLOWED_TRANSITIONS",
+                        ALLOWED_TRANSITIONS - {edge})
+    world = _world(_door(), _handle()) if with_handle else _world(_door())
+    with pytest.raises(RuntimeError,
+                       match=f"{edge[0].value} -> {edge[1].value}"):
+        _run(BehaviorRequest(action, 1), world)
 
 
 def test_trace_json_and_log_shape():

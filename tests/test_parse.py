@@ -7,7 +7,6 @@ from minworld.parse import (
     LexiconViolation,
     TreeError,
     load_parse_tree,
-    load_tree_file,
     validate_against_lexicon,
 )
 
@@ -52,10 +51,8 @@ def test_words_are_direct_leaves_only():
     tree = load_parse_tree(DRIVE)
     vp = tree.root
     assert vp.words == (("drive", "VB"),)
-    assert vp.verb() == "drive"
     pp = vp.children[0]
     assert pp.words == (("to", "TO"),)
-    assert pp.verb() is None
 
 
 def test_roundtrip_serialization():
@@ -125,13 +122,6 @@ def test_bare_leaf_is_not_a_tree():
 def test_unknown_tags_accepted_structurally():
     tree = load_parse_tree("(XP (ZZ blorp))")
     assert tree.instruction == "blorp"
-
-
-def test_load_tree_file(tmp_path):
-    path = tmp_path / "trees.txt"
-    path.write_text(f"{DRIVE}\n\n{OPEN}\n", encoding="utf-8")
-    trees = load_tree_file(path)
-    assert [t.instruction for t in trees] == ["drive to the door", "open the door"]
 
 
 @pytest.fixture

@@ -7,15 +7,11 @@ import pytest
 from minworld.symbols import (
     ACTIONS,
     BehaviorSymbol,
-    ConditionalPairSymbol,
-    DetectorSet,
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolError,
-    build_symbol_space,
+    SymbolSpace,
     detectors_from_groundings,
-    load_symbol_space,
-    save_symbol_space,
     subtype_detector_id,
 )
 
@@ -28,14 +24,9 @@ def test_bundled_space_counts(space):
     assert len(sem) == 5
     assert len(hier) == 2
     assert len(space.actions) == 4
-    # behavior bank is actions x labels
-    assert len(space.behavior) == 20
-    assert len(space) == 27
 
 
 def test_ids_dense_and_stable(space):
-    ids = [space.id_of(s) for s in space.perception + space.behavior]
-    assert ids == list(range(len(space)))
     # labels sorted, then pairs sorted
     sem_values = [s.value for s in space.perception[:5]]
     assert sem_values == sorted(sem_values)
@@ -44,17 +35,11 @@ def test_ids_dense_and_stable(space):
 
 
 def test_small_space_counts():
-    space = build_symbol_space(
+    space = SymbolSpace(
         ["a", "b", "c", "d", "e"], [("a", "b")], ["navigate", "open"],
     )
     assert len(space.perception) == 6
-    assert len(space.behavior) == 10
-
-
-def test_pair_lookup(space):
-    assert space.pair_for_subtype("handle") == ("door", "handle")
-    assert space.pair_for_subtype("top") == ("box", "top")
-    assert space.pair_for_subtype("door") is None
+    assert space.actions == ("navigate", "open")
 
 
 def test_hierarchy_lookup(space):
@@ -75,7 +60,7 @@ def test_semantic_lookup(space):
 
 def test_hierarchy_requires_known_labels():
     with pytest.raises(SymbolError):
-        build_symbol_space(["a"], [("a", "b")], ["navigate"])
+        SymbolSpace(["a"], [("a", "b")], ["navigate"])
 
 
 def test_hierarchy_rejects_self_pair():
@@ -86,26 +71,15 @@ def test_hierarchy_rejects_self_pair():
 def test_independent_symbol_validation():
     sym = IndependentDetectorSymbol("semantic_label", "door")
     assert sym.category == "semantic_label"
-    with pytest.raises(SymbolError):
+    with pytest.raises(SymbolError, match="unknown detector category"):
         IndependentDetectorSymbol("texture", "rough")
-    with pytest.raises(SymbolError):
-        IndependentDetectorSymbol("color", "")
-
-
-def test_conditional_pair_needs_distinct_categories():
-    red = IndependentDetectorSymbol("color", "red")
-    ball = IndependentDetectorSymbol("geometry", "sphere")
-    pair = ConditionalPairSymbol(red, ball)
-    assert pair.first is red
-    with pytest.raises(SymbolError):
-        ConditionalPairSymbol(red, IndependentDetectorSymbol("color", "blue"))
+    with pytest.raises(SymbolError, match="empty symbol value"):
+        IndependentDetectorSymbol("semantic_label", "")
 
 
 def test_behavior_symbol_shapes():
     one = BehaviorSymbol("navigate", 3)
-    assert one.target_b is None
-    two = BehaviorSymbol("open", 3, 7)
-    assert (two.target_a, two.target_b) == (3, 7)
+    assert (one.action, one.target_a) == ("navigate", 3)
     with pytest.raises(SymbolError):
         BehaviorSymbol("fly", 3)
 
@@ -140,16 +114,9 @@ def test_behavior_symbol_rejected_by_detector_mapping():
 
 
 def test_non_label_category_rejected_by_detector_mapping():
-    with pytest.raises(SymbolError):
-        detectors_from_groundings([IndependentDetectorSymbol("color", "red")])
-
-
-def test_detector_set_union():
-    a = DetectorSet(frozenset({"door"}), frozenset())
-    b = DetectorSet(frozenset({"door", "door_handle"}), frozenset({("door", "handle")}))
-    u = a.union(b)
-    assert u.ids == frozenset({"door", "door_handle"})
-    assert u.links == b.links
+    # only semantic labels map to detectors, so no other category builds
+    with pytest.raises(SymbolError, match="unknown detector category"):
+        IndependentDetectorSymbol("color", "red")
 
 
 def test_detectors_monotone_and_idempotent(space):
@@ -166,20 +133,8 @@ def test_detectors_monotone_and_idempotent(space):
         assert ds.links <= bigger.links
 
 
-def test_space_roundtrip(tmp_path, space):
-    path = tmp_path / "space.json"
-    save_symbol_space(space, path)
-    loaded = load_symbol_space(path)
-    assert loaded.perception == space.perception
-    assert loaded.behavior == space.behavior
-    assert loaded.actions == space.actions
-    assert [loaded.id_of(s) for s in loaded.perception] == [
-        space.id_of(s) for s in space.perception
-    ]
-
-
 def test_space_orders_input(space):
-    shuffled = build_symbol_space(
+    shuffled = SymbolSpace(
         ["top", "handle", "floor", "drawer", "door", "box"],
         [("door", "handle"), ("box", "top")],
         list(ACTIONS),
