@@ -21,10 +21,16 @@ from .executive import (
     RobotState,
     receive_behavior,
 )
-from .parse import Lexicon, ParseTree, TreeError, load_parse_tree, validate_against_lexicon
+from .parse import Lexicon, ParseTree, load_parse_tree, validate_against_lexicon
 from .percept import PerceptionConfig, PerceptionError, Scene, load_registry, run_perception
-from .symbols import DetectorSet, SymbolSpace, detectors_from_groundings, load_symbol_space
-from .world import WorldError, WorldModel
+from .symbols import (
+    DetectorSet,
+    SymbolSpace,
+    detectors_from_groundings,
+    load_symbol_space,
+    subtype_detector_id,
+)
+from .world import WorldModel, json_object
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -56,16 +62,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_tree(path: str | Path) -> ParseTree:
-    try:
-        text = Path(path).read_text(encoding="utf-8").strip()
-        return load_parse_tree(text)
-    except OSError as e:
-        raise StageError("io", f"cannot read instruction tree: {e}", EXIT_IO)
-    except TreeError as e:
-        raise StageError("io", f"bad instruction tree {path}: {e}", EXIT_IO)
-
-
 def _require_file(label: str, path) -> Path:
     if path is None:
         raise StageError("io", f"no {label} given (flag or config)", EXIT_IO)
@@ -73,6 +69,30 @@ def _require_file(label: str, path) -> Path:
     if not p.is_file():
         raise StageError("io", f"{label} file not found: {p}", EXIT_IO)
     return p
+
+
+def _load(label: str, path, loader):
+    """``loader(path)`` for one input file; a missing or malformed file
+    exits 1 with one line. The loaders report malformed content only as
+    a ValueError (bad JSON, tree, symbol space, world, scene, corpus or
+    model), a missing key, a bad detector, or a corpus word grounding
+    cannot featurize."""
+    p = _require_file(label, path)
+    try:
+        return loader(p)
+    except (ValueError, KeyError, PerceptionError, dcg.GroundingError) as e:
+        raise StageError("io", f"bad {label} {p}: {e}", EXIT_IO)
+
+
+def _read_tree(path: Path) -> ParseTree:
+    return load_parse_tree(path.read_text(encoding="utf-8").strip())
+
+
+def _read_model(kind: str, path) -> dcg.Model:
+    model = _load(f"{kind} model", path, dcg.Model.load)
+    if model.kind != kind:
+        raise StageError("io", f"{kind} model has wrong kind", EXIT_IO)
+    return model
 
 
 def ground_detectors(tree: ParseTree, model: dcg.Model,
@@ -106,46 +126,6 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
     return BehaviorRequest(sym.action, sym.target_a)
 
 
-def _load_model(label: str, path) -> dcg.Model:
-    p = _require_file(label, path)
-    try:
-        return dcg.Model.load(p)
-    except (json.JSONDecodeError, dcg.CorpusError, KeyError) as e:
-        raise StageError("io", f"bad model file {p}: {e}", EXIT_IO)
-
-
-def _load_space(path) -> SymbolSpace:
-    p = _require_file("symbol space", path)
-    try:
-        return load_symbol_space(p)
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        raise StageError("io", f"bad symbol space {p}: {e}", EXIT_IO)
-
-
-def _load_registry(path):
-    p = _require_file("detector registry", path)
-    try:
-        return load_registry(p)
-    except (json.JSONDecodeError, KeyError, PerceptionError, ValueError) as e:
-        raise StageError("io", f"bad detector registry {p}: {e}", EXIT_IO)
-
-
-def _load_scene(path) -> Scene:
-    p = _require_file("scene", path)
-    try:
-        return Scene.load(p)
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        raise StageError("io", f"bad scene {p}: {e}", EXIT_IO)
-
-
-def _load_world(path) -> WorldModel:
-    p = _require_file("world", path)
-    try:
-        return WorldModel.load(p)
-    except (json.JSONDecodeError, KeyError, WorldError) as e:
-        raise StageError("io", f"bad world {p}: {e}", EXIT_IO)
-
-
 # Flags a run config may set, so argparse leaves them None; filled in
 # after the overlay.
 CONFIG_DEFAULTS = {"seed": 0, "frames": percept.DEFAULT_FRAME_BUDGET}
@@ -156,14 +136,9 @@ def _apply_config(args: argparse.Namespace) -> None:
     flags neither set their defaults; relative paths are resolved against
     the config file's directory."""
     if args.config is not None:
-        cfg_path = _require_file("config", args.config)
-        try:
-            cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise StageError("io", f"bad config JSON {cfg_path}: {e}", EXIT_IO)
-        if not isinstance(cfg, dict):
-            raise StageError("io", f"bad config {cfg_path}: not a JSON object",
-                             EXIT_IO)
+        cfg_path = Path(args.config)
+        cfg = _load("config", cfg_path, lambda p: json_object(
+            json.loads(p.read_text(encoding="utf-8")), "config"))
         path_keys = {"space", "registry", "scene", "lexicon", "tree",
                      "perception_model", "behavior_model", "out_dir"}
         for key, value in cfg.items():
@@ -195,15 +170,13 @@ def cmd_train(args) -> int:
                                  l2=args.l2)
     except dcg.TrainingError as e:
         raise StageError("training", str(e), EXIT_IO)
-    space = _load_space(args.space or DEFAULTS["space"])
-    corpus_path = _require_file("corpus", args.corpus)
-    try:
-        kind, raw = dcg.load_corpus(corpus_path)
-        examples = dcg.build_examples(kind, raw, space)
-        corpus = dcg.CompiledCorpus(examples)
-    except (json.JSONDecodeError, dcg.CorpusError, dcg.GroundingError, TreeError,
-            ValueError) as e:
-        raise StageError("io", f"bad corpus {corpus_path}: {e}", EXIT_IO)
+    space = _load("symbol space", args.space or DEFAULTS["space"], load_symbol_space)
+
+    def compile_corpus(path):
+        kind, raw = dcg.load_corpus(path)
+        return kind, dcg.CompiledCorpus(dcg.build_examples(kind, raw, space))
+
+    kind, corpus = _load("corpus", args.corpus, compile_corpus)
     try:
         result = dcg.train(corpus, config, kind=kind)
     except dcg.TrainingError as e:
@@ -212,7 +185,7 @@ def cmd_train(args) -> int:
     rec = dcg.recovery(corpus, result.model)
     summary = {
         "kind": kind,
-        "examples": len(examples),
+        "examples": len(corpus.examples),
         "factors": corpus.n_factors,
         "features": corpus.dim,
         "iterations": result.iterations,
@@ -226,7 +199,7 @@ def cmd_train(args) -> int:
     if args.json:
         print(_dump_json(summary), end="")
     else:
-        print(f"trained {kind} model on {len(examples)} examples "
+        print(f"trained {kind} model on {len(corpus.examples)} examples "
               f"({corpus.n_factors} factors, {corpus.dim} features)")
         print(f"objective {summary['objective']:.4f} after "
               f"{result.iterations} iterations, recovery {rec:.0%}")
@@ -235,9 +208,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    space = _load_space(args.space or DEFAULTS["space"])
-    tree = _load_tree(args.tree)
-    model = _load_model("model", args.model)
+    space = _load("symbol space", args.space or DEFAULTS["space"], load_symbol_space)
+    tree = _load("instruction tree", args.tree, _read_tree)
+    model = _load("model", args.model, dcg.Model.load)
     if model.kind == "perception":
         detectors = ground_detectors(tree, model, space)
         out = {
@@ -255,7 +228,7 @@ def cmd_ground(args) -> int:
     else:
         if not args.world:
             raise StageError("io", "behavior grounding needs --world", EXIT_IO)
-        world = _load_world(args.world)
+        world = _load("world", args.world, WorldModel.load)
         request = ground_behavior(tree, model, space, world)
         label = world.objects[request.target_a].label
         out = {
@@ -312,8 +285,9 @@ def _perceive(args, scene: Scene, registry, detectors: DetectorSet | None):
 
 
 def cmd_perceive(args) -> int:
-    scene = _load_scene(args.scene or DEFAULTS["scene"])
-    registry = _load_registry(args.registry or DEFAULTS["registry"])
+    scene = _load("scene", args.scene or DEFAULTS["scene"], Scene.load)
+    registry = _load("detector registry", args.registry or DEFAULTS["registry"],
+                     load_registry)
     active = None
     if args.detectors:
         ids = frozenset(x.strip() for x in args.detectors.split(",") if x.strip())
@@ -335,39 +309,46 @@ def cmd_perceive(args) -> int:
     return EXIT_OK
 
 
-def _pipeline(args, tree: ParseTree):
-    """Shared run/bench front half: parse, ground, perceive."""
-    space = _load_space(args.space or DEFAULTS["space"])
-    registry = _load_registry(args.registry or DEFAULTS["registry"])
-    scene = _load_scene(args.scene or DEFAULTS["scene"])
-    lexicon_path = args.lexicon or DEFAULTS["lexicon"]
-    lexicon = Lexicon.from_json(_require_file("lexicon", lexicon_path))
+def _load_inputs(args) -> tuple:
+    """The inputs every tree of a run or bench shares, each read once:
+    symbol space, detector registry, scene, lexicon, perception model."""
+    return (_load("symbol space", args.space or DEFAULTS["space"],
+                  load_symbol_space),
+            _load("detector registry", args.registry or DEFAULTS["registry"],
+                  load_registry),
+            _load("scene", args.scene or DEFAULTS["scene"], Scene.load),
+            _load("lexicon", args.lexicon or DEFAULTS["lexicon"], Lexicon.from_json),
+            _read_model("perception", args.perception_model))
+
+
+def _ground_and_perceive(args, inputs: tuple, tree: ParseTree):
+    """Check ``tree`` against the lexicon, ground its detectors less any
+    dropped ones, and run the sensing loop with them."""
+    space, registry, scene, lexicon, model = inputs
     violations = validate_against_lexicon(tree, lexicon)
     if violations:
         v = violations[0]
         raise StageError("io", f"word {v.word!r} not in lexicon for tag {v.tag}",
                          EXIT_IO)
-    model = _load_model("perception model", args.perception_model)
-    if model.kind != "perception":
-        raise StageError("io", "perception model has wrong kind", EXIT_IO)
     detectors = ground_detectors(tree, model, space)
     dropped = frozenset(getattr(args, "drop_detector", None) or ())
     if dropped:
-        detectors = DetectorSet(detectors.ids - dropped,
-                                frozenset((p, s) for p, s in detectors.links
-                                          if f"{p}_{s}" not in dropped))
+        detectors = DetectorSet(
+            detectors.ids - dropped,
+            frozenset((p, s) for p, s in detectors.links
+                      if subtype_detector_id(p, s) not in dropped))
     world, metrics = _perceive(args, scene, registry, detectors)
-    return space, scene, detectors, world, metrics
+    return detectors, world, metrics
 
 
 def cmd_run(args) -> int:
     _apply_config(args)
-    tree = _load_tree(args.tree)
-    space, scene, detectors, world, metrics = _pipeline(args, tree)
-    behavior_model = _load_model("behavior model", args.behavior_model)
-    if behavior_model.kind != "behavior":
-        raise StageError("io", "behavior model has wrong kind", EXIT_IO)
-    request = ground_behavior(tree, behavior_model, space, world)
+    tree = _load("instruction tree", args.tree, _read_tree)
+    inputs = _load_inputs(args)
+    detectors, world, metrics = _ground_and_perceive(args, inputs, tree)
+    space, _, scene, _, _ = inputs
+    request = ground_behavior(tree, _read_model("behavior", args.behavior_model),
+                              space, world)
 
     robot = RobotState(base=scene.robot_start)
     door = DoorSim()
@@ -424,11 +405,13 @@ def _bench_cases(args) -> list[tuple[Path, str]]:
 
 def cmd_bench(args) -> int:
     _apply_config(args)
+    cases = _bench_cases(args)
+    inputs = _load_inputs(args)
     rows = []
-    for tree_path, mode in _bench_cases(args):
-        tree = _load_tree(tree_path)
+    for tree_path, mode in cases:
+        tree = _load("instruction tree", tree_path, _read_tree)
         args.exhaustive = mode == "exhaustive"
-        _, _, detectors, _, metrics = _pipeline(args, tree)
+        _, _, metrics = _ground_and_perceive(args, inputs, tree)
         rows.append({
             "instruction": tree.instruction,
             "mode": mode,
@@ -455,6 +438,18 @@ def cmd_bench(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="symbol space JSON (default: bundled)")
     p.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _add_shared_inputs(p: argparse.ArgumentParser) -> None:
+    """The flags run and bench share."""
+    p.add_argument("--config", help="run-config JSON supplying the paths below")
+    p.add_argument("--perception-model")
+    p.add_argument("--scene")
+    p.add_argument("--registry")
+    p.add_argument("--lexicon")
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--frames", type=int,
+                   help=f"default {percept.DEFAULT_FRAME_BUDGET}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,15 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: ground, perceive, act")
     _add_common(p)
     p.add_argument("--tree", required=True)
-    p.add_argument("--config", help="run-config JSON supplying the paths below")
-    p.add_argument("--perception-model")
+    _add_shared_inputs(p)
     p.add_argument("--behavior-model")
-    p.add_argument("--scene")
-    p.add_argument("--registry")
-    p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int, help="default 0")
-    p.add_argument("--frames", type=int,
-                   help=f"default {percept.DEFAULT_FRAME_BUDGET}")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--drop-detector", action="append", metavar="ID",
                    help="remove a detector from the inferred set (repeatable)")
@@ -512,14 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="perception-cost benchmark rows")
     _add_common(p)
-    p.add_argument("--config", help="run-config JSON supplying the paths below")
-    p.add_argument("--perception-model")
-    p.add_argument("--scene")
-    p.add_argument("--registry")
-    p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int, help="default 0")
-    p.add_argument("--frames", type=int,
-                   help=f"default {percept.DEFAULT_FRAME_BUDGET}")
+    _add_shared_inputs(p)
     p.add_argument("--case", action="append", metavar="TREE[=MODE]",
                    help="benchmark row (default: the three bundled rows)")
     p.add_argument("--out", help="also write the JSON rows to this file")

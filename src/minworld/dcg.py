@@ -305,16 +305,24 @@ class Model:
     @classmethod
     def load(cls, path: str | Path) -> "Model":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise CorpusError(f"model must be a JSON object, got {type(data).__name__}")
         if data.get("template_version") != TEMPLATE_VERSION:
             raise CorpusError(
                 f"model template version {data.get('template_version')!r} "
                 f"does not match {TEMPLATE_VERSION}")
         kind, weights = data["kind"], data.pop("weights")
+        if kind not in ("perception", "behavior"):
+            raise CorpusError(f"model kind {kind!r} must be perception or behavior")
+        if not isinstance(weights, dict):
+            raise CorpusError("model weights must be a JSON object")
         names = sorted(weights)
         try:
             w = np.array([weights[n] for n in names], dtype=float)
         except (TypeError, ValueError) as e:
             raise CorpusError(f"non-numeric weight: {e}") from None
+        if w.shape != (len(names),):
+            raise CorpusError("every weight must be a number")
         if not np.isfinite(w).all():
             bad = names[int(np.flatnonzero(~np.isfinite(w))[0])]
             raise CorpusError(f"non-finite weight for feature {bad!r}")
@@ -423,15 +431,27 @@ def _resolve_descriptor(desc: dict, graph: FactorGraph, space: SymbolSpace) -> i
 
 def load_corpus(path: str | Path) -> tuple[str, list[dict]]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise CorpusError(f"corpus must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in ("perception", "behavior"):
         raise CorpusError(f"corpus kind {kind!r} must be perception or behavior")
     examples = data.get("examples")
     if not examples:
         raise CorpusError("corpus has no examples")
+    if not isinstance(examples, list):
+        raise CorpusError("corpus examples must be a list")
     for i, ex in enumerate(examples):
+        if not isinstance(ex, dict):
+            raise CorpusError(f"example {i} must be a JSON object")
         if "tree" not in ex or "gold" not in ex:
             raise CorpusError(f"example {i} needs 'tree' and 'gold'")
+        if not isinstance(ex["tree"], str) or not isinstance(ex["gold"], list):
+            raise CorpusError(f"example {i}: 'tree' must be a string and 'gold' a list")
+        if not all(isinstance(g, list) and len(g) == 2 and isinstance(g[1], dict)
+                   for g in ex["gold"]):
+            raise CorpusError(f"example {i}: each gold entry must be a "
+                              "[phrase index, descriptor object] pair")
         if kind == "perception" and "world" in ex:
             raise CorpusError(f"example {i}: perception corpora carry no worlds")
         if kind == "behavior" and "world" not in ex:

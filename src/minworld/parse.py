@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .world import json_object
+
 
 class TreeError(ValueError):
     """Malformed bracketed-tree text; carries the character offset."""
@@ -181,7 +183,11 @@ class Lexicon:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Lexicon":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json_object(json.loads(Path(path).read_text(encoding="utf-8")),
+                          "lexicon")
+        for tag, words in raw.items():
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise ValueError(f"lexicon entry {tag} must be a list of strings")
         return cls({tag: frozenset(w.lower() for w in words)
                     for tag, words in raw.items()})
 

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .symbols import DetectorSet
+from .symbols import DetectorSet, subtype_detector_id
 from .world import (
+    ASSOC_RADIUS,
     Aabb,
     Detection,
     Pose,
@@ -118,7 +119,7 @@ class PerceptionConfig:
     mode: str = "adaptive"
     seed: int = 0
     frame_budget: int = DEFAULT_FRAME_BUDGET
-    assoc_radius: float = 0.5
+    assoc_radius: float = ASSOC_RADIUS
 
     def __post_init__(self):
         if self.mode not in ("adaptive", "exhaustive"):
@@ -198,7 +199,7 @@ def integration_links(config: PerceptionConfig) -> frozenset[tuple[str, str]]:
     by_id = {d.id: d for d in config.registry}
     out = set()
     for parent, subtype in config.active.links:
-        child_id = f"{parent}_{subtype}"
+        child_id = subtype_detector_id(parent, subtype)
         child = by_id.get(child_id)
         if child is None:
             raise PerceptionError(f"no registered detector for subtype {child_id}")

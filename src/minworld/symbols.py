@@ -116,9 +116,24 @@ class SymbolSpace:
         return HierarchicalDetectorSymbol(parent, subtype)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def load_symbol_space(path: str | Path) -> SymbolSpace:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SymbolSpace(raw["labels"], raw.get("hierarchies", []), raw.get("actions", []))
+    if not isinstance(raw, dict):
+        raise SymbolError(f"symbol space must be a JSON object, got {type(raw).__name__}")
+    labels, actions = raw["labels"], raw.get("actions", [])
+    hierarchies = raw.get("hierarchies", [])
+    for key, value in (("labels", labels), ("actions", actions)):
+        if not _strings(value):
+            raise SymbolError(f"symbol space {key} must be a list of strings")
+    if not (isinstance(hierarchies, list)
+            and all(_strings(p) and len(p) == 2 for p in hierarchies)):
+        raise SymbolError("symbol space hierarchies must be a list of "
+                          "[parent, subtype] string pairs")
+    return SymbolSpace(labels, hierarchies, actions)
 
 
 def detectors_from_groundings(expressed) -> DetectorSet:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import collections
 import json
+import pathlib
 
 import pytest
 
@@ -523,6 +525,24 @@ def test_bench_bad_case_mode(trees, model_dir, capsys):
     capsys.readouterr()
 
 
+def test_bench_reads_each_input_once(model_dir, monkeypatch, capsys):
+    reads = collections.Counter()
+    read_text = pathlib.Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads[self.name] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", counting)
+    code = main(["bench", "--perception-model", str(model_dir / "perception.json"),
+                 "--json"])
+    assert code == 0
+    capsys.readouterr()
+    inputs = ("symbol_space.json", "detector_registry.json", "door_scene.json",
+              "lexicon.json", "perception.json")
+    assert {name: reads[name] for name in inputs} == dict.fromkeys(inputs, 1)
+
+
 def test_bench_table_output(model_dir, capsys):
     code = main(["bench", "--perception-model", str(model_dir / "perception.json")])
     assert code == 0
@@ -530,3 +550,71 @@ def test_bench_table_output(model_dir, capsys):
     assert "instruction" in out
     assert "2.060" in out
     assert "0.158" in out
+
+
+# -- malformed input files ---------------------------------------------------
+
+# Every flag that names an input file, per command; the sweep points one of
+# them at a malformed file and the others at good ones.
+FILE_FLAGS = {
+    "train": ["--corpus", "--space"],
+    "ground": ["--tree", "--model", "--world", "--space"],
+    "perceive": ["--scene", "--registry"],
+    "run": ["--tree", "--config", "--perception-model", "--behavior-model",
+            "--scene", "--registry", "--lexicon", "--space"],
+    "bench": ["--config", "--perception-model", "--scene", "--registry",
+              "--lexicon", "--space", "--case"],
+}
+
+MALFORMED = [(command, flag, text)
+             for command, flags in FILE_FLAGS.items() for flag in flags
+             for text in ("{bad", "[]", "null", "3", '"x"')] + [
+    # once accepted: the labels became "d", "o", "r" and grounding exited 2
+    ("run", "--space", '{"labels": "door"}'),
+    ("run", "--lexicon", '{"VB": [1]}'),
+    # once accepted: an empty model, and a model ground took for a behavior one
+    ("ground", "--model", '{"template_version": 2, "kind": "perception", '
+                          '"weights": []}'),
+    ("ground", "--model", '{"template_version": 2, "kind": "nope", "weights": {}}'),
+    ("train", "--corpus", '{"kind": "perception", '
+                          '"examples": [{"tree": 5, "gold": []}]}'),
+]
+
+
+@pytest.fixture(scope="module")
+def good_files(assets, model_dir, world_file, trees, tmp_path_factory) -> dict:
+    config = tmp_path_factory.mktemp("config") / "run.json"
+    config.write_text("{}")
+    return {
+        "--corpus": str(assets / "perception_corpus.json"),
+        "--space": str(assets / "symbol_space.json"),
+        "--tree": trees["open"],
+        "--case": trees["open"],
+        # a behavior model, so that ground reads --world too
+        "--model": str(model_dir / "behavior.json"),
+        "--world": world_file,
+        "--scene": str(assets / "door_scene.json"),
+        "--registry": str(assets / "detector_registry.json"),
+        "--lexicon": str(assets / "lexicon.json"),
+        "--config": str(config),
+        "--perception-model": str(model_dir / "perception.json"),
+        "--behavior-model": str(model_dir / "behavior.json"),
+    }
+
+
+@pytest.mark.parametrize("command,flag,text", MALFORMED,
+                         ids=[" ".join(case) for case in MALFORMED])
+def test_malformed_input_file_exits_io(command, flag, text, good_files, tmp_path,
+                                       capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    extra = {"train": ["--out", str(tmp_path / "m.json")],
+             "run": ["--out-dir", str(tmp_path / "out")]}
+    argv = [command, *extra.get(command, [])]
+    for f in FILE_FLAGS[command]:
+        argv += [f, str(bad) if f == flag else good_files[f]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [io]: bad ")
+    assert captured.err.count("\n") == 1
