@@ -30,7 +30,7 @@ from .symbols import (
     load_symbol_space,
     subtype_detector_id,
 )
-from .world import WorldModel, json_object
+from .world import WorldModel, is_int, json_object
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -126,39 +126,39 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
     return BehaviorRequest(sym.action, sym.target_a)
 
 
-# Flags a run config may set, so argparse leaves them None; filled in
-# after the overlay.
+# The keys a run config may set: path flags, resolved against the config
+# file's directory, and integer flags with their defaults. argparse leaves
+# every one of them None, so a flag given on the command line wins.
+CONFIG_PATHS = ("space", "registry", "scene", "lexicon", "tree",
+                "perception_model", "behavior_model", "out_dir")
 CONFIG_DEFAULTS = {"seed": 0, "frames": percept.DEFAULT_FRAME_BUDGET}
 
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay a run-config JSON under explicit flags, then give the
-    flags neither set their defaults; relative paths are resolved against
-    the config file's directory."""
+    integer flags neither set their defaults."""
     if args.config is not None:
         cfg_path = Path(args.config)
         cfg = _load("config", cfg_path, lambda p: json_object(
             json.loads(p.read_text(encoding="utf-8")), "config"))
-        path_keys = {"space", "registry", "scene", "lexicon", "tree",
-                     "perception_model", "behavior_model", "out_dir"}
         for key, value in cfg.items():
-            if key in path_keys:
+            if key in CONFIG_PATHS:
                 if not isinstance(value, str):
                     raise StageError("io", f"bad config {cfg_path}: {key} must "
                                      "be a path string", EXIT_IO)
                 value = str((cfg_path.parent / value).resolve()) \
                     if not Path(value).is_absolute() else value
-            # identity tests: an explicit --seed 0 equals False but is set
-            current = getattr(args, key, None)
-            if current is None or current is False:
+            elif key not in CONFIG_DEFAULTS:
+                raise StageError("io", f"bad config {cfg_path}: unknown key "
+                                 f"{key!r}", EXIT_IO)
+            elif value is not None and not is_int(value):  # null: the default
+                raise StageError("io", f"bad config {cfg_path}: {key} must be "
+                                 f"an integer, got {value!r}", EXIT_IO)
+            if getattr(args, key, None) is None:
                 setattr(args, key, value)
     for key, default in CONFIG_DEFAULTS.items():
-        value = getattr(args, key)
-        if value is None:
+        if getattr(args, key) is None:
             setattr(args, key, default)
-        elif isinstance(value, bool) or not isinstance(value, int):
-            raise StageError("io", f"config {key} must be an integer, got {value!r}",
-                             EXIT_IO)
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,23 @@ child-summary atoms, one weight per conjunction. One template,
 triples; training joins them into names with ``&`` (``p&s`` or
 ``p&s&c``), so no atom may contain ``&``.
 
-Inference scores with folded weights instead of names. Within one phrase
-the phrase and child atoms are fixed, so a factor's margin is the sum,
-over the symbol's atoms s, of a_s = sum_p (theta[p,s] + sum_c
-theta[p,s,c]). Each ``Model`` folds its weights into a table keyed
-s -> p -> c|None once, and ``infer`` computes each a_s once per phrase
-and each margin as a sum of 2-3 atom scores.
+A ``Model`` holds theta once, as a read-only map from conjunction name
+to weight, and inference scores with that map folded instead of names.
+Within one phrase the phrase and child atoms are fixed, so a factor's
+margin is the sum, over the symbol's atoms s, of a_s = sum_p (theta[p,s]
++ sum_c theta[p,s,c]). Each ``Model`` folds its weights into a table
+keyed s -> p -> c|None once, and ``infer`` computes each a_s once per
+phrase and each margin as a sum of 2-3 atom scores.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .symbols import (
     IndependentDetectorSymbol,
     SymbolSpace,
 )
-from .world import WorldModel, finite_number
+from .world import WorldModel, finite_number, is_int
 
 TEMPLATE_VERSION = 2
 
@@ -60,14 +63,6 @@ class CorpusError(ValueError):
 
 class GroundingError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Active binary feature indices, sorted ascending."""
-
-    indices: tuple[int, ...]
-    dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -152,48 +147,6 @@ def feature_names(phrase: Phrase, symbol, child_symbols=frozenset(),
                   child_atoms(child_symbols, world))
 
 
-class FeatureSpace:
-    """Feature-name registry. Grows while compiling a corpus, then
-    frozen; a frozen registry skips unknown names, which carry zero
-    weight."""
-
-    def __init__(self, names=(), frozen: bool = False):
-        self._index: dict[str, int] = {n: i for i, n in enumerate(names)}
-        if len(self._index) != len(tuple(names)):
-            raise ValueError("duplicate feature names")
-        self.frozen = frozen
-
-    @property
-    def dim(self) -> int:
-        return len(self._index)
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._index)
-
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def _indices(self, names: list[str]) -> tuple[int, ...]:
-        """Sorted indices of ``names``, registering new ones in order
-        unless frozen."""
-        index = self._index
-        idx = []
-        for name in names:
-            i = index.get(name)
-            if i is None:
-                if self.frozen:
-                    continue
-                i = index[name] = len(index)
-            idx.append(i)
-        return tuple(sorted(idx))
-
-    def featurize(self, phrase: Phrase, symbol, child_symbols=frozenset(),
-                  world: WorldModel | None = None) -> FeatureVector:
-        names = feature_names(phrase, symbol, child_symbols, world)
-        return FeatureVector(self._indices(names), self.dim)
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -245,11 +198,11 @@ class Assignment:
         return out
 
 
-def _fold(names: list[str], weights: np.ndarray) -> dict:
+def _fold(weights: Mapping[str, float]) -> dict:
     """The weight of every conjunction, keyed s -> p -> c|None."""
     table: dict[str, dict[str, dict[str | None, float]]] = {}
     shared: dict[str, str] = {}  # one string object per distinct child atom
-    for name, w in zip(names, weights.tolist()):
+    for name, w in weights.items():
         atoms = name.split("&")
         if len(atoms) not in (2, 3):
             raise CorpusError(f"feature name {name!r} is not a conjunction")
@@ -267,9 +220,9 @@ def _fold(names: list[str], weights: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class Model:
-    """Trained factor weights bound to their feature-name registry, plus
-    the weights folded by symbol atom for inference. The weights are
-    read-only so the fold cannot go stale.
+    """Trained factor weights, as a read-only map from conjunction name
+    to theta, plus the weights folded by symbol atom for inference. The
+    map is a view of the model's own copy, so the fold cannot go stale.
 
     ``perception_layout`` is ``(bank, layout)`` for the last world-free
     bank ``infer`` laid out against this model, or None. The entry holds
@@ -277,26 +230,21 @@ class Model:
     """
 
     kind: str
-    space: FeatureSpace
-    weights: np.ndarray
+    weights: Mapping[str, float]
     folded: dict = field(init=False, repr=False, compare=False)
     perception_layout: tuple | None = field(default=None, init=False,
                                             repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (self.space.dim,):
-            raise NumericError(f"{w.size} weights for {self.space.dim} features")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "folded", _fold(self.space.names, w))
+        weights = MappingProxyType({n: float(w) for n, w in self.weights.items()})
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "folded", _fold(weights))
 
     def save(self, path: str | Path) -> None:
-        names = self.space.names
         data = {
             "template_version": TEMPLATE_VERSION,
             "kind": self.kind,
-            "weights": {n: float(self.weights[i]) for i, n in enumerate(names)},
+            "weights": dict(self.weights),
         }
         Path(path).write_text(json.dumps(data, sort_keys=True,
                                          separators=(",", ":")) + "\n",
@@ -311,24 +259,16 @@ class Model:
             raise CorpusError(
                 f"model template version {data.get('template_version')!r} "
                 f"does not match {TEMPLATE_VERSION}")
-        kind, weights = data["kind"], data.pop("weights")
+        kind, weights = data["kind"], data["weights"]
         if kind not in ("perception", "behavior"):
             raise CorpusError(f"model kind {kind!r} must be perception or behavior")
         if not isinstance(weights, dict):
             raise CorpusError("model weights must be a JSON object")
-        names = sorted(weights)
-        try:
-            w = np.array([weights[n] for n in names], dtype=float)
-        except (TypeError, ValueError) as e:
-            raise CorpusError(f"non-numeric weight: {e}") from None
-        if w.shape != (len(names),):
-            raise CorpusError("every weight must be a number")
-        if not np.isfinite(w).all():
-            bad = names[int(np.flatnonzero(~np.isfinite(w))[0])]
-            raise CorpusError(f"non-finite weight for feature {bad!r}")
-        # free the parsed file before folding, so the fold reuses its memory
-        del data, weights
-        return cls(kind, FeatureSpace(names, frozen=True), w)
+        for name, w in weights.items():
+            if not finite_number(w):
+                raise CorpusError(f"weight for feature {name!r} must be a "
+                                  f"finite number, got {w!r}")
+        return cls(kind, weights)
 
 
 def _layout(bank: tuple, world: WorldModel | None, table: dict) -> tuple:
@@ -414,15 +354,27 @@ class TrainingExample:
     gold: frozenset[tuple[int, int]]
 
 
+def _descriptor_ok(desc: dict) -> bool:
+    """Whether a gold descriptor names a symbol with fields of the right
+    types: a ``label``, a ``parent`` and ``subtype``, or an ``action``
+    over an integer ``object``."""
+    def strings(*keys):
+        return all(isinstance(desc.get(k), str) for k in keys)
+
+    if "label" in desc:
+        return strings("label")
+    if "parent" in desc:
+        return strings("parent", "subtype")
+    return strings("action") and is_int(desc.get("object"))
+
+
 def _resolve_descriptor(desc: dict, graph: FactorGraph, space: SymbolSpace) -> int:
     if "label" in desc:
         sym = space.semantic(desc["label"])
     elif "parent" in desc:
         sym = space.hierarchy(desc["parent"], desc["subtype"])
-    elif "action" in desc:
-        sym = BehaviorSymbol(desc["action"], int(desc["object"]))
     else:
-        raise CorpusError(f"unintelligible gold descriptor {desc!r}")
+        sym = BehaviorSymbol(desc["action"], desc["object"])
     try:
         return graph.bank.index(sym)
     except ValueError:
@@ -448,10 +400,14 @@ def load_corpus(path: str | Path) -> tuple[str, list[dict]]:
             raise CorpusError(f"example {i} needs 'tree' and 'gold'")
         if not isinstance(ex["tree"], str) or not isinstance(ex["gold"], list):
             raise CorpusError(f"example {i}: 'tree' must be a string and 'gold' a list")
-        if not all(isinstance(g, list) and len(g) == 2 and isinstance(g[1], dict)
-                   for g in ex["gold"]):
-            raise CorpusError(f"example {i}: each gold entry must be a "
-                              "[phrase index, descriptor object] pair")
+        for g in ex["gold"]:
+            if not (isinstance(g, list) and len(g) == 2 and is_int(g[0])
+                    and isinstance(g[1], dict) and _descriptor_ok(g[1])):
+                raise CorpusError(
+                    f"example {i}: gold entry {g!r} must be a [phrase index, "
+                    "descriptor] pair, the descriptor a string label, a "
+                    "string parent and subtype, or a string action and an "
+                    "integer object")
         if kind == "perception" and "world" in ex:
             raise CorpusError(f"example {i}: perception corpora carry no worlds")
         if kind == "behavior" and "world" not in ex:
@@ -470,19 +426,19 @@ def build_examples(kind: str, raw_examples: list[dict],
             world = WorldModel.from_json(raw["world"])
             graph = build_behavior_graph(tree, space, world)
         gold = set()
-        for entry in raw["gold"]:
-            phrase_index, desc = entry
-            if not 0 <= int(phrase_index) < tree.n_phrases:
+        for phrase_index, desc in raw["gold"]:
+            if not 0 <= phrase_index < tree.n_phrases:
                 raise CorpusError(f"example {i}: phrase index {phrase_index} "
                                   f"outside tree")
-            gold.add((int(phrase_index), _resolve_descriptor(desc, graph, space)))
+            gold.add((phrase_index, _resolve_descriptor(desc, graph, space)))
         out.append(TrainingExample(graph, frozenset(gold)))
     return out
 
 
 class CompiledCorpus:
-    """Featurized corpus: per-factor gold values and active feature
-    indices, flattened for vectorized math.
+    """Featurized corpus: the feature names in the order first seen,
+    and per-factor gold values and active feature indices (positions in
+    ``names``), flattened for vectorized math.
 
     Child conditioning during compilation uses the gold assignments of
     the children, matching what inference reconstructs once trained.
@@ -490,7 +446,7 @@ class CompiledCorpus:
 
     def __init__(self, examples: list[TrainingExample]):
         self.examples = examples
-        self.feature_space = fs = FeatureSpace()
+        index: dict[str, int] = {}
         golds, counts, flat_idx = [], [], []
         for ex in examples:
             graph = ex.graph
@@ -503,12 +459,12 @@ class CompiledCorpus:
                 ps = phrase_atoms(phrase)
                 cs = child_atoms(child_syms, graph.world)
                 for j, sym in enumerate(graph.bank):
-                    idx = fs._indices(
-                        _stems(ps, symbol_atoms(sym, graph.world), cs))
+                    idx = sorted([index.setdefault(n, len(index)) for n in
+                                  _stems(ps, symbol_atoms(sym, graph.world), cs)])
                     golds.append(j in gold_at[phrase.index])
                     counts.append(len(idx))
                     flat_idx += idx
-        fs.freeze()
+        self.names = list(index)
         self.n_factors = len(golds)
         self.golds = np.array(golds, dtype=float)
         self.counts = np.array(counts, dtype=int)
@@ -517,7 +473,7 @@ class CompiledCorpus:
 
     @property
     def dim(self) -> int:
-        return self.feature_space.dim
+        return len(self.names)
 
     def margins(self, w: np.ndarray) -> np.ndarray:
         """Per-factor sum of the active features' weights."""
@@ -571,8 +527,7 @@ class TrainConfig:
 
     def __post_init__(self):
         def count_from(value, low: int) -> bool:
-            return (isinstance(value, int) and not isinstance(value, bool)
-                    and value >= low)
+            return is_int(value) and value >= low
 
         for name, ok, want in (
             ("iterations", count_from(self.iterations, 0), "an integer >= 0"),
@@ -665,7 +620,7 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
                 break
     except NumericError as e:
         raise TrainingError(f"iteration {it}: {e}") from e
-    model = Model(kind, corpus.feature_space, w)
+    model = Model(kind, dict(zip(corpus.names, w.tolist())))
     return TrainResult(model, history, it, stop, math.sqrt(gnorm2))
 
 

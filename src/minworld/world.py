@@ -30,7 +30,8 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """Whether ``value`` is an int (bools are not numbers)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -154,9 +155,9 @@ class WorldObject:
     def from_json(cls, d) -> "WorldObject":
         d = json_object(d, "world object")
         oid, label, parent = d["id"], d["label"], d.get("parent")
-        if not _is_int(oid):
+        if not is_int(oid):
             raise WorldError(f"object id must be an integer, got {oid!r}")
-        if parent is not None and not _is_int(parent):
+        if parent is not None and not is_int(parent):
             raise WorldError(f"object parent must be an integer, got {parent!r}")
         if not isinstance(label, str):
             raise WorldError(f"object label must be a string, got {label!r}")

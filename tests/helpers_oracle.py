@@ -79,17 +79,17 @@ def random_graph(seed: int):
 def hash_model(graph, salt: str) -> dcg.Model:
     """Weights for every feature reachable from any child context,
     derived per-name from a hash so discovery order cannot matter."""
-    fs = dcg.FeatureSpace()
     bank_sets = [frozenset(combo)
                  for r in range(len(graph.bank) + 1)
                  for combo in itertools.combinations(graph.bank, r)]
+    weights: dict[str, float] = {}
     for phrase in graph.tree.phrases_bottom_up():
         for sym in graph.bank:
             for ctx in bank_sets:
-                fs.featurize(phrase, sym, set(ctx), graph.world)
-    fs.freeze()
-    w = np.array([hash_weight(n, salt) for n in fs.names])
-    return dcg.Model(graph.kind, fs, w)
+                for n in dcg.feature_names(phrase, sym, set(ctx), graph.world):
+                    if n not in weights:
+                        weights[n] = hash_weight(n, salt)
+    return dcg.Model(graph.kind, weights)
 
 
 def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
@@ -98,8 +98,6 @@ def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
     the conditioning contexts match inference's), keeping the first
     maximizer in false-first lexicographic order. A variable scores the
     weights of its factor's features when true and 0 when false."""
-    w = model.weights
-    fs = model.space
     result: dict[int, frozenset[int]] = {}
 
     def solve(phrase) -> set:
@@ -112,8 +110,9 @@ def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
             score = 0.0
             for j, value in enumerate(bits):
                 if value:
-                    fv = fs.featurize(phrase, graph.bank[j], ctx, graph.world)
-                    score += float(w[list(fv.indices)].sum()) if fv.indices else 0.0
+                    score += sum(model.weights.get(n, 0.0) for n in
+                                 dcg.feature_names(phrase, graph.bank[j], ctx,
+                                                   graph.world))
             if score > best_score:
                 best_bits, best_score = bits, score
         chosen = frozenset(j for j, v in enumerate(best_bits) if v)

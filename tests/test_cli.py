@@ -137,7 +137,8 @@ def test_ground_missing_tree(model_dir, capsys):
 
 
 def _one_line_error(capsys, stage: str) -> str:
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"error [{stage}]: ")
     assert err.count("\n") == 1
     return err
@@ -262,7 +263,6 @@ def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys):
     code = main(["perceive", "--registry", str(registry), "--exhaustive", "--json"])
     assert code == 1
     assert "frame_cost" in _one_line_error(capsys, "io")
-    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("text", [
@@ -280,7 +280,6 @@ def test_perceive_bad_registry_exits_io(text, tmp_path, capsys):
     code = main(["perceive", "--registry", str(registry), "--exhaustive"])
     assert code == 1
     _one_line_error(capsys, "io")
-    assert capsys.readouterr().out == ""
 
 
 BAD_SCENES = [
@@ -578,6 +577,31 @@ MALFORMED = [(command, flag, text)
     ("ground", "--model", '{"template_version": 2, "kind": "nope", "weights": {}}'),
     ("train", "--corpus", '{"kind": "perception", '
                           '"examples": [{"tree": 5, "gold": []}]}'),
+    # once accepted as 1.0 and 1.5
+    ("ground", "--model", '{"template_version": 2, "kind": "perception", '
+                          '"weights": {"word:door&label:door": true}}'),
+    ("ground", "--model", '{"template_version": 2, "kind": "perception", '
+                          '"weights": {"word:door&label:door": "1.5"}}'),
+    # gold entries once coerced with int(): null ended in a traceback, 1.7
+    # trained as phrase 1 and "37" as object 37
+    *[("train", "--corpus", f'{{"kind": "{kind}", "examples": [{{"tree": '
+                            f'"(VP (VB open) (NP (DT the) (NN door)))", '
+                            f'"gold": [{gold}]{world}}}]}}')
+      for kind, gold, world in [
+          ("behavior", '[0, {"action": "open", "object": null}]',
+           ', "world": {"objects": []}'),
+          ("perception", '[null, {"label": "door"}]', ""),
+          ("perception", '[1.7, {"label": "door"}]', ""),
+          ("behavior", '[1, {"action": "open", "object": "37"}]',
+           ', "world": {"objects": [{"id": 37, "label": "door", '
+           '"pose": {"x": 5, "y": 0}, "bbox": {"min": [4.9, -0.5, 0], '
+           '"max": [5.1, 0.5, 2]}}]}'),
+      ]],
+    # once accepted: a string split into detector ids, an ignored typo and
+    # a truthy string
+    *[(command, "--config", text) for command in ("run", "bench")
+      for text in ('{"drop_detector": "door_handle"}', '{"seeed": 3}',
+                   '{"exhaustive": "no"}')],
 ]
 
 

@@ -88,25 +88,8 @@ def test_atoms_with_the_name_separator_are_rejected(space):
     with pytest.raises(dcg.GroundingError):
         dcg.feature_names(phrase, space.semantic("door"))
     graph = dcg.build_perception_graph(load_parse_tree("(NP (NN a&b))"), space)
-    fs = dcg.FeatureSpace(frozen=True)
     with pytest.raises(dcg.GroundingError):
-        dcg.infer(graph, dcg.Model("perception", fs, np.zeros(0)))
-
-
-def test_feature_space_grows_then_freezes(space):
-    fs = dcg.FeatureSpace()
-    fv = fs.featurize(_door_np(), space.semantic("door"))
-    assert fs.dim == len(fv.indices) > 0
-    fs.freeze()
-    fv2 = fs.featurize(_door_np(), space.semantic("box"))
-    # overlap (shared phrase atoms with known names) but no growth
-    assert fs.dim == len(fv.indices)
-    assert len(fv2.indices) < fs.dim or fs.dim == 0
-
-
-def test_feature_space_rejects_duplicates():
-    with pytest.raises(ValueError):
-        dcg.FeatureSpace(["a&b", "a&b"])
+        dcg.infer(graph, dcg.Model("perception", {}))
 
 
 # -- graphs and inference ----------------------------------------------------
@@ -129,12 +112,9 @@ def test_behavior_bank_covers_actions_by_objects(space):
 def test_zero_model_expresses_nothing(space):
     tree = load_parse_tree(OPEN)
     graph = dcg.build_perception_graph(tree, space)
-    fs = dcg.FeatureSpace()
-    for phrase in tree.phrases_bottom_up():
-        for sym in graph.bank:
-            fs.featurize(phrase, sym)
-    fs.freeze()
-    model = dcg.Model("perception", fs, np.zeros(fs.dim))
+    model = dcg.Model("perception", {n: 0.0 for phrase in tree.phrases_bottom_up()
+                                     for sym in graph.bank
+                                     for n in dcg.feature_names(phrase, sym)})
     got = dcg.infer(graph, model)
     assert all(not ids for ids in got.expressed.values())
     # ties all break to false at probability one half each
@@ -162,8 +142,7 @@ def test_assignment_views(space, perception_model):
 def test_infer_with_non_finite_weights_raises(space, perception_model):
     tree = load_parse_tree(OPEN)
     graph = dcg.build_perception_graph(tree, space)
-    bad = dcg.Model("perception", perception_model.space,
-                    np.full(perception_model.space.dim, math.nan))
+    bad = dcg.Model("perception", dict.fromkeys(perception_model.weights, math.nan))
     with pytest.raises(dcg.NumericError):
         dcg.infer(graph, bad)
 
@@ -201,25 +180,28 @@ def test_model_load_rejects_non_finite_weights(tmp_path, perception_model):
         dcg.Model.load(path)
 
 
-def test_model_rejects_malformed_names_and_lengths():
+def test_model_rejects_malformed_names():
     for name in ("word:door", "a&b&c&d"):
         with pytest.raises(dcg.CorpusError):
-            dcg.Model("perception", dcg.FeatureSpace([name]), np.zeros(1))
-    with pytest.raises(dcg.NumericError):
-        dcg.Model("perception", dcg.FeatureSpace(["a&b"]), np.zeros(2))
+            dcg.Model("perception", {name: 0.0})
 
 
-def test_model_weights_are_read_only(perception_model):
-    with pytest.raises(ValueError):
-        perception_model.weights[0] = 1.0
+def test_model_weights_are_read_only():
+    weights = {"word:door&label:door": 1.0}
+    model = dcg.Model("perception", weights)
+    with pytest.raises(TypeError):
+        model.weights["word:door&label:door"] = 2.0
+    # the model keeps its own copy, so its fold cannot go stale
+    weights["word:door&label:door"] = 2.0
+    assert model.weights == {"word:door&label:door": 1.0}
+    assert model.folded == {"label:door": {"word:door": {None: 1.0}}}
 
 
 # -- folded inference against per-factor featurization -------------------------
 
 def _reference_infer(graph, model):
-    """Inference as a sum over named features: featurize every factor
-    and sum its weights."""
-    fs, w = model.space, model.weights
+    """Inference as a sum over named features: name every factor's
+    features and sum their weights."""
     expressed, by_index, log_score = {}, {}, 0.0
     for phrase in graph.tree.phrases_bottom_up():
         ctx: set = set()
@@ -227,8 +209,8 @@ def _reference_infer(graph, model):
             ctx |= by_index[child.index]
         chosen = set()
         for j, sym in enumerate(graph.bank):
-            fv = fs.featurize(phrase, sym, ctx, graph.world)
-            margin = float(w[list(fv.indices)].sum())
+            margin = sum(model.weights.get(n, 0.0) for n in
+                         dcg.feature_names(phrase, sym, ctx, graph.world))
             if margin > 0.0:
                 chosen.add(j)
             log_score -= float(np.logaddexp(0.0, -abs(margin)))
@@ -316,7 +298,7 @@ def test_folded_inference_behavior_over_random_worlds(assets, space,
 
 
 def _fresh(model):
-    return dcg.Model(model.kind, model.space, model.weights)
+    return dcg.Model(model.kind, model.weights)
 
 
 def test_perception_layout_reuse_matches_fresh_models(assets, space,
@@ -423,7 +405,7 @@ def test_margins_match_direct_scores(space, perception_corpus):
     # flattened sparse arithmetic agrees with per-factor refeaturization
     rng = np.random.default_rng(5)
     w = rng.normal(size=perception_corpus.dim)
-    fs = perception_corpus.feature_space
+    at = {n: i for i, n in enumerate(perception_corpus.names)}
     got = perception_corpus.margins(w)
     k = 0
     for ex in perception_corpus.examples:
@@ -435,8 +417,8 @@ def test_margins_match_direct_scores(space, perception_corpus):
             for child in phrase.children:
                 child_syms |= {graph.bank[j] for j in gold_at[child.index]}
             for sym in graph.bank:
-                fv = fs.featurize(phrase, sym, child_syms, graph.world)
-                want = float(w[list(fv.indices)].sum())
+                want = sum(w[at[n]] for n in
+                           dcg.feature_names(phrase, sym, child_syms, graph.world))
                 assert abs(got[k] - want) < 1e-9
                 k += 1
     assert k == perception_corpus.n_factors
@@ -489,15 +471,15 @@ def test_behavior_training_recovers(behavior_corpus, behavior_train):
 def test_stronger_l2_shrinks_weights(perception_corpus):
     light = dcg.train(perception_corpus, dcg.TrainConfig(iterations=60, l2=1e-3))
     heavy = dcg.train(perception_corpus, dcg.TrainConfig(iterations=60, l2=1.0))
-    n_light = float(np.linalg.norm(light.model.weights))
-    n_heavy = float(np.linalg.norm(heavy.model.weights))
+    n_light = float(np.linalg.norm(list(light.model.weights.values())))
+    n_heavy = float(np.linalg.norm(list(heavy.model.weights.values())))
     assert n_heavy < n_light
 
 
 def test_zero_iterations_returns_zero_model(perception_corpus):
     result = dcg.train(perception_corpus, dcg.TrainConfig(iterations=0))
     assert result.iterations == 0
-    assert not np.any(result.model.weights)
+    assert not any(result.model.weights.values())
     assert len(result.objective_history) == 1
 
 
@@ -543,11 +525,10 @@ def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
     # names, in the same order, factor by factor
     corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
     ref = _two_sided_compile(corpus.examples)
-    assert corpus.feature_space.names == [n[:-2] for n in ref.names
-                                          if n.endswith("&T")]
+    assert corpus.names == [n[:-2] for n in ref.names if n.endswith("&T")]
     assert corpus.golds.tolist() == ref.golds.tolist()
     assert (2 * corpus.counts).tolist() == ref.counts.tolist()
-    names = corpus.feature_space.names
+    names = corpus.names
     assert [names[i] for i in corpus.flat_idx] == \
         [ref.names[i][:-2] for i, v in zip(ref.flat_idx, ref.flat_val) if v > 0]
 
@@ -615,8 +596,9 @@ def test_cached_margin_training_matches_reference(which, iterations,
     assert np.allclose(got.objective_history, history, rtol=0.0, atol=1e-10)
     at = {n: i for i, n in enumerate(ref.names)}
     theta = np.array([w[at[n + "&T"]] - w[at[n + "&F"]]
-                      for n in corpus.feature_space.names])
-    assert np.allclose(got.model.weights, theta, rtol=0.0, atol=1e-10)
+                      for n in corpus.names])
+    w_got = np.array([got.model.weights[n] for n in corpus.names])
+    assert np.allclose(w_got, theta, rtol=0.0, atol=1e-10)
     assert got.grad_norm == pytest.approx(gnorm / math.sqrt(2.0), rel=1e-9)
 
 
@@ -640,7 +622,8 @@ def test_train_config_accepts_edges():
 def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
                                                         perception_train):
     def norm_at(result, l2):
-        g = dcg.ll_gradient(perception_corpus, np.array(result.model.weights), l2)
+        w = np.array([result.model.weights[n] for n in perception_corpus.names])
+        g = dcg.ll_gradient(perception_corpus, w, l2)
         return float(np.linalg.norm(g))
 
     l2 = dcg.TrainConfig().l2

@@ -3,8 +3,6 @@ exhaustive enumerator (small graphs, every joint block scored)."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from minworld import dcg
 
 from helpers_oracle import enumerate_assignment, hash_model, random_graph
@@ -29,12 +27,10 @@ def test_inference_matches_exhaustive_enumeration():
 
 def test_oracle_prefers_false_on_ties():
     graph = random_graph(0)
-    fs = dcg.FeatureSpace()
-    for phrase in graph.tree.phrases_bottom_up():
-        for sym in graph.bank:
-            fs.featurize(phrase, sym, set(), graph.world)
-    fs.freeze()
-    model = dcg.Model(graph.kind, fs, np.zeros(fs.dim))
+    model = dcg.Model(graph.kind, {
+        n: 0.0 for phrase in graph.tree.phrases_bottom_up()
+        for sym in graph.bank
+        for n in dcg.feature_names(phrase, sym, set(), graph.world)})
     want = enumerate_assignment(graph, model)
     assert all(not ids for ids in want.values())
     got = dcg.infer(graph, model).expressed
