@@ -128,7 +128,8 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
 
 # The keys a run config may set: path flags, resolved against the config
 # file's directory, and integer flags with their defaults. argparse leaves
-# every one of them None, so a flag given on the command line wins.
+# every one of them None, so a flag given on the command line wins. A
+# command reads only the path keys it has a flag for.
 CONFIG_PATHS = ("space", "registry", "scene", "lexicon", "tree",
                 "perception_model", "behavior_model", "out_dir")
 CONFIG_DEFAULTS = {"seed": 0, "frames": percept.DEFAULT_FRAME_BUDGET}
@@ -142,7 +143,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         cfg = _load("config", cfg_path, lambda p: json_object(
             json.loads(p.read_text(encoding="utf-8")), "config"))
         for key, value in cfg.items():
-            if key in CONFIG_PATHS:
+            if key in CONFIG_PATHS and hasattr(args, key):
                 if not isinstance(value, str):
                     raise StageError("io", f"bad config {cfg_path}: {key} must "
                                      "be a path string", EXIT_IO)
@@ -154,7 +155,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             elif value is not None and not is_int(value):  # null: the default
                 raise StageError("io", f"bad config {cfg_path}: {key} must be "
                                  f"an integer, got {value!r}", EXIT_IO)
-            if getattr(args, key, None) is None:
+            if getattr(args, key) is None:
                 setattr(args, key, value)
     for key, default in CONFIG_DEFAULTS.items():
         if getattr(args, key) is None:
@@ -489,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: ground, perceive, act")
     _add_common(p)
-    p.add_argument("--tree", required=True)
+    p.add_argument("--tree")
     _add_shared_inputs(p)
     p.add_argument("--behavior-model")
     p.add_argument("--exhaustive", action="store_true")

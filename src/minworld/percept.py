@@ -240,6 +240,7 @@ def run_perception(scene: Scene, config: PerceptionConfig,
             poses += [last] * (config.frame_budget - len(poses))
     rng = np.random.default_rng(config.seed)
     world = WorldModel()
+    integrate, radius = world.integrate, config.assoc_radius
     truth_by_label: dict[str, list[WorldObject]] = {}
     for obj in sorted(scene.objects, key=lambda o: o.id):
         truth_by_label.setdefault(obj.label, []).append(obj)
@@ -258,19 +259,16 @@ def run_perception(scene: Scene, config: PerceptionConfig,
         for det in active:
             hits = in_view.get(det.emits_label)
             if hits:
+                label, source = det.emits_label, det.id
                 # one (k, 2) draw reads the stream exactly as k draws of 2
                 noise = (rng.normal(0.0, 1.0, (len(hits), 2))
                          * det.noise_sigma).tolist()
                 for obj, (dx, dy) in zip(hits, noise):
-                    d = Detection(
-                        label=det.emits_label,
-                        pose=Pose(obj.pose.x + dx, obj.pose.y + dy,
-                                  obj.pose.z, obj.pose.yaw),
-                        bbox=obj.bbox.translated(dx, dy),
-                        timestamp=time,
-                        source_detector=det.id,
-                    )
-                    world.integrate(d, links, config.assoc_radius)
+                    pose = obj.pose
+                    integrate(Detection(
+                        label, Pose(pose.x + dx, pose.y + dy, pose.z, pose.yaw),
+                        obj.bbox.translated(dx, dy), time, source),
+                        links, radius)
                 emitted += len(hits)
             if config.mode == "exhaustive" and det.false_positive_rate > 0.0:
                 if rng.random() < det.false_positive_rate:
@@ -279,15 +277,10 @@ def run_perception(scene: Scene, config: PerceptionConfig,
                         -scene.visibility.fov / 2.0, scene.visibility.fov / 2.0)
                     x = robot.x + r * math.cos(bearing)
                     y = robot.y + r * math.sin(bearing)
-                    d = Detection(
-                        label=det.emits_label,
-                        pose=Pose(x, y, 0.5),
-                        bbox=Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
-                        timestamp=time,
-                        source_detector=det.id,
-                        spurious=True,
-                    )
-                    world.integrate(d, links, config.assoc_radius)
+                    integrate(Detection(
+                        det.emits_label, Pose(x, y, 0.5),
+                        Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
+                        time, det.id, spurious=True), links, radius)
                     emitted += 1
                     spurious += 1
     metrics = PerceptionMetrics(

@@ -265,6 +265,34 @@ def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys):
     assert "frame_cost" in _one_line_error(capsys, "io")
 
 
+def test_run_config_sets_tree(trees, model_dir, tmp_path, capsys):
+    models = {"perception_model": str(model_dir / "perception.json"),
+              "behavior_model": str(model_dir / "behavior.json")}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"tree": trees["open"], **models}))
+    sources = {
+        "flag": ["--tree", trees["open"], "--perception-model",
+                 models["perception_model"], "--behavior-model",
+                 models["behavior_model"]],
+        "config": ["--config", str(cfg_path)],
+    }
+    outs = {}
+    for name, source in sources.items():
+        assert main(["run", *source, "--out-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert len(outs["flag"]) == 4
+    assert outs["config"] == outs["flag"]
+
+
+def test_run_without_tree_exits_io(model_dir, capsys):
+    code = main(["run", "--perception-model", str(model_dir / "perception.json"),
+                 "--behavior-model", str(model_dir / "behavior.json")])
+    assert code == 1
+    err = _one_line_error(capsys, "io")
+    assert err == "error [io]: no instruction tree given (flag or config)\n"
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("[]", id="top-level-list"),
     pytest.param('{"detectors": {}}', id="detectors-not-list"),
@@ -602,6 +630,9 @@ MALFORMED = [(command, flag, text)
     *[(command, "--config", text) for command in ("run", "bench")
       for text in ('{"drop_detector": "door_handle"}', '{"seeed": 3}',
                    '{"exhaustive": "no"}')],
+    # once ignored: bench has no tree, behavior model or out dir to set
+    *[("bench", "--config", f'{{"{key}": "x"}}')
+      for key in ("tree", "behavior_model", "out_dir")],
 ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -38,6 +39,11 @@ def test_pose_rejects_non_finite():
         Pose(math.nan, 0)
     with pytest.raises(WorldError):
         Pose(0, math.inf)
+    with pytest.raises(WorldError):
+        Pose(0, 0, -math.inf)
+    for yaw in (math.nan, math.inf):
+        with pytest.raises(WorldError):
+            Pose(0, 0, yaw=yaw)
 
 
 def test_pose_distances():
@@ -66,6 +72,45 @@ def test_aabb_translated():
     box = Aabb((0, 0, 0), (1, 1, 1)).translated(2, 3, 4)
     assert box.lo == (2.0, 3.0, 4.0)
     assert box.hi == (3.0, 4.0, 5.0)
+    assert not box.degenerate
+    flat = Aabb((0, 0, 0), (1, 0, 1), degenerate=True).translated(0.5, -0.25)
+    assert flat == Aabb((0.5, -0.25, 0.0), (1.5, -0.25, 1.0), degenerate=True)
+    for moved in (box, flat):
+        assert all(type(v) is float for v in moved.lo + moved.hi)
+
+
+def _remainder_yaw(yaw):
+    out = math.remainder(yaw, math.tau)
+    return out - math.tau if out >= math.pi else out
+
+
+@pytest.mark.parametrize("yaw", [
+    0, 1, 0.0, -0.0, 1.0, -1.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+    math.nextafter(-math.pi, 0.0), 3 * math.pi, -3 * math.pi, 1e6, math.tau])
+def test_yaw_is_remainder_bit_for_bit(yaw):
+    got = Pose(0.0, 0.0, yaw=yaw).yaw
+    assert type(got) is float
+    assert got.hex() == _remainder_yaw(yaw).hex()
+
+
+def test_translated_box_keeps_the_volume_check():
+    thin = Aabb((1.0, 0, 0), (math.nextafter(1.0, 2.0), 1, 1))
+    # 2 + 2**-52 rounds to 2.0: the moved box has no volume
+    with pytest.raises(WorldError, match="zero-volume"):
+        thin.translated(1.0, 0)
+
+
+@pytest.mark.parametrize("record,field", [
+    (Pose(1.0, 2.0, 3.0, 0.5), "x"),
+    (Aabb((0, 0, 0), (1, 1, 1)), "lo"),
+    (_det("door", 1.0, 2.0), "label"),
+], ids=["Pose", "Aabb", "Detection"])
+def test_records_are_immutable_hashable_and_deepcopyable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    twin = copy.deepcopy(record)
+    assert twin == record and hash(twin) == hash(record)
+    assert {record: 1}[twin] == 1
 
 
 # -- association -------------------------------------------------------------
