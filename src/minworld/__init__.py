@@ -22,7 +22,7 @@ from .dcg import (
     train,
 )
 from .world import Aabb, Detection, Pose, WorldModel, WorldObject
-from .percept import DetectorSpec, PerceptionConfig, Scene, calibrate_costs, run_perception
+from .percept import DetectorSpec, PerceptionConfig, Scene, run_perception
 from .executive import BehaviorRequest, DoorSim, ExecState, RobotState, receive_behavior
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "WorldObject",
     "build_behavior_graph",
     "build_perception_graph",
-    "calibrate_costs",
     "detectors_from_groundings",
     "infer",
     "load_parse_tree",

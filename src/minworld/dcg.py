@@ -24,6 +24,13 @@ margin is the sum, over the symbol's atoms s, of a_s = sum_p (theta[p,s]
 + sum_c theta[p,s,c]). Each ``Model`` folds its weights into a table
 keyed s -> p -> c|None once, and ``infer`` computes each a_s once per
 phrase and each margin as a sum of 2-3 atom scores.
+
+A behavior bank holds every action over every world object, but a
+behavior symbol's atoms and child atoms name only its action and its
+target's label. ``build_behavior_graph`` groups the bank into (action,
+label) classes, and ``infer`` scores each class once and copies its
+margin to the class's entries: the scoring grows with the world's
+labels, not its objects, and the margins are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .symbols import (
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolSpace,
+    behavior_symbols,
 )
 from .world import WorldModel, finite_number, is_int
 
@@ -154,12 +162,19 @@ def feature_names(phrase: Phrase, symbol, child_symbols=frozenset(),
 class FactorGraph:
     """One factor per (phrase, symbol-bank entry) pair. Symbol ids are
     positions in the bank. Perception banks ignore the world entirely;
-    behavior banks are instantiated over the world's objects."""
+    behavior banks are instantiated over the world's objects.
+
+    ``classes`` is ``(reps, class_of)`` or None. Bank entry j factors
+    exactly as ``reps[class_of[j]]``, a symbol with the same atoms and
+    child atoms, so ``infer`` scores each class once. None makes every
+    entry its own class.
+    """
 
     tree: ParseTree
     bank: tuple
     kind: str
     world: WorldModel | None = None
+    classes: tuple | None = None
 
     @property
     def factor_count(self) -> int:
@@ -174,13 +189,21 @@ def build_perception_graph(tree: ParseTree, space: SymbolSpace) -> FactorGraph:
 
 def build_behavior_graph(tree: ParseTree, space: SymbolSpace,
                          world: WorldModel) -> FactorGraph:
+    """Every action over every world object, in action then object id
+    order. A behavior symbol's atoms and child atoms name its action and
+    its target's label only, so the bank's classes are the (action,
+    label) pairs, each represented by the label's first object."""
     objects = world.query()
-    bank = tuple(
-        BehaviorSymbol(action, obj.id)
-        for action in space.actions
-        for obj in objects
-    )
-    return FactorGraph(tree, bank, "behavior", world)
+    bank = behavior_symbols(space.actions, [obj.id for obj in objects])
+    first: dict[str, int] = {}  # label -> its first object's id
+    for obj in objects:
+        first.setdefault(obj.label, obj.id)
+    column = {label: k for k, label in enumerate(first)}
+    label_at = np.array([column[obj.label] for obj in objects], dtype=np.intp)
+    reps = behavior_symbols(space.actions, first.values())
+    class_of = (np.arange(len(space.actions), dtype=np.intp)[:, None]
+                * len(first) + label_at).ravel()
+    return FactorGraph(tree, bank, "behavior", world, (reps, class_of))
 
 
 @dataclass(frozen=True)
@@ -297,22 +320,27 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
     model expresses nothing. Deterministic: pure arithmetic over a fixed
     traversal order.
 
+    Each class of ``graph.classes`` is laid out and scored once, and its
+    margin is copied to every bank entry of the class, so the bank's
+    margins are bit for bit those of scoring every entry.
+
     The bank's atom slots (``_layout``) depend on the world only through
     behavior symbols' targets. A world-free tuple bank, such as a
     perception graph's (the space's own tuple of frozen symbols), is laid
     out once per model: the model keeps the last such bank with its
-    layout and reuses it while ``graph.bank`` is that same object. Banks
-    over a world are laid out on every call.
+    layout and reuses it while ``graph.bank`` is that same object. The
+    classes of a bank over a world are laid out on every call.
     """
     table = model.folded
-    world_free = graph.world is None and isinstance(graph.bank, tuple)
+    reps, class_of = graph.classes or (graph.bank, None)
+    world_free = graph.world is None and isinstance(reps, tuple)
     cached = model.perception_layout
-    if world_free and cached is not None and cached[0] is graph.bank:
+    if world_free and cached is not None and cached[0] is reps:
         layout = cached[1]
     else:
-        layout = _layout(graph.bank, graph.world, table)
+        layout = _layout(reps, graph.world, table)
         if world_free:
-            object.__setattr__(model, "perception_layout", (graph.bank, layout))
+            object.__setattr__(model, "perception_layout", (reps, layout))
     flat_at, starts_at, known = layout
 
     expressed: dict[int, frozenset[int]] = {}
@@ -322,18 +350,30 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
         child_syms: set = set()
         for child in phrase.children:
             child_syms |= by_index[child.index]
-        score = dict.fromkeys(known, 0.0)
-        for p, s, c in _conjunctions(phrase_atoms(phrase), known,
-                                     child_atoms(child_syms, graph.world)):
-            by_c = table[s].get(p)
-            if by_c is not None:
-                score[s] += by_c.get(c, 0.0)
-        atom_scores = np.array([0.0, *score.values()])
-        m = np.add.reduceat(atom_scores[flat_at], starts_at)
+        ps = phrase_atoms(phrase)
+        cs = child_atoms(child_syms, graph.world)
+        _check_atoms(ps, cs)
+        atom_scores = [0.0]
+        for s in known:
+            # a_s summed in _conjunctions' order: every (p, s), then
+            # every (p, s, c)
+            rows = [by_c for by_c in map(table[s].get, ps) if by_c is not None]
+            a = 0.0
+            for by_c in rows:
+                a += by_c.get(None, 0.0)
+            for by_c in rows:
+                for c in cs:
+                    a += by_c.get(c, 0.0)
+            atom_scores.append(a)
+        m = np.add.reduceat(np.array(atom_scores)[flat_at], starts_at)
+        # the children's symbols enter only through their child atoms,
+        # which each class's representative shares with its members
+        by_index[phrase.index] = {reps[k] for k in
+                                  np.flatnonzero(m > 0.0).tolist()}
+        if class_of is not None:
+            m = m[class_of]
         margins.append(m)
-        chosen = np.flatnonzero(m > 0.0).tolist()
-        expressed[phrase.index] = frozenset(chosen)
-        by_index[phrase.index] = {graph.bank[j] for j in chosen}
+        expressed[phrase.index] = frozenset(np.flatnonzero(m > 0.0).tolist())
     all_m = np.concatenate(margins)
     if not np.isfinite(all_m).all():
         raise NumericError("non-finite factor margin")

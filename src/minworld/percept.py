@@ -40,10 +40,6 @@ class PerceptionError(RuntimeError):
     pass
 
 
-class CalibrationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """One object detector: what it emits, what a frame of it costs, and
@@ -264,9 +260,8 @@ def run_perception(scene: Scene, config: PerceptionConfig,
                 noise = (rng.normal(0.0, 1.0, (len(hits), 2))
                          * det.noise_sigma).tolist()
                 for obj, (dx, dy) in zip(hits, noise):
-                    pose = obj.pose
                     integrate(Detection(
-                        label, Pose(pose.x + dx, pose.y + dy, pose.z, pose.yaw),
+                        label, obj.pose.moved(dx, dy),
                         obj.bbox.translated(dx, dy), time, source),
                         links, radius)
                 emitted += len(hits)
@@ -294,67 +289,3 @@ def run_perception(scene: Scene, config: PerceptionConfig,
     )
     return world, metrics
 
-
-def calibrate_costs(rows, tolerance: float = 0.01) -> dict[str, float]:
-    """Solve per-detector frame costs from measured configuration periods.
-
-    ``rows`` maps a configuration name to (total period, detector ids).
-    Costs pin down exactly when a row has one unknown; rows that stay
-    underdetermined split their remainder uniformly, smallest row first.
-    Every row is re-checked against the solution within ``tolerance``
-    relative error.
-    """
-    pending: dict[str, tuple[float, frozenset[str]]] = {}
-    for name, (total, ids) in rows.items():
-        ids = frozenset(ids)
-        if total <= 0:
-            raise CalibrationError(f"row {name}: period must be positive")
-        if not ids:
-            raise CalibrationError(f"row {name}: no detectors")
-        pending[name] = (float(total), ids)
-    costs: dict[str, float] = {}
-
-    def settle_forced() -> None:
-        progress = True
-        while progress:
-            progress = False
-            for name in sorted(pending):
-                total, ids = pending[name]
-                unknown = sorted(ids - costs.keys())
-                if len(unknown) > 1:
-                    continue
-                known_sum = sum(costs[i] for i in ids if i in costs)
-                if not unknown:
-                    if abs(known_sum - total) > tolerance * total:
-                        raise CalibrationError(
-                            f"row {name}: detectors sum to {known_sum:.6f}, "
-                            f"measured {total:.6f}")
-                else:
-                    remainder = total - known_sum
-                    if remainder <= 0:
-                        raise CalibrationError(
-                            f"row {name}: no positive cost for {unknown[0]}")
-                    costs[unknown[0]] = remainder
-                del pending[name]
-                progress = True
-                break
-
-    settle_forced()
-    while pending:
-        name = min(sorted(pending),
-                   key=lambda n: (len(pending[n][1] - costs.keys()), n))
-        total, ids = pending.pop(name)
-        unknown = sorted(ids - costs.keys())
-        remainder = total - sum(costs[i] for i in ids if i in costs)
-        if remainder <= 0:
-            raise CalibrationError(f"row {name}: no positive cost split")
-        share = remainder / len(unknown)
-        for i in unknown:
-            costs[i] = share
-        settle_forced()
-    for name, (total, ids) in rows.items():
-        got = sum(costs[i] for i in ids)
-        if abs(got - float(total)) > tolerance * float(total):
-            raise CalibrationError(
-                f"row {name}: solved period {got:.6f} misses {total:.6f}")
-    return costs

@@ -53,7 +53,12 @@ class HierarchicalDetectorSymbol:
             raise SymbolError("hierarchy parent equals subtype")
 
 
-@dataclass(frozen=True)
+def _check_action(action: str) -> None:
+    if action not in ACTIONS:
+        raise SymbolError(f"unknown action {action!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class BehaviorSymbol:
     """An action over one world object; target_a is the object's id."""
 
@@ -61,8 +66,26 @@ class BehaviorSymbol:
     target_a: int
 
     def __post_init__(self):
-        if self.action not in ACTIONS:
-            raise SymbolError(f"unknown action {self.action!r}")
+        _check_action(self.action)
+
+
+_set_action = BehaviorSymbol.action.__set__
+_set_target = BehaviorSymbol.target_a.__set__
+
+
+def behavior_symbols(actions, targets) -> tuple[BehaviorSymbol, ...]:
+    """``BehaviorSymbol(a, t)`` for every action a, then every target t.
+    Each action is checked once rather than once per target, and each
+    record is filled through its slot setters."""
+    out = []
+    for action in actions:
+        _check_action(action)
+        for target in targets:
+            sym = object.__new__(BehaviorSymbol)
+            _set_action(sym, action)
+            _set_target(sym, target)
+            out.append(sym)
+    return tuple(out)
 
 
 def subtype_detector_id(parent: str, subtype: str) -> str:

@@ -70,6 +70,22 @@ class Pose:
                 yaw -= math.tau
             object.__setattr__(self, "yaw", yaw)
 
+    def moved(self, dx: float, dy: float) -> "Pose":
+        """This pose moved by (dx, dy): ``Pose(x + dx, y + dy, z, yaw)``.
+        z and yaw were checked and yaw normalized when this pose was
+        built, so only the two new components are checked, and the
+        record is filled through its slot setters rather than the frozen
+        dataclass's ``object.__setattr__``."""
+        x, y = self.x + dx, self.y + dy
+        if not (isfinite(x) and isfinite(y)):
+            raise WorldError("non-finite pose component")
+        pose = _new(Pose)
+        _set_x(pose, x)
+        _set_y(pose, y)
+        _set_z(pose, self.z)
+        _set_yaw(pose, self.yaw)
+        return pose
+
     def distance(self, other: "Pose") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
@@ -81,6 +97,13 @@ class Pose:
         d = json_object(d, "pose")
         values = (d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0))
         return cls(*(json_number(v, "pose component") for v in values))
+
+
+# the slot descriptors' setters, which bypass the frozen __setattr__ of
+# records built by Pose.moved and Aabb.translated
+_new = object.__new__
+_set_x, _set_y = Pose.x.__set__, Pose.y.__set__
+_set_z, _set_yaw = Pose.z.__set__, Pose.yaw.__set__
 
 
 def _check_box(lo, hi, degenerate: bool) -> None:
@@ -117,15 +140,16 @@ class Aabb:
     def translated(self, dx: float, dy: float, dz: float = 0.0) -> "Aabb":
         """This box moved by (dx, dy, dz), under the constructor's checks.
         The corners are already floats, so float deltas give float sums
-        and the constructor's conversion is skipped."""
+        and the constructor's conversion is skipped; the record is filled
+        through its slot setters, as in ``Pose.moved``."""
         lo, hi = self.lo, self.hi
         lo = (lo[0] + dx, lo[1] + dy, lo[2] + dz)
         hi = (hi[0] + dx, hi[1] + dy, hi[2] + dz)
         _check_box(lo, hi, self.degenerate)
-        box = object.__new__(Aabb)
-        object.__setattr__(box, "lo", lo)
-        object.__setattr__(box, "hi", hi)
-        object.__setattr__(box, "degenerate", self.degenerate)
+        box = _new(Aabb)
+        _set_lo(box, lo)
+        _set_hi(box, hi)
+        _set_degenerate(box, self.degenerate)
         return box
 
     def to_json(self) -> dict:
@@ -143,6 +167,10 @@ class Aabb:
         lo, hi = tuple(lo), tuple(hi)
         degenerate = any(a == b for a, b in zip(lo, hi))
         return cls(lo, hi, degenerate)
+
+
+_set_lo, _set_hi = Aabb.lo.__set__, Aabb.hi.__set__
+_set_degenerate = Aabb.degenerate.__set__
 
 
 @dataclass

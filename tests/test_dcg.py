@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -250,8 +251,44 @@ def _random_world(rng, n_objects):
     return WorldModel(objects)
 
 
+def _template_infer(graph, model):
+    """Inference with every bank entry scored on its own: each atom score
+    a_s summed over the conjunction template in its order, and margins
+    and the log score summed as ``infer`` sums them. ``infer`` must match
+    it bit for bit; ``_reference_infer`` adds the same weights in another
+    order, so its log score may differ in the last bits."""
+    expressed, by_index, margins = {}, {}, []
+    for phrase in graph.tree.phrases_bottom_up():
+        ctx: set = set()
+        for child in phrase.children:
+            ctx |= by_index[child.index]
+        ps = dcg.phrase_atoms(phrase)
+        cs = dcg.child_atoms(ctx, graph.world)
+        scores, flat, starts = {}, [], []
+        for sym in graph.bank:
+            starts.append(len(flat))
+            for s in dcg.symbol_atoms(sym, graph.world):
+                if s not in scores:
+                    row = model.folded.get(s, {})
+                    a = 0.0
+                    for p, _, c in dcg._conjunctions(ps, [s], cs):
+                        by_c = row.get(p)
+                        if by_c is not None:
+                            a += by_c.get(c, 0.0)
+                    scores[s] = a
+                flat.append(scores[s])
+        m = np.add.reduceat(np.array(flat), np.array(starts, dtype=np.intp))
+        margins.append(m)
+        chosen = np.flatnonzero(m > 0.0).tolist()
+        expressed[phrase.index] = frozenset(chosen)
+        by_index[phrase.index] = {graph.bank[j] for j in chosen}
+    all_m = np.concatenate(margins)
+    return expressed, -float(np.logaddexp(0.0, -np.abs(all_m)).sum())
+
+
 def _assert_same(graph, model):
     got = dcg.infer(graph, model)
+    assert (got.expressed, got.log_score) == _template_infer(graph, model)
     want_expressed, want_log_score = _reference_infer(graph, model)
     assert got.expressed == want_expressed
     assert abs(got.log_score - want_log_score) < 1e-9
@@ -349,6 +386,62 @@ def test_bank_with_separator_atom_raises_on_every_call(perception_model):
         with pytest.raises(dcg.GroundingError):
             dcg.infer(graph, model)
         assert model.perception_layout is None
+
+
+# -- behavior banks scored per (action, target label) class --------------------
+
+_POOL = ["door", "door_handle", "ball", "suitcase", "pitcher"]
+
+
+def _labelled_world(labels):
+    objects = []
+    for i, label in enumerate(labels):
+        x, y = 1.0 + (i % 12) * 0.9, -4.0 + (i // 12) * 0.9
+        objects.append(WorldObject(i + 1, label, Pose(x, y, 0.5),
+                                   Aabb((x - 0.3, y - 0.3, 0.0),
+                                        (x + 0.3, y + 0.3, 1.0))))
+    return WorldModel(objects)
+
+
+WORLDS = {
+    "120_objects_5_labels": [_POOL[(i * 7) % 5] for i in range(120)],
+    "every_label_different": _POOL + ["box", "drawer", "top", "cracker_box",
+                                      "x1", "x2"],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("labels", WORLDS.values(), ids=WORLDS.keys())
+def test_behavior_classes_share_atoms_with_their_members(space, labels):
+    world = _labelled_world(labels)
+    graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
+    reps, class_of = graph.classes
+    assert len(reps) == len(space.actions) * len(set(labels))
+    assert len(class_of) == len(graph.bank)
+    for sym, k in zip(graph.bank, class_of.tolist()):
+        rep = reps[k]
+        assert dcg.symbol_atoms(sym, world) == dcg.symbol_atoms(rep, world)
+        assert dcg.child_atoms({sym}, world) == dcg.child_atoms({rep}, world)
+
+
+@pytest.mark.parametrize("labels", WORLDS.values(), ids=WORLDS.keys())
+def test_class_inference_matches_every_entry_scored(assets, space,
+                                                    behavior_model, labels):
+    """Scoring each class once gives bit for bit what scoring every bank
+    entry on its own gives, with or without the graph's classes."""
+    world = _labelled_world(labels)
+    for tree in _bundled_trees(assets):
+        graph = dcg.build_behavior_graph(tree, space, world)
+        _assert_same(graph, behavior_model)
+        _assert_same(dataclasses.replace(graph, classes=None), behavior_model)
+
+
+def test_world_label_with_separator_raises_on_every_call(space, behavior_model):
+    world = _labelled_world(["door", "a&b", "door"])
+    graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
+    for _ in range(3):
+        with pytest.raises(dcg.GroundingError, match="a&b"):
+            dcg.infer(graph, behavior_model)
 
 
 # -- corpora and training ----------------------------------------------------

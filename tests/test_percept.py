@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from minworld.percept import (
-    CalibrationError,
     DetectorSpec,
     PerceptionConfig,
     PerceptionError,
@@ -16,7 +15,6 @@ from minworld.percept import (
     Scene,
     Visibility,
     active_detectors,
-    calibrate_costs,
     integration_links,
     load_registry,
     run_perception,
@@ -47,65 +45,6 @@ def scene(assets):
 
 def _active(*ids, links=()):
     return DetectorSet(frozenset(ids), frozenset(links))
-
-
-# -- cost calibration --------------------------------------------------------
-
-def test_calibrate_single_row():
-    costs = calibrate_costs({"drive": (0.092, ["door"])})
-    assert costs == {"door": pytest.approx(0.092)}
-
-
-def test_calibrate_differencing():
-    costs = calibrate_costs({
-        "drive": (0.092, ["door"]),
-        "open": (0.158, ["door", "door_handle"]),
-    })
-    assert costs["door"] == pytest.approx(0.092)
-    assert costs["door_handle"] == pytest.approx(0.066)
-
-
-def test_calibrate_uniform_split():
-    costs = calibrate_costs({"pair": (0.824, ["a", "b"])})
-    assert costs["a"] == pytest.approx(0.412)
-    assert costs["b"] == pytest.approx(0.412)
-
-
-def test_calibrate_full_table(registry):
-    baseline_ids = sorted(d.id for d in registry if d.baseline)
-    costs = calibrate_costs({
-        "exhaustive": (2.060, baseline_ids),
-        "drive": (0.092, ["door"]),
-        "open": (0.158, ["door", "door_handle"]),
-    })
-    for spec in registry:
-        assert costs[spec.id] == pytest.approx(spec.frame_cost, rel=1e-9)
-
-
-def test_calibrate_rejects_contradiction():
-    with pytest.raises(CalibrationError):
-        calibrate_costs({"a": (1.0, ["x"]), "b": (2.0, ["x"])})
-
-
-def test_calibrate_rejects_negative_remainder():
-    with pytest.raises(CalibrationError):
-        calibrate_costs({"a": (1.0, ["x"]), "b": (0.5, ["x", "y"])})
-
-
-def test_calibrate_rejects_empty_row():
-    with pytest.raises(CalibrationError):
-        calibrate_costs({"a": (1.0, [])})
-    with pytest.raises(CalibrationError):
-        calibrate_costs({"a": (0.0, ["x"])})
-
-
-def test_calibrate_tolerance_accepts_measurement_noise():
-    costs = calibrate_costs({
-        "drive": (0.092, ["door"]),
-        "both": (0.158, ["door", "door_handle"]),
-        "check": (0.1585, ["door", "door_handle"]),  # within 1 percent
-    })
-    assert costs["door_handle"] == pytest.approx(0.066)
 
 
 # -- registry and config -----------------------------------------------------

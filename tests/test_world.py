@@ -100,11 +100,56 @@ def test_translated_box_keeps_the_volume_check():
         thin.translated(1.0, 0)
 
 
+def _fields(pose):
+    """Each component's type and exact value."""
+    return [(type(v), v.hex() if type(v) is float else v)
+            for v in (pose.x, pose.y, pose.z, pose.yaw)]
+
+
+def _outcome(make):
+    try:
+        return _fields(make())
+    except WorldError:
+        return WorldError
+
+
+def test_moved_equals_the_constructor():
+    cases = [
+        (Pose(1.0, 2.0, 0.5, 0.3), 0.25, -0.125),
+        (Pose(1.0, 2.0, 3, 0.3), 0.1, 0.2),  # an int z stays an int
+        (Pose(0.5, 0.5, 0.5, -math.pi), 0.1, -0.2),  # the range's closed end
+        (Pose(0.5, 0.5, yaw=math.tau + 1.0), 0.1, 0.2),  # normalized once
+        (Pose(-0.0, 1.0), -0.0, -0.0),  # -0.0 + -0.0 keeps its sign
+        (Pose(0.0, -0.0), -0.0, -0.0),
+        (Pose(1, 2, 3), 1, 2),  # int sums stay ints
+        # non-finite sums: both raise
+        (Pose(1e308, 0.0), 1e308, 0.0),
+        (Pose(0.0, -1e308), 0.0, -1e308),
+        (Pose(0.0, 0.0), math.inf, 0.0),
+        (Pose(0.0, 0.0), 0.0, math.nan),
+    ]
+    for pose, dx, dy in cases:
+        moved = _outcome(lambda: pose.moved(dx, dy))
+        built = _outcome(
+            lambda: Pose(pose.x + dx, pose.y + dy, pose.z, pose.yaw))
+        assert moved == built, (pose, dx, dy)
+    assert sum(_outcome(lambda: p.moved(dx, dy)) is WorldError
+               for p, dx, dy in cases) == 4
+
+
+def test_moved_rejects_an_overflowing_sum():
+    with pytest.raises(WorldError, match="non-finite"):
+        Pose(1e308, 0).moved(1e308, 0)
+    with pytest.raises(WorldError, match="non-finite"):
+        Pose(0, -1e308).moved(0, -1e308)
+
+
 @pytest.mark.parametrize("record,field", [
     (Pose(1.0, 2.0, 3.0, 0.5), "x"),
+    (Pose(1.0, 2.0, 3.0, 0.5).moved(0.25, 0.5), "x"),
     (Aabb((0, 0, 0), (1, 1, 1)), "lo"),
     (_det("door", 1.0, 2.0), "label"),
-], ids=["Pose", "Aabb", "Detection"])
+], ids=["Pose", "moved Pose", "Aabb", "Detection"])
 def test_records_are_immutable_hashable_and_deepcopyable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
