@@ -25,12 +25,11 @@ margin is the sum, over the symbol's atoms s, of a_s = sum_p (theta[p,s]
 keyed s -> p -> c|None once, and ``infer`` computes each a_s once per
 phrase and each margin as a sum of 2-3 atom scores.
 
-A behavior bank holds every action over every world object, but a
-behavior symbol's atoms and child atoms name only its action and its
-target's label. ``build_behavior_graph`` groups the bank into (action,
-label) classes, and ``infer`` scores each class once and copies its
-margin to the class's entries: the scoring grows with the world's
-labels, not its objects, and the margins are the same bit for bit.
+A behavior symbol's atoms and child atoms name only its action and its
+target's label, so two objects of one label are the same symbol to a
+factor. A behavior bank therefore holds one symbol per (action, world
+label), over the label's first object: it grows with the world's
+labels, not its objects.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .symbols import (
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolSpace,
-    behavior_symbols,
 )
 from .world import WorldModel, finite_number, is_int
 
@@ -162,19 +160,13 @@ def feature_names(phrase: Phrase, symbol, child_symbols=frozenset(),
 class FactorGraph:
     """One factor per (phrase, symbol-bank entry) pair. Symbol ids are
     positions in the bank. Perception banks ignore the world entirely;
-    behavior banks are instantiated over the world's objects.
-
-    ``classes`` is ``(reps, class_of)`` or None. Bank entry j factors
-    exactly as ``reps[class_of[j]]``, a symbol with the same atoms and
-    child atoms, so ``infer`` scores each class once. None makes every
-    entry its own class.
+    behavior banks are instantiated over the world's labels.
     """
 
     tree: ParseTree
     bank: tuple
     kind: str
     world: WorldModel | None = None
-    classes: tuple | None = None
 
     @property
     def factor_count(self) -> int:
@@ -189,30 +181,23 @@ def build_perception_graph(tree: ParseTree, space: SymbolSpace) -> FactorGraph:
 
 def build_behavior_graph(tree: ParseTree, space: SymbolSpace,
                          world: WorldModel) -> FactorGraph:
-    """Every action over every world object, in action then object id
-    order. A behavior symbol's atoms and child atoms name its action and
-    its target's label only, so the bank's classes are the (action,
-    label) pairs, each represented by the label's first object."""
-    objects = world.query()
-    bank = behavior_symbols(space.actions, [obj.id for obj in objects])
-    first: dict[str, int] = {}  # label -> its first object's id
-    for obj in objects:
+    """One symbol per action and distinct world label, targeting the
+    label's lowest object id, in action order and then label order of
+    first id. Any other object of a label has the same atoms and child
+    atoms as the label's symbol, so scoring it too would only repeat its
+    factors."""
+    first: dict[str, int] = {}  # label -> its lowest object id
+    for obj in world.query():
         first.setdefault(obj.label, obj.id)
-    column = {label: k for k, label in enumerate(first)}
-    label_at = np.array([column[obj.label] for obj in objects], dtype=np.intp)
-    reps = behavior_symbols(space.actions, first.values())
-    class_of = (np.arange(len(space.actions), dtype=np.intp)[:, None]
-                * len(first) + label_at).ravel()
-    return FactorGraph(tree, bank, "behavior", world, (reps, class_of))
+    bank = tuple(BehaviorSymbol(a, t) for a in space.actions for t in first.values())
+    return FactorGraph(tree, bank, "behavior", world)
 
 
 @dataclass(frozen=True)
 class Assignment:
-    """Inferred correspondence values: per-phrase sets of expressed bank
-    ids, plus the total conditional log-probability."""
+    """Inferred correspondence values: per-phrase sets of expressed bank ids."""
 
     expressed: dict[int, frozenset[int]]
-    log_score: float
 
     def all_symbols(self, graph: FactorGraph) -> set:
         out: set = set()
@@ -320,27 +305,23 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
     model expresses nothing. Deterministic: pure arithmetic over a fixed
     traversal order.
 
-    Each class of ``graph.classes`` is laid out and scored once, and its
-    margin is copied to every bank entry of the class, so the bank's
-    margins are bit for bit those of scoring every entry.
-
     The bank's atom slots (``_layout``) depend on the world only through
     behavior symbols' targets. A world-free tuple bank, such as a
     perception graph's (the space's own tuple of frozen symbols), is laid
     out once per model: the model keeps the last such bank with its
-    layout and reuses it while ``graph.bank`` is that same object. The
-    classes of a bank over a world are laid out on every call.
+    layout and reuses it while ``graph.bank`` is that same object. A bank
+    over a world is laid out on every call.
     """
     table = model.folded
-    reps, class_of = graph.classes or (graph.bank, None)
-    world_free = graph.world is None and isinstance(reps, tuple)
+    bank = graph.bank
+    world_free = graph.world is None and isinstance(bank, tuple)
     cached = model.perception_layout
-    if world_free and cached is not None and cached[0] is reps:
+    if world_free and cached is not None and cached[0] is bank:
         layout = cached[1]
     else:
-        layout = _layout(reps, graph.world, table)
+        layout = _layout(bank, graph.world, table)
         if world_free:
-            object.__setattr__(model, "perception_layout", (reps, layout))
+            object.__setattr__(model, "perception_layout", (bank, layout))
     flat_at, starts_at, known = layout
 
     expressed: dict[int, frozenset[int]] = {}
@@ -366,20 +347,13 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
                     a += by_c.get(c, 0.0)
             atom_scores.append(a)
         m = np.add.reduceat(np.array(atom_scores)[flat_at], starts_at)
-        # the children's symbols enter only through their child atoms,
-        # which each class's representative shares with its members
-        by_index[phrase.index] = {reps[k] for k in
-                                  np.flatnonzero(m > 0.0).tolist()}
-        if class_of is not None:
-            m = m[class_of]
         margins.append(m)
-        expressed[phrase.index] = frozenset(np.flatnonzero(m > 0.0).tolist())
-    all_m = np.concatenate(margins)
-    if not np.isfinite(all_m).all():
+        chosen = np.flatnonzero(m > 0.0).tolist()
+        expressed[phrase.index] = frozenset(chosen)
+        by_index[phrase.index] = {bank[k] for k in chosen}
+    if not np.isfinite(np.concatenate(margins)).all():
         raise NumericError("non-finite factor margin")
-    # log p(phi = argmax) = -log(1 + exp(-|margin|)), ties included
-    log_score = -float(np.logaddexp(0.0, -np.abs(all_m)).sum())
-    return Assignment(expressed, log_score)
+    return Assignment(expressed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +388,11 @@ def _resolve_descriptor(desc: dict, graph: FactorGraph, space: SymbolSpace) -> i
     elif "parent" in desc:
         sym = space.hierarchy(desc["parent"], desc["subtype"])
     else:
-        sym = BehaviorSymbol(desc["action"], desc["object"])
+        # the bank's symbol for the object's label targets its first object
+        world, target = graph.world, desc["object"]
+        if target in world.objects:
+            target = world.query(world.objects[target].label)[0].id
+        sym = BehaviorSymbol(desc["action"], target)
     try:
         return graph.bank.index(sym)
     except ValueError:

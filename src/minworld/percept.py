@@ -67,6 +67,12 @@ class DetectorSpec:
             raise PerceptionError(f"detector {self.id}: frame cost must be positive")
         if not 0.0 <= self.false_positive_rate < 1.0:
             raise PerceptionError(f"detector {self.id}: bad false-positive rate")
+        if self.noise_sigma < 0:
+            raise PerceptionError(f"detector {self.id}: noise_sigma must be >= 0, "
+                                  f"got {self.noise_sigma!r}")
+        if not isinstance(self.baseline, bool):
+            raise PerceptionError(f"detector {self.id}: baseline must be true or "
+                                  f"false, got {self.baseline!r}")
 
 
 @dataclass(frozen=True)

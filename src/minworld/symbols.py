@@ -2,10 +2,10 @@
 
 Perception symbols name object detectors: a semantic label, or a
 parent/subtype pair for a constituent detector. Behavior symbols name a
-robot action over one world object; the behavior graph builds them from
-the space's actions and the world's objects. A SymbolSpace holds the
-labels, hierarchy pairs and actions, and the perception bank in a fixed
-order.
+robot action over one world object; the behavior graph builds one per
+action and world label, over the label's first object. A SymbolSpace
+holds the labels, hierarchy pairs and actions, and the perception bank
+in a fixed order.
 """
 
 from __future__ import annotations
@@ -53,12 +53,7 @@ class HierarchicalDetectorSymbol:
             raise SymbolError("hierarchy parent equals subtype")
 
 
-def _check_action(action: str) -> None:
-    if action not in ACTIONS:
-        raise SymbolError(f"unknown action {action!r}")
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BehaviorSymbol:
     """An action over one world object; target_a is the object's id."""
 
@@ -66,26 +61,8 @@ class BehaviorSymbol:
     target_a: int
 
     def __post_init__(self):
-        _check_action(self.action)
-
-
-_set_action = BehaviorSymbol.action.__set__
-_set_target = BehaviorSymbol.target_a.__set__
-
-
-def behavior_symbols(actions, targets) -> tuple[BehaviorSymbol, ...]:
-    """``BehaviorSymbol(a, t)`` for every action a, then every target t.
-    Each action is checked once rather than once per target, and each
-    record is filled through its slot setters."""
-    out = []
-    for action in actions:
-        _check_action(action)
-        for target in targets:
-            sym = object.__new__(BehaviorSymbol)
-            _set_action(sym, action)
-            _set_target(sym, target)
-            out.append(sym)
-    return tuple(out)
+        if self.action not in ACTIONS:
+            raise SymbolError(f"unknown action {self.action!r}")
 
 
 def subtype_detector_id(parent: str, subtype: str) -> str:

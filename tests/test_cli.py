@@ -255,14 +255,22 @@ def test_perceive_unknown_detector(capsys):
     capsys.readouterr()
 
 
-def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys):
+@pytest.mark.parametrize("detector,field,bad", [
+    ("ball", "frame_cost", float("nan")),
+    # a truthy string would put door_handle in the exhaustive baseline
+    ("door_handle", "baseline", "false"),
+    ("door", "noise_sigma", -0.5),
+])
+def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys,
+                                             detector, field, bad):
     data = json.loads((assets / "detector_registry.json").read_text())
-    data["detectors"][0]["frame_cost"] = float("nan")
-    registry = tmp_path / "reg_nan.json"
+    (entry,) = [d for d in data["detectors"] if d["id"] == detector]
+    entry[field] = bad
+    registry = tmp_path / "reg_bad.json"
     registry.write_text(json.dumps(data))
     code = main(["perceive", "--registry", str(registry), "--exhaustive", "--json"])
     assert code == 1
-    assert "frame_cost" in _one_line_error(capsys, "io")
+    assert field in _one_line_error(capsys, "io")
 
 
 def test_run_config_sets_tree(trees, model_dir, tmp_path, capsys):

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minworld import dcg
+from minworld import cli, dcg
+from minworld.executive import BehaviorRequest
 from minworld.parse import load_parse_tree
 from minworld.symbols import BehaviorSymbol, SymbolSpace
 from minworld.world import Aabb, Detection, Pose, WorldModel, WorldObject
@@ -118,8 +119,6 @@ def test_zero_model_expresses_nothing(space):
                                      for n in dcg.feature_names(phrase, sym)})
     got = dcg.infer(graph, model)
     assert all(not ids for ids in got.expressed.values())
-    # ties all break to false at probability one half each
-    assert abs(got.log_score - graph.factor_count * math.log(0.5)) < 1e-9
 
 
 def test_trained_inference_matches_gold(space, perception_model):
@@ -129,7 +128,6 @@ def test_trained_inference_matches_gold(space, perception_model):
     assert got.all_symbols(graph) == {
         space.semantic("door"), space.hierarchy("door", "handle"),
     }
-    assert got.log_score < 0.0
 
 
 def test_assignment_views(space, perception_model):
@@ -158,7 +156,6 @@ def test_model_roundtrip_preserves_inference(tmp_path, space, perception_model):
     a = dcg.infer(graph, perception_model)
     b = dcg.infer(graph, loaded)
     assert a.expressed == b.expressed
-    assert abs(a.log_score - b.log_score) < 1e-9
 
 
 def test_model_load_rejects_other_template_versions(tmp_path, perception_model):
@@ -203,7 +200,7 @@ def test_model_weights_are_read_only():
 def _reference_infer(graph, model):
     """Inference as a sum over named features: name every factor's
     features and sum their weights."""
-    expressed, by_index, log_score = {}, {}, 0.0
+    expressed, by_index = {}, {}
     for phrase in graph.tree.phrases_bottom_up():
         ctx: set = set()
         for child in phrase.children:
@@ -214,10 +211,9 @@ def _reference_infer(graph, model):
                          dcg.feature_names(phrase, sym, ctx, graph.world))
             if margin > 0.0:
                 chosen.add(j)
-            log_score -= float(np.logaddexp(0.0, -abs(margin)))
         expressed[phrase.index] = frozenset(chosen)
         by_index[phrase.index] = {graph.bank[j] for j in chosen}
-    return expressed, log_score
+    return expressed
 
 
 def _bundled_trees(assets):
@@ -254,10 +250,9 @@ def _random_world(rng, n_objects):
 def _template_infer(graph, model):
     """Inference with every bank entry scored on its own: each atom score
     a_s summed over the conjunction template in its order, and margins
-    and the log score summed as ``infer`` sums them. ``infer`` must match
-    it bit for bit; ``_reference_infer`` adds the same weights in another
-    order, so its log score may differ in the last bits."""
-    expressed, by_index, margins = {}, {}, []
+    summed as ``infer`` sums them. ``_reference_infer`` adds the same
+    weights in another order."""
+    expressed, by_index = {}, {}
     for phrase in graph.tree.phrases_bottom_up():
         ctx: set = set()
         for child in phrase.children:
@@ -278,20 +273,16 @@ def _template_infer(graph, model):
                     scores[s] = a
                 flat.append(scores[s])
         m = np.add.reduceat(np.array(flat), np.array(starts, dtype=np.intp))
-        margins.append(m)
         chosen = np.flatnonzero(m > 0.0).tolist()
         expressed[phrase.index] = frozenset(chosen)
         by_index[phrase.index] = {graph.bank[j] for j in chosen}
-    all_m = np.concatenate(margins)
-    return expressed, -float(np.logaddexp(0.0, -np.abs(all_m)).sum())
+    return expressed
 
 
 def _assert_same(graph, model):
     got = dcg.infer(graph, model)
-    assert (got.expressed, got.log_score) == _template_infer(graph, model)
-    want_expressed, want_log_score = _reference_infer(graph, model)
-    assert got.expressed == want_expressed
-    assert abs(got.log_score - want_log_score) < 1e-9
+    assert got.expressed == _template_infer(graph, model)
+    assert got.expressed == _reference_infer(graph, model)
 
 
 def test_folded_inference_bundled_and_padded_banks(assets, space,
@@ -350,7 +341,6 @@ def test_perception_layout_reuse_matches_fresh_models(assets, space,
             assert model.perception_layout[0] is bank_space.perception
             want = dcg.infer(graph, _fresh(perception_model))
             assert got.expressed == want.expressed
-            assert got.log_score == want.log_score
 
 
 def test_same_length_bank_of_another_space_is_laid_out_again(space,
@@ -365,7 +355,7 @@ def test_same_length_bank_of_another_space_is_laid_out_again(space,
     got = dcg.infer(graph, model)
     assert model.perception_layout[0] is second.perception
     want = dcg.infer(graph, _fresh(perception_model))
-    assert (got.expressed, got.log_score) == (want.expressed, want.log_score)
+    assert got.expressed == want.expressed
 
 
 def test_behavior_graphs_store_no_layout(space, behavior_model):
@@ -388,7 +378,7 @@ def test_bank_with_separator_atom_raises_on_every_call(perception_model):
         assert model.perception_layout is None
 
 
-# -- behavior banks scored per (action, target label) class --------------------
+# -- behavior banks: one symbol per (action, target label) class -------------
 
 _POOL = ["door", "door_handle", "ball", "suitcase", "pitcher"]
 
@@ -415,25 +405,55 @@ WORLDS = {
 def test_behavior_classes_share_atoms_with_their_members(space, labels):
     world = _labelled_world(labels)
     graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
-    reps, class_of = graph.classes
-    assert len(reps) == len(space.actions) * len(set(labels))
-    assert len(class_of) == len(graph.bank)
-    for sym, k in zip(graph.bank, class_of.tolist()):
-        rep = reps[k]
-        assert dcg.symbol_atoms(sym, world) == dcg.symbol_atoms(rep, world)
-        assert dcg.child_atoms({sym}, world) == dcg.child_atoms({rep}, world)
+    first = {}  # label -> lowest id, in order of first id
+    for obj_id, label in enumerate(labels, start=1):
+        first.setdefault(label, obj_id)
+    assert len(graph.bank) == len(space.actions) * len(set(labels))
+    assert graph.bank == tuple(BehaviorSymbol(a, t) for a in space.actions
+                               for t in first.values())
+    for action in space.actions:
+        for obj in world.query():
+            entry = BehaviorSymbol(action, first[obj.label])
+            member = BehaviorSymbol(action, obj.id)
+            assert dcg.symbol_atoms(member, world) == \
+                dcg.symbol_atoms(entry, world)
+            assert dcg.child_atoms({member}, world) == \
+                dcg.child_atoms({entry}, world)
 
 
 @pytest.mark.parametrize("labels", WORLDS.values(), ids=WORLDS.keys())
 def test_class_inference_matches_every_entry_scored(assets, space,
                                                     behavior_model, labels):
-    """Scoring each class once gives bit for bit what scoring every bank
-    entry on its own gives, with or without the graph's classes."""
-    world = _labelled_world(labels)
-    for tree in _bundled_trees(assets):
-        graph = dcg.build_behavior_graph(tree, space, world)
-        _assert_same(graph, behavior_model)
-        _assert_same(dataclasses.replace(graph, classes=None), behavior_model)
+    """A per-object bank (every action over every object), scored entry by
+    entry, expresses exactly the members of the expressed classes, and its
+    root choice is the behavior ``ground_behavior`` requests. Each world
+    is also taken in reverse id order, so a label's first object is not
+    always id 1."""
+    for ordered in (labels, labels[::-1]):
+        world = _labelled_world(ordered)
+        per_object = tuple(BehaviorSymbol(a, obj.id) for a in space.actions
+                           for obj in world.query())
+
+        def classes(bank, ids):
+            return {(bank[j].action, world.objects[bank[j].target_a].label)
+                    for j in ids}
+
+        for tree in _bundled_trees(assets):
+            graph = dcg.build_behavior_graph(tree, space, world)
+            _assert_same(graph, behavior_model)
+            got = dcg.infer(graph, behavior_model).expressed
+            want = _template_infer(dataclasses.replace(graph, bank=per_object),
+                                   behavior_model)
+            for index, ids in want.items():
+                assert classes(per_object, ids) == classes(graph.bank, got[index])
+            root = want[tree.root.index]
+            if not root:
+                with pytest.raises(cli.StageError):
+                    cli.ground_behavior(tree, behavior_model, space, world)
+                continue
+            sym = per_object[min(root)]
+            assert cli.ground_behavior(tree, behavior_model, space, world) == \
+                BehaviorRequest(sym.action, sym.target_a)
 
 
 def test_world_label_with_separator_raises_on_every_call(space, behavior_model):
@@ -492,6 +512,38 @@ def test_gold_phrase_index_bounds(space):
     raw = [{"tree": OPEN, "gold": [[7, {"label": "door"}]]}]
     with pytest.raises(dcg.CorpusError):
         dcg.build_examples("perception", raw, space)
+
+
+def _two_door_example(gold_object):
+    """"open the door" over a world of two doors (ids 3 and 8) and a
+    ball, with gold naming ``gold_object``."""
+    def obj(obj_id, label, x):
+        return {"id": obj_id, "label": label,
+                "pose": {"x": x, "y": 0.0, "z": 0.5, "yaw": 0.0},
+                "bbox": {"min": [x - 0.3, -0.3, 0.0], "max": [x + 0.3, 0.3, 1.0]}}
+
+    world = {"objects": [obj(3, "door", 2.0), obj(5, "ball", 4.0),
+                         obj(8, "door", 6.0)]}
+    gold = [[0, {"action": a, "object": gold_object}]
+            for a in ("look", "navigate", "open", "turn")]
+    return {"tree": OPEN, "world": world,
+            "gold": gold + [[1, {"action": "open", "object": gold_object}]]}
+
+
+def test_gold_on_a_repeated_label_resolves_to_its_class(space):
+    (ex,) = dcg.build_examples("behavior", [_two_door_example(8)], space)
+    bank = ex.graph.bank
+    assert len(bank) == len(space.actions) * 2
+    assert (1, bank.index(BehaviorSymbol("open", 3))) in ex.gold
+    assert {bank[j].target_a for _, j in ex.gold} == {3}
+    corpus = dcg.CompiledCorpus([ex])
+    result = dcg.train(corpus, kind="behavior")
+    assert dcg.recovery(corpus, result.model) == 1.0
+
+
+def test_gold_object_absent_from_world_raises(space):
+    with pytest.raises(dcg.CorpusError, match="not in graph bank"):
+        dcg.build_examples("behavior", [_two_door_example(9)], space)
 
 
 def test_margins_match_direct_scores(space, perception_corpus):

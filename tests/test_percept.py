@@ -64,6 +64,10 @@ def test_detector_spec_validation():
         DetectorSpec("x", "x", frame_cost=0.0)
     with pytest.raises(PerceptionError):
         DetectorSpec("x", "x", frame_cost=0.1, false_positive_rate=1.0)
+    for field, bad in (("noise_sigma", -0.5), ("baseline", "false"),
+                       ("baseline", 1)):
+        with pytest.raises(PerceptionError, match=field):
+            DetectorSpec("x", "x", frame_cost=0.1, **{field: bad})
     for field in ("frame_cost", "false_positive_rate", "noise_sigma"):
         for bad in (math.nan, math.inf, None):
             with pytest.raises(PerceptionError):

@@ -11,7 +11,6 @@ from minworld.symbols import (
     IndependentDetectorSymbol,
     SymbolError,
     SymbolSpace,
-    behavior_symbols,
     detectors_from_groundings,
     subtype_detector_id,
 )
@@ -81,21 +80,10 @@ def test_independent_symbol_validation():
 def test_behavior_symbol_shapes():
     one = BehaviorSymbol("navigate", 3)
     assert (one.action, one.target_a) == ("navigate", 3)
+    with pytest.raises(AttributeError):
+        one.action = "look"
     with pytest.raises(SymbolError):
         BehaviorSymbol("fly", 3)
-
-
-def test_behavior_symbols_equal_the_constructor():
-    got = behavior_symbols(("open", "navigate"), [3, 1])
-    want = tuple(BehaviorSymbol(a, t)
-                 for a in ("open", "navigate") for t in (3, 1))
-    assert got == want
-    assert [hash(s) for s in got] == [hash(s) for s in want]
-    with pytest.raises(AttributeError):
-        got[0].action = "look"
-    for actions, targets in ((("navigate", "fly"), [1]), (("fly",), [])):
-        with pytest.raises(SymbolError):
-            behavior_symbols(actions, targets)
 
 
 def test_subtype_detector_id():
