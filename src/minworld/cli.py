@@ -110,7 +110,9 @@ def ground_detectors(tree: ParseTree, model: dcg.Model,
 
 def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
                     world: WorldModel) -> BehaviorRequest:
-    """Infer the behavior the instruction requests over this world."""
+    """Infer the behavior the instruction requests over this world: the
+    first expressed (action, label) at the root, on the label's lowest
+    object id."""
     graph = dcg.build_behavior_graph(tree, space, world)
     if not graph.bank:
         raise StageError("grounding", "world has no objects to ground against",
@@ -123,7 +125,7 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
                          f"no behavior expressed at the root of {tree.instruction!r}",
                          EXIT_GROUNDING)
     sym = graph.bank[chosen[0]]
-    return BehaviorRequest(sym.action, sym.target_a)
+    return BehaviorRequest(sym.action, world.query(sym.label)[0].id)
 
 
 # The keys a run config may set: path flags, resolved against the config

@@ -25,11 +25,11 @@ margin is the sum, over the symbol's atoms s, of a_s = sum_p (theta[p,s]
 keyed s -> p -> c|None once, and ``infer`` computes each a_s once per
 phrase and each margin as a sum of 2-3 atom scores.
 
-A behavior symbol's atoms and child atoms name only its action and its
-target's label, so two objects of one label are the same symbol to a
-factor. A behavior bank therefore holds one symbol per (action, world
-label), over the label's first object: it grows with the world's
-labels, not its objects.
+A behavior symbol names an action and a label, and a factor sees only
+the symbol's atoms, never the world. A behavior bank holds one symbol
+per action and world label, so it grows with the world's labels, not its
+objects; which object of the label is acted on is chosen after inference
+(``cli.ground_behavior``).
 """
 
 from __future__ import annotations
@@ -83,13 +83,7 @@ def phrase_atoms(phrase: Phrase) -> list[str]:
     return list(seen)
 
 
-def _target_label(target: int, world: WorldModel | None) -> str:
-    if world is not None and target in world.objects:
-        return world.objects[target].label
-    return f"object{target}"
-
-
-def symbol_atoms(symbol, world: WorldModel | None = None) -> list[str]:
+def symbol_atoms(symbol) -> list[str]:
     if isinstance(symbol, IndependentDetectorSymbol):
         return [f"category:{symbol.category}", f"label:{symbol.value}"]
     if isinstance(symbol, HierarchicalDetectorSymbol):
@@ -102,12 +96,12 @@ def symbol_atoms(symbol, world: WorldModel | None = None) -> list[str]:
         return [
             "kind:behavior",
             f"action:{symbol.action}",
-            f"target_label:{_target_label(symbol.target_a, world)}",
+            f"target_label:{symbol.label}",
         ]
     raise TypeError(f"not a symbol: {symbol!r}")
 
 
-def child_atoms(child_symbols, world: WorldModel | None = None) -> list[str]:
+def child_atoms(child_symbols) -> list[str]:
     atoms: set[str] = set()
     for sym in child_symbols:
         if isinstance(sym, IndependentDetectorSymbol):
@@ -115,9 +109,8 @@ def child_atoms(child_symbols, world: WorldModel | None = None) -> list[str]:
         elif isinstance(sym, HierarchicalDetectorSymbol):
             atoms.add(f"child_has_hier:{sym.parent_type}.{sym.subtype}")
         elif isinstance(sym, BehaviorSymbol):
-            label = _target_label(sym.target_a, world)
-            atoms.add(f"child_has_behavior:{sym.action}.{label}")
-            atoms.add(f"child_has_target:{label}")
+            atoms.add(f"child_has_behavior:{sym.action}.{sym.label}")
+            atoms.add(f"child_has_target:{sym.label}")
     if not atoms:
         return ["child_none"]
     return sorted(atoms)
@@ -146,11 +139,10 @@ def _stems(ps, ss, cs) -> list[str]:
             for p, s, c in _conjunctions(ps, ss, cs)]
 
 
-def feature_names(phrase: Phrase, symbol, child_symbols=frozenset(),
-                  world: WorldModel | None = None) -> list[str]:
+def feature_names(phrase: Phrase, symbol, child_symbols=frozenset()) -> list[str]:
     """Expand the conjunction template for one factor."""
-    return _stems(phrase_atoms(phrase), symbol_atoms(symbol, world),
-                  child_atoms(child_symbols, world))
+    return _stems(phrase_atoms(phrase), symbol_atoms(symbol),
+                  child_atoms(child_symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +151,10 @@ def feature_names(phrase: Phrase, symbol, child_symbols=frozenset(),
 @dataclass
 class FactorGraph:
     """One factor per (phrase, symbol-bank entry) pair. Symbol ids are
-    positions in the bank. Perception banks ignore the world entirely;
-    behavior banks are instantiated over the world's labels.
-    """
+    positions in the bank."""
 
     tree: ParseTree
     bank: tuple
-    kind: str
-    world: WorldModel | None = None
 
     @property
     def factor_count(self) -> int:
@@ -176,21 +164,16 @@ class FactorGraph:
 def build_perception_graph(tree: ParseTree, space: SymbolSpace) -> FactorGraph:
     # the space's own tuple, so every graph of one space shares one bank
     # object and ``infer`` reuses its layout
-    return FactorGraph(tree, space.perception, "perception")
+    return FactorGraph(tree, space.perception)
 
 
 def build_behavior_graph(tree: ParseTree, space: SymbolSpace,
                          world: WorldModel) -> FactorGraph:
-    """One symbol per action and distinct world label, targeting the
-    label's lowest object id, in action order and then label order of
-    first id. Any other object of a label has the same atoms and child
-    atoms as the label's symbol, so scoring it too would only repeat its
-    factors."""
-    first: dict[str, int] = {}  # label -> its lowest object id
-    for obj in world.query():
-        first.setdefault(obj.label, obj.id)
-    bank = tuple(BehaviorSymbol(a, t) for a in space.actions for t in first.values())
-    return FactorGraph(tree, bank, "behavior", world)
+    """One symbol per action and distinct world label, in action order
+    and then label order of first object id."""
+    labels = dict.fromkeys(obj.label for obj in world.query())
+    return FactorGraph(tree, tuple(BehaviorSymbol(a, label) for a in space.actions
+                                   for label in labels))
 
 
 @dataclass(frozen=True)
@@ -232,16 +215,16 @@ class Model:
     to theta, plus the weights folded by symbol atom for inference. The
     map is a view of the model's own copy, so the fold cannot go stale.
 
-    ``perception_layout`` is ``(bank, layout)`` for the last world-free
-    bank ``infer`` laid out against this model, or None. The entry holds
-    the bank itself, so a later bank cannot share its id.
+    ``bank_layout`` is ``(bank, layout)`` for the last tuple bank
+    ``infer`` laid out against this model, or None. The entry holds the
+    bank itself, so a later bank cannot share its id.
     """
 
     kind: str
     weights: Mapping[str, float]
     folded: dict = field(init=False, repr=False, compare=False)
-    perception_layout: tuple | None = field(default=None, init=False,
-                                            repr=False, compare=False)
+    bank_layout: tuple | None = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self):
         weights = MappingProxyType({n: float(w) for n, w in self.weights.items()})
@@ -279,7 +262,7 @@ class Model:
         return cls(kind, weights)
 
 
-def _layout(bank: tuple, world: WorldModel | None, table: dict) -> tuple:
+def _layout(bank: tuple, table: dict) -> tuple:
     """The bank's atoms as one flat run of slots per symbol, as
     ``(flat_at, starts_at, known)``: slot k > 0 is ``known[k - 1]``, the
     k-th distinct atom the model knows, and slot 0 every other atom."""
@@ -287,7 +270,7 @@ def _layout(bank: tuple, world: WorldModel | None, table: dict) -> tuple:
     flat: list[int] = []
     starts: list[int] = []
     for sym in bank:
-        atoms = symbol_atoms(sym, world)
+        atoms = symbol_atoms(sym)
         _check_atoms(atoms)
         starts.append(len(flat))
         flat += [slot.setdefault(a, len(slot) + 1) if a in table else 0
@@ -305,23 +288,21 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
     model expresses nothing. Deterministic: pure arithmetic over a fixed
     traversal order.
 
-    The bank's atom slots (``_layout``) depend on the world only through
-    behavior symbols' targets. A world-free tuple bank, such as a
-    perception graph's (the space's own tuple of frozen symbols), is laid
-    out once per model: the model keeps the last such bank with its
-    layout and reuses it while ``graph.bank`` is that same object. A bank
-    over a world is laid out on every call.
+    The bank's atom slots (``_layout``) depend only on the bank and the
+    model. The model keeps the last tuple bank it laid out, with its
+    layout, and reuses it while ``graph.bank`` is that same object. Every
+    perception graph of one space holds the space's own tuple of frozen
+    symbols, so a perception bank is laid out once per model.
     """
     table = model.folded
     bank = graph.bank
-    world_free = graph.world is None and isinstance(bank, tuple)
-    cached = model.perception_layout
-    if world_free and cached is not None and cached[0] is bank:
+    cached = model.bank_layout
+    if cached is not None and cached[0] is bank:
         layout = cached[1]
     else:
-        layout = _layout(bank, graph.world, table)
-        if world_free:
-            object.__setattr__(model, "perception_layout", (bank, layout))
+        layout = _layout(bank, table)
+        if isinstance(bank, tuple):
+            object.__setattr__(model, "bank_layout", (bank, layout))
     flat_at, starts_at, known = layout
 
     expressed: dict[int, frozenset[int]] = {}
@@ -332,7 +313,7 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
         for child in phrase.children:
             child_syms |= by_index[child.index]
         ps = phrase_atoms(phrase)
-        cs = child_atoms(child_syms, graph.world)
+        cs = child_atoms(child_syms)
         _check_atoms(ps, cs)
         atom_scores = [0.0]
         for s in known:
@@ -382,17 +363,20 @@ def _descriptor_ok(desc: dict) -> bool:
     return strings("action") and is_int(desc.get("object"))
 
 
-def _resolve_descriptor(desc: dict, graph: FactorGraph, space: SymbolSpace) -> int:
+def _resolve_descriptor(desc: dict, graph: FactorGraph, space: SymbolSpace,
+                        labels: Mapping[int, str]) -> int:
+    """The bank id of a gold descriptor's symbol. ``labels`` maps the
+    example's object ids to their labels; an action names its object's
+    label."""
     if "label" in desc:
         sym = space.semantic(desc["label"])
     elif "parent" in desc:
         sym = space.hierarchy(desc["parent"], desc["subtype"])
+    elif desc["object"] in labels:
+        sym = BehaviorSymbol(desc["action"], labels[desc["object"]])
     else:
-        # the bank's symbol for the object's label targets its first object
-        world, target = graph.world, desc["object"]
-        if target in world.objects:
-            target = world.query(world.objects[target].label)[0].id
-        sym = BehaviorSymbol(desc["action"], target)
+        raise CorpusError(f"gold object {desc['object']} not in the "
+                          f"example's world")
     try:
         return graph.bank.index(sym)
     except ValueError:
@@ -439,16 +423,17 @@ def build_examples(kind: str, raw_examples: list[dict],
     for i, raw in enumerate(raw_examples):
         tree = load_parse_tree(raw["tree"])
         if kind == "perception":
-            graph = build_perception_graph(tree, space)
+            graph, labels = build_perception_graph(tree, space), {}
         else:
             world = WorldModel.from_json(raw["world"])
             graph = build_behavior_graph(tree, space, world)
+            labels = {obj_id: obj.label for obj_id, obj in world.objects.items()}
         gold = set()
         for phrase_index, desc in raw["gold"]:
             if not 0 <= phrase_index < tree.n_phrases:
                 raise CorpusError(f"example {i}: phrase index {phrase_index} "
                                   f"outside tree")
-            gold.add((phrase_index, _resolve_descriptor(desc, graph, space)))
+            gold.add((phrase_index, _resolve_descriptor(desc, graph, space, labels)))
         out.append(TrainingExample(graph, frozenset(gold)))
     return out
 
@@ -475,10 +460,10 @@ class CompiledCorpus:
                 for child in phrase.children:
                     child_syms |= {graph.bank[j] for j in gold_at[child.index]}
                 ps = phrase_atoms(phrase)
-                cs = child_atoms(child_syms, graph.world)
+                cs = child_atoms(child_syms)
                 for j, sym in enumerate(graph.bank):
                     idx = sorted([index.setdefault(n, len(index)) for n in
-                                  _stems(ps, symbol_atoms(sym, graph.world), cs)])
+                                  _stems(ps, symbol_atoms(sym), cs)])
                     golds.append(j in gold_at[phrase.index])
                     counts.append(len(idx))
                     flat_idx += idx

@@ -27,6 +27,7 @@ from .world import (
     WorldModel,
     WorldObject,
     finite_number,
+    is_int,
     json_number,
     json_object,
 )
@@ -128,6 +129,8 @@ class PerceptionConfig:
             raise PerceptionError(f"unknown perception mode {self.mode!r}")
         if self.frame_budget <= 0:
             raise PerceptionError("frame budget must be positive")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise PerceptionError(f"seed must be an integer >= 0, got {self.seed!r}")
         ids = [d.id for d in self.registry]
         if len(set(ids)) != len(ids):
             raise PerceptionError("duplicate detector ids in registry")
@@ -218,8 +221,8 @@ def visible(obj: WorldObject, robot: Pose, vis: Visibility) -> bool:
     return abs(off) <= vis.fov / 2.0
 
 
-def run_perception(scene: Scene, config: PerceptionConfig,
-                   pose_stream=None) -> tuple[WorldModel, PerceptionMetrics]:
+def run_perception(scene: Scene,
+                   config: PerceptionConfig) -> tuple[WorldModel, PerceptionMetrics]:
     """Run the sensing loop and build a world model.
 
     Every frame, each active detector (in id order) scans the visible
@@ -227,36 +230,25 @@ def run_perception(scene: Scene, config: PerceptionConfig,
     exhaustive mode a detector may additionally emit one spurious
     detection per frame at its false-positive rate. Detections are
     integrated immediately. Frame timestamps advance by the summed frame
-    cost, so total cost is exactly frames times the active period.
-    Visibility is computed once per distinct robot pose, grouped by label.
+    cost, so total cost is exactly frames times the active period. The
+    robot stays at ``scene.robot_start``, so visibility is computed once,
+    grouped by label.
     """
     active = active_detectors(config)
     links = integration_links(config) if config.mode == "adaptive" else frozenset()
     period = sum(d.frame_cost for d in active)
-    if pose_stream is None:
-        poses = [scene.robot_start] * config.frame_budget
-    else:
-        poses = list(pose_stream)[:config.frame_budget]
-        if len(poses) < config.frame_budget:
-            last = poses[-1] if poses else scene.robot_start
-            poses += [last] * (config.frame_budget - len(poses))
+    robot = scene.robot_start
     rng = np.random.default_rng(config.seed)
     world = WorldModel()
     integrate, radius = world.integrate, config.assoc_radius
-    truth_by_label: dict[str, list[WorldObject]] = {}
+    in_view: dict[str, list[WorldObject]] = {}  # label -> visible truth
     for obj in sorted(scene.objects, key=lambda o: o.id):
-        truth_by_label.setdefault(obj.label, []).append(obj)
-    in_view_at: dict[Pose, dict[str, list[WorldObject]]] = {}
+        if visible(obj, robot, scene.visibility):
+            in_view.setdefault(obj.label, []).append(obj)
     emitted = 0
     spurious = 0
     time = 0.0
-    for frame in range(config.frame_budget):
-        robot = poses[frame]
-        in_view = in_view_at.get(robot)
-        if in_view is None:
-            in_view = in_view_at[robot] = {
-                label: [o for o in objs if visible(o, robot, scene.visibility)]
-                for label, objs in truth_by_label.items()}
+    for _ in range(config.frame_budget):
         time += period
         for det in active:
             hits = in_view.get(det.emits_label)

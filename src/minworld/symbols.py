@@ -2,10 +2,10 @@
 
 Perception symbols name object detectors: a semantic label, or a
 parent/subtype pair for a constituent detector. Behavior symbols name a
-robot action over one world object; the behavior graph builds one per
-action and world label, over the label's first object. A SymbolSpace
-holds the labels, hierarchy pairs and actions, and the perception bank
-in a fixed order.
+robot action over a world label; the behavior graph builds one per
+action and label in the world, and grounding picks the label's first
+object. A SymbolSpace holds the labels, hierarchy pairs and actions, and
+the perception bank in a fixed order.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class HierarchicalDetectorSymbol:
 
 @dataclass(frozen=True)
 class BehaviorSymbol:
-    """An action over one world object; target_a is the object's id."""
+    """An action over the world objects of one label."""
 
     action: str
-    target_a: int
+    label: str
 
     def __post_init__(self):
         if self.action not in ACTIONS:

@@ -76,6 +76,12 @@ def random_graph(seed: int):
     return graph
 
 
+def graph_kind(graph) -> str:
+    """The kind of model that scores the graph's bank."""
+    behavior = isinstance(graph.bank[0], symbols.BehaviorSymbol)
+    return "behavior" if behavior else "perception"
+
+
 def hash_model(graph, salt: str) -> dcg.Model:
     """Weights for every feature reachable from any child context,
     derived per-name from a hash so discovery order cannot matter."""
@@ -86,10 +92,10 @@ def hash_model(graph, salt: str) -> dcg.Model:
     for phrase in graph.tree.phrases_bottom_up():
         for sym in graph.bank:
             for ctx in bank_sets:
-                for n in dcg.feature_names(phrase, sym, set(ctx), graph.world):
+                for n in dcg.feature_names(phrase, sym, set(ctx)):
                     if n not in weights:
                         weights[n] = hash_weight(n, salt)
-    return dcg.Model(graph.kind, weights)
+    return dcg.Model(graph_kind(graph), weights)
 
 
 def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
@@ -111,8 +117,7 @@ def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
             for j, value in enumerate(bits):
                 if value:
                     score += sum(model.weights.get(n, 0.0) for n in
-                                 dcg.feature_names(phrase, graph.bank[j], ctx,
-                                                   graph.world))
+                                 dcg.feature_names(phrase, graph.bank[j], ctx))
             if score > best_score:
                 best_bits, best_score = bits, score
         chosen = frozenset(j for j, v in enumerate(best_bits) if v)

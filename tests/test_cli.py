@@ -510,6 +510,28 @@ def test_run_bad_config_exits_io(text, trees, model_dir, tmp_path, capsys):
     _one_line_error(capsys, "io")
 
 
+@pytest.mark.parametrize("command,flags,config", [
+    ("perceive", ["--detectors", "door", "--seed", "-1"], None),
+    ("run", ["--seed", "-2"], None),
+    ("bench", [], '{"seed": -3}'),
+    ("perceive", ["--detectors", "door", "--frames", "0"], None),
+], ids=["perceive-seed", "run-seed", "bench-config-seed", "perceive-frames"])
+def test_bad_perception_setting_exits_perception(command, flags, config, trees,
+                                                 model_dir, tmp_path, capsys):
+    # a negative seed once reached numpy and ended in a traceback
+    argv = [command, *flags]
+    if command == "run":
+        argv = _run_args(trees, model_dir, tmp_path, "open", *flags)
+    if command == "bench":
+        argv += ["--perception-model", str(model_dir / "perception.json")]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 3
+    _one_line_error(capsys, "perception")
+
+
 # -- bench -------------------------------------------------------------------
 
 def test_bench_default_rows(model_dir, tmp_path, capsys):

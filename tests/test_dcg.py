@@ -63,14 +63,13 @@ def test_no_child_marker(space):
     assert any(n.endswith("&child_none") for n in names)
 
 
-def test_behavior_atoms_resolve_labels_through_world():
-    world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1))
-    obj_id = world.query("door")[0].id
-    with_world = dcg.symbol_atoms(BehaviorSymbol("open", obj_id), world)
-    assert "target_label:door" in with_world
-    without = dcg.symbol_atoms(BehaviorSymbol("open", obj_id), None)
-    assert f"target_label:object{obj_id}" in without
+def test_behavior_atoms_name_the_label():
+    # trained behavior model files key their weights by these strings
+    sym = BehaviorSymbol("open", "door")
+    assert dcg.symbol_atoms(sym) == ["kind:behavior", "action:open",
+                                     "target_label:door"]
+    assert dcg.child_atoms({sym}) == ["child_has_behavior:open.door",
+                                      "child_has_target:door"]
 
 
 def test_child_atoms_sorted_and_deduped(space):
@@ -108,7 +107,7 @@ def test_behavior_bank_covers_actions_by_objects(space):
     world.integrate(_det("box", 2, 2, 0, t=1.0))
     graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
     assert len(graph.bank) == len(space.actions) * 2
-    assert graph.kind == "behavior"
+    assert all(isinstance(sym, BehaviorSymbol) for sym in graph.bank)
 
 
 def test_zero_model_expresses_nothing(space):
@@ -208,7 +207,7 @@ def _reference_infer(graph, model):
         chosen = set()
         for j, sym in enumerate(graph.bank):
             margin = sum(model.weights.get(n, 0.0) for n in
-                         dcg.feature_names(phrase, sym, ctx, graph.world))
+                         dcg.feature_names(phrase, sym, ctx))
             if margin > 0.0:
                 chosen.add(j)
         expressed[phrase.index] = frozenset(chosen)
@@ -258,11 +257,11 @@ def _template_infer(graph, model):
         for child in phrase.children:
             ctx |= by_index[child.index]
         ps = dcg.phrase_atoms(phrase)
-        cs = dcg.child_atoms(ctx, graph.world)
+        cs = dcg.child_atoms(ctx)
         scores, flat, starts = {}, [], []
         for sym in graph.bank:
             starts.append(len(flat))
-            for s in dcg.symbol_atoms(sym, graph.world):
+            for s in dcg.symbol_atoms(sym):
                 if s not in scores:
                     row = model.folded.get(s, {})
                     a = 0.0
@@ -333,12 +332,12 @@ def test_perception_layout_reuse_matches_fresh_models(assets, space,
                                                       perception_model):
     padded = _padded_space(space, 750)
     model = _fresh(perception_model)
-    assert model.perception_layout is None
+    assert model.bank_layout is None
     for tree in _bundled_trees(assets):
         for bank_space in (padded, padded, space, padded):
             graph = dcg.build_perception_graph(tree, bank_space)
             got = dcg.infer(graph, model)
-            assert model.perception_layout[0] is bank_space.perception
+            assert model.bank_layout[0] is bank_space.perception
             want = dcg.infer(graph, _fresh(perception_model))
             assert got.expressed == want.expressed
 
@@ -353,19 +352,26 @@ def test_same_length_bank_of_another_space_is_laid_out_again(space,
     dcg.infer(dcg.build_perception_graph(tree, first), model)
     graph = dcg.build_perception_graph(tree, second)
     got = dcg.infer(graph, model)
-    assert model.perception_layout[0] is second.perception
+    assert model.bank_layout[0] is second.perception
     want = dcg.infer(graph, _fresh(perception_model))
     assert got.expressed == want.expressed
 
 
-def test_behavior_graphs_store_no_layout(space, behavior_model):
-    world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1))
-    graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
+def test_behavior_layout_follows_the_bank_across_worlds(assets, space,
+                                                        behavior_model):
+    # banks of one length whose labels differ: a layout kept by length,
+    # or by position, would score the second world with the first's atoms
+    worlds = [_labelled_world(["door", "ball", "door_handle"]),
+              _labelled_world(["suitcase", "door", "pitcher", "door"])]
     model = _fresh(behavior_model)
-    dcg.infer(graph, model)
-    dcg.infer(graph, model)
-    assert model.perception_layout is None
+    for tree in _bundled_trees(assets):
+        graphs = [dcg.build_behavior_graph(tree, space, w) for w in worlds]
+        assert len(graphs[0].bank) == len(graphs[1].bank)
+        assert graphs[0].bank != graphs[1].bank
+        for graph in graphs + graphs[::-1]:
+            got = dcg.infer(graph, model)
+            assert model.bank_layout[0] is graph.bank
+            assert got.expressed == dcg.infer(graph, _fresh(behavior_model)).expressed
 
 
 def test_bank_with_separator_atom_raises_on_every_call(perception_model):
@@ -375,7 +381,7 @@ def test_bank_with_separator_atom_raises_on_every_call(perception_model):
     for _ in range(3):
         with pytest.raises(dcg.GroundingError):
             dcg.infer(graph, model)
-        assert model.perception_layout is None
+        assert model.bank_layout is None
 
 
 # -- behavior banks: one symbol per (action, target label) class -------------
@@ -405,38 +411,34 @@ WORLDS = {
 def test_behavior_classes_share_atoms_with_their_members(space, labels):
     world = _labelled_world(labels)
     graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
-    first = {}  # label -> lowest id, in order of first id
-    for obj_id, label in enumerate(labels, start=1):
-        first.setdefault(label, obj_id)
+    first = dict.fromkeys(labels)  # labels in order of first id
     assert len(graph.bank) == len(space.actions) * len(set(labels))
-    assert graph.bank == tuple(BehaviorSymbol(a, t) for a in space.actions
-                               for t in first.values())
+    assert graph.bank == tuple(BehaviorSymbol(a, label) for a in space.actions
+                               for label in first)
     for action in space.actions:
         for obj in world.query():
-            entry = BehaviorSymbol(action, first[obj.label])
-            member = BehaviorSymbol(action, obj.id)
-            assert dcg.symbol_atoms(member, world) == \
-                dcg.symbol_atoms(entry, world)
-            assert dcg.child_atoms({member}, world) == \
-                dcg.child_atoms({entry}, world)
+            entry = BehaviorSymbol(action, obj.label)
+            assert entry in graph.bank
+            assert f"target_label:{obj.label}" in dcg.symbol_atoms(entry)
+            assert f"child_has_target:{obj.label}" in dcg.child_atoms({entry})
 
 
 @pytest.mark.parametrize("labels", WORLDS.values(), ids=WORLDS.keys())
 def test_class_inference_matches_every_entry_scored(assets, space,
                                                     behavior_model, labels):
-    """A per-object bank (every action over every object), scored entry by
-    entry, expresses exactly the members of the expressed classes, and its
-    root choice is the behavior ``ground_behavior`` requests. Each world
-    is also taken in reverse id order, so a label's first object is not
-    always id 1."""
+    """A per-object bank (every action over every object, so a label
+    repeats), scored entry by entry, expresses exactly the members of the
+    expressed classes, and its root choice is the behavior
+    ``ground_behavior`` requests. Each world is also taken in reverse id
+    order, so a label's first object is not always id 1."""
     for ordered in (labels, labels[::-1]):
         world = _labelled_world(ordered)
-        per_object = tuple(BehaviorSymbol(a, obj.id) for a in space.actions
-                           for obj in world.query())
+        targets = [(a, obj.id) for a in space.actions for obj in world.query()]
+        per_object = tuple(BehaviorSymbol(a, world.objects[t].label)
+                           for a, t in targets)
 
         def classes(bank, ids):
-            return {(bank[j].action, world.objects[bank[j].target_a].label)
-                    for j in ids}
+            return {(bank[j].action, bank[j].label) for j in ids}
 
         for tree in _bundled_trees(assets):
             graph = dcg.build_behavior_graph(tree, space, world)
@@ -451,9 +453,23 @@ def test_class_inference_matches_every_entry_scored(assets, space,
                 with pytest.raises(cli.StageError):
                     cli.ground_behavior(tree, behavior_model, space, world)
                 continue
-            sym = per_object[min(root)]
             assert cli.ground_behavior(tree, behavior_model, space, world) == \
-                BehaviorRequest(sym.action, sym.target_a)
+                BehaviorRequest(*targets[min(root)])
+
+
+def test_ground_behavior_picks_the_label_lowest_id(space, behavior_model):
+    # objects listed in reverse id order: the world's insertion order is
+    # not its id order
+    def obj(obj_id, label, x):
+        return WorldObject(obj_id, label, Pose(x, 0.0, 0.5),
+                           Aabb((x - 0.3, -0.3, 0.0), (x + 0.3, 0.3, 1.0)))
+
+    world = WorldModel([obj(9, "door", 6.0), obj(5, "ball", 4.0),
+                        obj(4, "door", 2.0), obj(2, "suitcase", 1.0)])
+    assert list(world.objects) == [9, 5, 4, 2]
+    tree = load_parse_tree(OPEN)
+    assert cli.ground_behavior(tree, behavior_model, space, world) == \
+        BehaviorRequest("open", 4)
 
 
 def test_world_label_with_separator_raises_on_every_call(space, behavior_model):
@@ -534,15 +550,15 @@ def test_gold_on_a_repeated_label_resolves_to_its_class(space):
     (ex,) = dcg.build_examples("behavior", [_two_door_example(8)], space)
     bank = ex.graph.bank
     assert len(bank) == len(space.actions) * 2
-    assert (1, bank.index(BehaviorSymbol("open", 3))) in ex.gold
-    assert {bank[j].target_a for _, j in ex.gold} == {3}
+    assert (1, bank.index(BehaviorSymbol("open", "door"))) in ex.gold
+    assert {bank[j].label for _, j in ex.gold} == {"door"}
     corpus = dcg.CompiledCorpus([ex])
     result = dcg.train(corpus, kind="behavior")
     assert dcg.recovery(corpus, result.model) == 1.0
 
 
 def test_gold_object_absent_from_world_raises(space):
-    with pytest.raises(dcg.CorpusError, match="not in graph bank"):
+    with pytest.raises(dcg.CorpusError, match="gold object 9 not in the example's world"):
         dcg.build_examples("behavior", [_two_door_example(9)], space)
 
 
@@ -563,7 +579,7 @@ def test_margins_match_direct_scores(space, perception_corpus):
                 child_syms |= {graph.bank[j] for j in gold_at[child.index]}
             for sym in graph.bank:
                 want = sum(w[at[n]] for n in
-                           dcg.feature_names(phrase, sym, child_syms, graph.world))
+                           dcg.feature_names(phrase, sym, child_syms))
                 assert abs(got[k] - want) < 1e-9
                 k += 1
     assert k == perception_corpus.n_factors
@@ -649,7 +665,7 @@ def _two_sided_compile(examples):
             for child in phrase.children:
                 child_syms |= {graph.bank[j] for j in gold_at[child.index]}
             for j, sym in enumerate(graph.bank):
-                stems = dcg.feature_names(phrase, sym, child_syms, graph.world)
+                stems = dcg.feature_names(phrase, sym, child_syms)
                 ti = ids([s + "&T" for s in stems])
                 fi = ids([s + "&F" for s in stems])
                 golds.append(float(j in gold_at[phrase.index]))

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 from minworld import dcg
 
-from helpers_oracle import enumerate_assignment, hash_model, random_graph
+from helpers_oracle import (
+    enumerate_assignment,
+    graph_kind,
+    hash_model,
+    random_graph,
+)
 
 
 def test_inference_matches_exhaustive_enumeration():
@@ -13,7 +18,7 @@ def test_inference_matches_exhaustive_enumeration():
     kinds = set()
     for seed in range(60):
         graph = random_graph(seed)
-        kinds.add(graph.kind)
+        kinds.add(graph_kind(graph))
         model = hash_model(graph, salt=f"s{seed}")
         got = dcg.infer(graph, model).expressed
         want = enumerate_assignment(graph, model)
@@ -27,10 +32,10 @@ def test_inference_matches_exhaustive_enumeration():
 
 def test_oracle_prefers_false_on_ties():
     graph = random_graph(0)
-    model = dcg.Model(graph.kind, {
+    model = dcg.Model(graph_kind(graph), {
         n: 0.0 for phrase in graph.tree.phrases_bottom_up()
         for sym in graph.bank
-        for n in dcg.feature_names(phrase, sym, set(), graph.world)})
+        for n in dcg.feature_names(phrase, sym, set())})
     want = enumerate_assignment(graph, model)
     assert all(not ids for ids in want.values())
     got = dcg.infer(graph, model).expressed

@@ -84,6 +84,10 @@ def test_config_validation(registry):
         PerceptionConfig(registry, frame_budget=0)
     with pytest.raises(PerceptionError):
         PerceptionConfig(registry + (registry[0],))
+    # numpy's default_rng takes only non-negative integer seeds
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(PerceptionError, match="seed"):
+            PerceptionConfig(registry, seed=seed)
 
 
 def test_active_exhaustive_is_sorted_baseline(registry):
@@ -240,18 +244,6 @@ def test_zero_false_positive_adaptive_emits_no_spurious(registry, scene):
         assert metrics.spurious_emitted == 0
 
 
-def test_pose_stream_pads_with_last_pose():
-    far = _obj(1, "box", 10.0, 0.0)
-    scene = Scene([far], Visibility(), Pose(0, 0))
-    specs = (DetectorSpec("box", "box", 0.1),)
-    config = PerceptionConfig(specs, _active("box"))
-    unseen, _ = run_perception(scene, config)
-    assert not unseen.query("box")
-    seen, metrics = run_perception(scene, config, pose_stream=[Pose(5.0, 0.0)])
-    assert seen.query("box")
-    assert metrics.detections_emitted == 30
-
-
 def test_timestamps_advance_by_period(registry, scene):
     config = PerceptionConfig(registry, _active("door"), frame_budget=3)
     world, metrics = run_perception(scene, config)
@@ -322,19 +314,17 @@ class _FullScanWorld(WorldModel):
         return self
 
 
-def _reference_perception(scene, config, pose_stream=None):
+def _reference_perception(scene, config):
     """The sensing loop with a visibility test and a noise draw per hit."""
     active = active_detectors(config)
     links = integration_links(config) if config.mode == "adaptive" else frozenset()
     period = sum(d.frame_cost for d in active)
-    poses = list(pose_stream or [])[:config.frame_budget]
-    last = poses[-1] if poses else scene.robot_start
-    poses += [last] * (config.frame_budget - len(poses))
+    robot = scene.robot_start
     rng = np.random.default_rng(config.seed)
     world = _FullScanWorld()
     emitted = spurious = 0
     time = 0.0
-    for robot in poses:
+    for _ in range(config.frame_budget):
         time += period
         for det in active:
             for obj in sorted(scene.objects, key=lambda o: o.id):
@@ -399,7 +389,6 @@ def _random_scene(n: int, rng: random.Random) -> Scene:
 
 def test_perception_matches_full_scan_reference():
     rng = random.Random(7)
-    stream = [Pose(-0.5 + 0.3 * i, 0.2 * i, 0.0, 0.15 * i) for i in range(6)]
     active = DetectorSet(frozenset({"box", "cup", "door", "door_handle"}),
                          frozenset({("door", "handle")}))
     merged = parented = spurious = 0
@@ -407,18 +396,17 @@ def test_perception_matches_full_scan_reference():
         scene = _random_scene(n, rng)
         for mode in ("adaptive", "exhaustive"):
             for radius in (0.5, 1.2):
-                for poses in (None, stream):
-                    config = PerceptionConfig(
-                        EQUIV_SPECS, active if mode == "adaptive" else None, mode,
-                        seed=n, frame_budget=8, assoc_radius=radius)
-                    got_world, got = run_perception(scene, config, poses)
-                    want_world, want = _reference_perception(scene, config, poses)
-                    assert json.dumps(got_world.to_json(), sort_keys=True) == \
-                        json.dumps(want_world.to_json(), sort_keys=True), (n, config)
-                    assert got.to_json() == want.to_json()
-                    merged += got.detections_emitted - len(got_world.objects)
-                    parented += len([o for o in got_world.query()
-                                     if o.parent is not None])
-                    spurious += got.spurious_emitted
+                config = PerceptionConfig(
+                    EQUIV_SPECS, active if mode == "adaptive" else None, mode,
+                    seed=n, frame_budget=8, assoc_radius=radius)
+                got_world, got = run_perception(scene, config)
+                want_world, want = _reference_perception(scene, config)
+                assert json.dumps(got_world.to_json(), sort_keys=True) == \
+                    json.dumps(want_world.to_json(), sort_keys=True), (n, config)
+                assert got.to_json() == want.to_json()
+                merged += got.detections_emitted - len(got_world.objects)
+                parented += len([o for o in got_world.query()
+                                 if o.parent is not None])
+                spurious += got.spurious_emitted
     # the scenes exercised association, parent links and false positives
     assert merged > 0 and parented > 0 and spurious > 0

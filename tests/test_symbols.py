@@ -78,12 +78,12 @@ def test_independent_symbol_validation():
 
 
 def test_behavior_symbol_shapes():
-    one = BehaviorSymbol("navigate", 3)
-    assert (one.action, one.target_a) == ("navigate", 3)
+    one = BehaviorSymbol("navigate", "door")
+    assert (one.action, one.label) == ("navigate", "door")
     with pytest.raises(AttributeError):
         one.action = "look"
     with pytest.raises(SymbolError):
-        BehaviorSymbol("fly", 3)
+        BehaviorSymbol("fly", "door")
 
 
 def test_subtype_detector_id():
