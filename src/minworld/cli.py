@@ -276,10 +276,10 @@ def _write_outputs(out_dir: Path, world: WorldModel, metrics,
         (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def _perceive(args, scene: Scene, registry, detectors: DetectorSet | None):
-    """Run the sensing loop in the mode, seed and frame budget ``args``
-    give; a bad perception configuration exits 3."""
-    mode = "exhaustive" if args.exhaustive else "adaptive"
+def _perceive(args, mode: str, scene: Scene, registry,
+              detectors: DetectorSet | None):
+    """Run the sensing loop in ``mode`` with the seed and frame budget
+    ``args`` give; a bad perception configuration exits 3."""
     try:
         config = PerceptionConfig(registry, detectors, mode, args.seed, args.frames)
         return run_perception(scene, config)
@@ -295,7 +295,8 @@ def cmd_perceive(args) -> int:
     if args.detectors:
         ids = frozenset(x.strip() for x in args.detectors.split(",") if x.strip())
         active = DetectorSet(ids, _parse_links(args.links))
-    world, metrics = _perceive(args, scene, registry, active)
+    mode = "exhaustive" if args.exhaustive else "adaptive"
+    world, metrics = _perceive(args, mode, scene, registry, active)
     out = {"world": world.to_json(), "metrics": metrics.to_json()}
     if args.json:
         print(_dump_json(out), end="")
@@ -324,9 +325,10 @@ def _load_inputs(args) -> tuple:
             _read_model("perception", args.perception_model))
 
 
-def _ground_and_perceive(args, inputs: tuple, tree: ParseTree):
-    """Check ``tree`` against the lexicon, ground its detectors less any
-    dropped ones, and run the sensing loop with them."""
+def _ground_and_perceive(args, inputs: tuple, tree: ParseTree, mode: str,
+                         dropped: frozenset[str] = frozenset()):
+    """Check ``tree`` against the lexicon, ground its detectors less the
+    ``dropped`` ones, and run the sensing loop with them in ``mode``."""
     space, registry, scene, lexicon, model = inputs
     violations = validate_against_lexicon(tree, lexicon)
     if violations:
@@ -334,13 +336,12 @@ def _ground_and_perceive(args, inputs: tuple, tree: ParseTree):
         raise StageError("io", f"word {v.word!r} not in lexicon for tag {v.tag}",
                          EXIT_IO)
     detectors = ground_detectors(tree, model, space)
-    dropped = frozenset(getattr(args, "drop_detector", None) or ())
     if dropped:
         detectors = DetectorSet(
             detectors.ids - dropped,
             frozenset((p, s) for p, s in detectors.links
                       if subtype_detector_id(p, s) not in dropped))
-    world, metrics = _perceive(args, scene, registry, detectors)
+    world, metrics = _perceive(args, mode, scene, registry, detectors)
     return detectors, world, metrics
 
 
@@ -348,7 +349,9 @@ def cmd_run(args) -> int:
     _apply_config(args)
     tree = _load("instruction tree", args.tree, _read_tree)
     inputs = _load_inputs(args)
-    detectors, world, metrics = _ground_and_perceive(args, inputs, tree)
+    mode = "exhaustive" if args.exhaustive else "adaptive"
+    detectors, world, metrics = _ground_and_perceive(
+        args, inputs, tree, mode, frozenset(args.drop_detector or ()))
     space, _, scene, _, _ = inputs
     request = ground_behavior(tree, _read_model("behavior", args.behavior_model),
                               space, world)
@@ -413,8 +416,7 @@ def cmd_bench(args) -> int:
     rows = []
     for tree_path, mode in cases:
         tree = _load("instruction tree", tree_path, _read_tree)
-        args.exhaustive = mode == "exhaustive"
-        _, _, metrics = _ground_and_perceive(args, inputs, tree)
+        _, _, metrics = _ground_and_perceive(args, inputs, tree, mode)
         rows.append({
             "instruction": tree.instruction,
             "mode": mode,

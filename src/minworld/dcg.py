@@ -486,9 +486,12 @@ class CompiledCorpus:
             if self.n_factors else np.zeros(0)
 
 
-def _objective(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,
-               l2: float) -> float:
-    """``log_likelihood`` at ``w``, given its margins ``m``."""
+def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
+                   m: np.ndarray | None = None) -> float:
+    """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2; ``m`` is
+    ``corpus.margins(w)`` when the caller already has it."""
+    if m is None:
+        m = corpus.margins(w)
     signed = np.where(corpus.golds > 0.5, m, -m)
     lp = -np.logaddexp(0.0, -signed)
     val = float(lp.sum()) - 0.5 * l2 * float(w @ w)
@@ -497,26 +500,18 @@ def _objective(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,
     return val
 
 
-def _gradient(corpus: CompiledCorpus, m: np.ndarray, w: np.ndarray,
-              l2: float) -> np.ndarray:
-    """``ll_gradient`` at ``w``, given its margins ``m``."""
+def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
+                m: np.ndarray | None = None) -> np.ndarray:
+    """Analytic gradient: sum over factors of (1_gold - p_true) times
+    the factor's features, minus l2 w; ``m`` as in ``log_likelihood``."""
+    if m is None:
+        m = corpus.margins(w)
     with np.errstate(over="ignore"):
         p_true = 1.0 / (1.0 + np.exp(-m))
     coef = corpus.golds - p_true
     # not in place: bincount over an empty corpus returns integers
     return np.bincount(corpus.flat_idx, weights=np.repeat(coef, corpus.counts),
                        minlength=len(w)) - l2 * w
-
-
-def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> float:
-    """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2."""
-    return _objective(corpus, corpus.margins(w), w, l2)
-
-
-def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0) -> np.ndarray:
-    """Analytic gradient: sum over factors of (1_gold - p_true) times
-    the factor's features, minus l2 w."""
-    return _gradient(corpus, corpus.margins(w), w, l2)
 
 
 @dataclass(frozen=True)
@@ -582,7 +577,7 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
     l2 = config.l2
 
     def gradient_at(m, w):
-        grad = _gradient(corpus, m, w, l2)
+        grad = ll_gradient(corpus, w, l2, m)
         gnorm2 = float(grad @ grad)
         if not math.isfinite(gnorm2):
             raise NumericError("non-finite gradient")
@@ -593,7 +588,7 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
     it = 0
     try:
         m = corpus.margins(w)
-        obj = _objective(corpus, m, w, l2)
+        obj = log_likelihood(corpus, w, l2, m)
         grad, gnorm2 = gradient_at(m, w)
         history = [obj]
         for it in range(1, config.iterations + 1):
@@ -606,7 +601,7 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
             for _ in range(config.max_backtracks):
                 w_new = w + step * grad
                 m_new = m + step * mg
-                obj_new = _objective(corpus, m_new, w_new, l2)
+                obj_new = log_likelihood(corpus, w_new, l2, m_new)
                 if obj_new >= obj + config.armijo * step * gnorm2:
                     accepted = True
                     break

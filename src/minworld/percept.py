@@ -127,6 +127,9 @@ class PerceptionConfig:
     def __post_init__(self):
         if self.mode not in ("adaptive", "exhaustive"):
             raise PerceptionError(f"unknown perception mode {self.mode!r}")
+        if not is_int(self.frame_budget):
+            raise PerceptionError(f"frame budget must be an integer >= 1, "
+                                  f"got {self.frame_budget!r}")
         if self.frame_budget <= 0:
             raise PerceptionError("frame budget must be positive")
         if not (is_int(self.seed) and self.seed >= 0):

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import collections
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from minworld import dcg
-from minworld.cli import build_parser, main
+from minworld.cli import build_parser, cmd_bench, main
 from minworld.world import Aabb, Pose, WorldModel, WorldObject
 
 
@@ -33,6 +36,19 @@ def world_file(tmp_path_factory):
 
 def _json_out(capsys) -> dict:
     return json.loads(capsys.readouterr().out)
+
+
+# -- package -----------------------------------------------------------------
+
+def test_package_root_imports_no_module():
+    # the root holds only __version__; the modules load when imported
+    src = str(pathlib.Path(dcg.__file__).resolve().parents[1])
+    code = ("import sys, minworld\n"
+            "assert 'numpy' not in sys.modules, 'root imported numpy'\n"
+            "from minworld import cli, dcg\n"
+            "assert cli.main and dcg.train\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # -- train -------------------------------------------------------------------
@@ -573,6 +589,19 @@ def test_bench_custom_case(trees, model_dir, capsys):
     assert len(rows) == 1
     assert rows[0]["instruction"] == "turn the handle of the door"
     assert rows[0]["active_detectors"] == ["door", "door_handle"]
+
+
+def test_bench_passes_each_row_mode_without_a_flag(trees, model_dir, capsys):
+    # bench has no --exhaustive; a row's mode goes to the sensing loop as is
+    args = build_parser().parse_args(
+        ["bench", "--perception-model", str(model_dir / "perception.json"),
+         "--case", f"{trees['drive']}=exhaustive",
+         "--case", f"{trees['drive']}=adaptive", "--json"])
+    assert cmd_bench(args) == 0
+    assert not hasattr(args, "exhaustive")
+    rows = _json_out(capsys)["rows"]
+    assert [r["mode"] for r in rows] == ["exhaustive", "adaptive"]
+    assert rows[0]["avg_period"] > rows[1]["avg_period"]
 
 
 def test_bench_bad_case_mode(trees, model_dir, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -615,6 +616,40 @@ def test_gradient_matches_finite_differences(perception_corpus):
         fd = (dcg.log_likelihood(perception_corpus, wp, 1e-3)
               - dcg.log_likelihood(perception_corpus, wm, 1e-3)) / (2 * h)
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
+
+
+def test_given_margins_give_the_same_objective(perception_corpus):
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=perception_corpus.dim)
+    m = perception_corpus.margins(w)
+    for l2 in (0.0, 0.1):
+        assert dcg.log_likelihood(perception_corpus, w, l2, m=m) \
+            == dcg.log_likelihood(perception_corpus, w, l2)
+        assert np.array_equal(dcg.ll_gradient(perception_corpus, w, l2, m=m),
+                              dcg.ll_gradient(perception_corpus, w, l2))
+
+
+def test_training_scores_through_the_public_objective(perception_corpus,
+                                                      perception_train,
+                                                      monkeypatch):
+    # a profiler that wraps log_likelihood/ll_gradient sees every evaluation
+    calls = collections.Counter()
+
+    def counting(name):
+        inner = getattr(dcg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("log_likelihood", "ll_gradient"):
+        monkeypatch.setattr(dcg, name, counting(name))
+    got = dcg.train(perception_corpus, dcg.TrainConfig(iterations=300),
+                    kind="perception")
+    assert calls["log_likelihood"] > 0 and calls["ll_gradient"] > 0
+    assert got.model.weights == perception_train.model.weights
+    assert got.objective_history == perception_train.objective_history
 
 
 def test_training_monotone_and_recovers(perception_corpus, perception_train):

@@ -80,8 +80,12 @@ def test_detector_spec_validation():
 def test_config_validation(registry):
     with pytest.raises(PerceptionError):
         PerceptionConfig(registry, mode="hybrid")
-    with pytest.raises(PerceptionError):
+    with pytest.raises(PerceptionError, match="frame budget must be positive"):
         PerceptionConfig(registry, frame_budget=0)
+    # range() takes ints only, and a bool would report "frames": true
+    for frames in (2.5, True, "3"):
+        with pytest.raises(PerceptionError, match="frame budget"):
+            PerceptionConfig(registry, frame_budget=frames)
     with pytest.raises(PerceptionError):
         PerceptionConfig(registry + (registry[0],))
     # numpy's default_rng takes only non-negative integer seeds
