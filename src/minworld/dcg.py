@@ -85,7 +85,7 @@ def phrase_atoms(phrase: Phrase) -> list[str]:
 
 def symbol_atoms(symbol) -> list[str]:
     if isinstance(symbol, IndependentDetectorSymbol):
-        return [f"category:{symbol.category}", f"label:{symbol.value}"]
+        return ["category:semantic_label", f"label:{symbol.value}"]
     if isinstance(symbol, HierarchicalDetectorSymbol):
         return [
             "kind:hierarchy",
@@ -122,6 +122,17 @@ def _check_atoms(*groups) -> None:
             if "&" in a:
                 raise GroundingError(f"atom {a!r} contains '&', the feature "
                                      f"name separator")
+
+
+def _context(phrase: Phrase, bank,
+             expressed: Mapping[int, frozenset[int]]) -> tuple[list[str], list[str]]:
+    """A phrase's atoms and the child atoms of the bank symbols its
+    children express; ``expressed`` maps phrase index to bank ids."""
+    ps = phrase_atoms(phrase)
+    cs = child_atoms({bank[j] for child in phrase.children
+                      for j in expressed[child.index]})
+    _check_atoms(ps, cs)
+    return ps, cs
 
 
 def _conjunctions(ps, ss, cs) -> list[tuple[str, str, str | None]]:
@@ -307,14 +318,8 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
 
     expressed: dict[int, frozenset[int]] = {}
     margins = []
-    by_index: dict[int, set] = {}
     for phrase in graph.tree.phrases_bottom_up():
-        child_syms: set = set()
-        for child in phrase.children:
-            child_syms |= by_index[child.index]
-        ps = phrase_atoms(phrase)
-        cs = child_atoms(child_syms)
-        _check_atoms(ps, cs)
+        ps, cs = _context(phrase, bank, expressed)
         atom_scores = [0.0]
         for s in known:
             # a_s summed in _conjunctions' order: every (p, s), then
@@ -329,9 +334,7 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
             atom_scores.append(a)
         m = np.add.reduceat(np.array(atom_scores)[flat_at], starts_at)
         margins.append(m)
-        chosen = np.flatnonzero(m > 0.0).tolist()
-        expressed[phrase.index] = frozenset(chosen)
-        by_index[phrase.index] = {bank[k] for k in chosen}
+        expressed[phrase.index] = frozenset(np.flatnonzero(m > 0.0).tolist())
     if not np.isfinite(np.concatenate(margins)).all():
         raise NumericError("non-finite factor margin")
     return Assignment(expressed)
@@ -342,11 +345,12 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One annotated instruction: its graph plus the gold set of
-    (phrase_index, bank_id) pairs whose variables are true."""
+    """One annotated instruction: its graph plus, for every phrase index,
+    the bank ids whose variables are true (the shape of
+    ``Assignment.expressed``)."""
 
     graph: FactorGraph
-    gold: frozenset[tuple[int, int]]
+    gold: dict[int, frozenset[int]]
 
 
 def _descriptor_ok(desc: dict) -> bool:
@@ -428,13 +432,13 @@ def build_examples(kind: str, raw_examples: list[dict],
             world = WorldModel.from_json(raw["world"])
             graph = build_behavior_graph(tree, space, world)
             labels = {obj_id: obj.label for obj_id, obj in world.objects.items()}
-        gold = set()
+        gold: dict[int, set[int]] = {k: set() for k in range(tree.n_phrases)}
         for phrase_index, desc in raw["gold"]:
-            if not 0 <= phrase_index < tree.n_phrases:
+            if phrase_index not in gold:
                 raise CorpusError(f"example {i}: phrase index {phrase_index} "
                                   f"outside tree")
-            gold.add((phrase_index, _resolve_descriptor(desc, graph, space, labels)))
-        out.append(TrainingExample(graph, frozenset(gold)))
+            gold[phrase_index].add(_resolve_descriptor(desc, graph, space, labels))
+        out.append(TrainingExample(graph, {k: frozenset(js) for k, js in gold.items()}))
     return out
 
 
@@ -443,8 +447,8 @@ class CompiledCorpus:
     and per-factor gold values and active feature indices (positions in
     ``names``), flattened for vectorized math.
 
-    Child conditioning during compilation uses the gold assignments of
-    the children, matching what inference reconstructs once trained.
+    Each phrase's context comes from ``_context`` over the gold ids of
+    its children, the walk ``infer`` makes over the ids it inferred.
     """
 
     def __init__(self, examples: list[TrainingExample]):
@@ -452,19 +456,14 @@ class CompiledCorpus:
         index: dict[str, int] = {}
         golds, counts, flat_idx = [], [], []
         for ex in examples:
-            graph = ex.graph
-            gold_at = {p.index: {j for (i, j) in ex.gold if i == p.index}
-                       for p in graph.tree.phrases_bottom_up()}
-            for phrase in graph.tree.phrases_bottom_up():
-                child_syms: set = set()
-                for child in phrase.children:
-                    child_syms |= {graph.bank[j] for j in gold_at[child.index]}
-                ps = phrase_atoms(phrase)
-                cs = child_atoms(child_syms)
-                for j, sym in enumerate(graph.bank):
+            bank = ex.graph.bank
+            for phrase in ex.graph.tree.phrases_bottom_up():
+                ps, cs = _context(phrase, bank, ex.gold)
+                true_ids = ex.gold[phrase.index]
+                for j, sym in enumerate(bank):
                     idx = sorted([index.setdefault(n, len(index)) for n in
                                   _stems(ps, symbol_atoms(sym), cs)])
-                    golds.append(j in gold_at[phrase.index])
+                    golds.append(j in true_ids)
                     counts.append(len(idx))
                     flat_idx += idx
         self.names = list(index)
@@ -627,11 +626,5 @@ def recovery(corpus: CompiledCorpus, model: Model) -> float:
     the gold assignment exactly (every variable, every phrase)."""
     if not corpus.examples:
         return 1.0
-    hits = 0
-    for ex in corpus.examples:
-        got = infer(ex.graph, model)
-        want = {p.index: frozenset(j for (i, j) in ex.gold if i == p.index)
-                for p in ex.graph.tree.phrases_bottom_up()}
-        if got.expressed == want:
-            hits += 1
-    return hits / len(corpus.examples)
+    return sum(infer(ex.graph, model).expressed == ex.gold
+               for ex in corpus.examples) / len(corpus.examples)

@@ -78,8 +78,19 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class Visibility:
+    """The view from the robot: range in metres, field of view in
+    radians. Spurious detections are drawn from 1 m out to the range."""
+
     max_range: float = DEFAULT_MAX_RANGE
     fov: float = math.radians(DEFAULT_FOV_DEG)
+
+    def __post_init__(self):
+        if not self.max_range >= 1.0:
+            raise PerceptionError(f"visibility max_range must be >= 1, "
+                                  f"got {self.max_range!r}")
+        if not 0.0 < self.fov <= 2.0 * math.pi:
+            raise PerceptionError(f"visibility fov_deg must be in (0, 360], "
+                                  f"got {math.degrees(self.fov):.10g}")
 
 
 @dataclass
@@ -240,6 +251,9 @@ def run_perception(scene: Scene,
     active = active_detectors(config)
     links = integration_links(config) if config.mode == "adaptive" else frozenset()
     period = sum(d.frame_cost for d in active)
+    if not math.isfinite(period * config.frame_budget):
+        raise PerceptionError(f"sensing cost of {config.frame_budget} frames at "
+                              f"{period!r} s a frame is not finite")
     robot = scene.robot_start
     rng = np.random.default_rng(config.seed)
     world = WorldModel()

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-INDEPENDENT_CATEGORIES = ("semantic_label",)
-
 ACTIONS = ("navigate", "open", "turn", "look")
 
 
@@ -25,12 +23,11 @@ class SymbolError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class IndependentDetectorSymbol:
-    category: str
+    """The detector of one semantic label."""
+
     value: str
 
     def __post_init__(self):
-        if self.category not in INDEPENDENT_CATEGORIES:
-            raise SymbolError(f"unknown detector category {self.category!r}")
         if not self.value:
             raise SymbolError("empty symbol value")
 
@@ -101,14 +98,14 @@ class SymbolSpace:
         self.actions = actions
         self.hierarchy_pairs = pairs
         self.perception: tuple = tuple(
-            [IndependentDetectorSymbol("semantic_label", x) for x in labels]
+            [IndependentDetectorSymbol(x) for x in labels]
             + [HierarchicalDetectorSymbol(p, s) for p, s in pairs]
         )
 
     def semantic(self, label: str) -> IndependentDetectorSymbol:
         if label not in self.labels:
             raise SymbolError(f"unknown label {label!r}")
-        return IndependentDetectorSymbol("semantic_label", label)
+        return IndependentDetectorSymbol(label)
 
     def hierarchy(self, parent: str, subtype: str) -> HierarchicalDetectorSymbol:
         if (parent, subtype) not in self.hierarchy_pairs:

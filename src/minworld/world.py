@@ -334,11 +334,6 @@ class WorldModel:
             raise WorldError("world objects must be a list")
         return cls([WorldObject.from_json(d) for d in objects])
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
     @classmethod
     def load(cls, path: str | Path) -> "WorldModel":
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))

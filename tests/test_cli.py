@@ -30,7 +30,8 @@ def world_file(tmp_path_factory):
     handle = WorldObject(2, "door_handle", Pose(5.0, -0.35, 0.95),
                          Aabb((5.0, -0.4, 0.9), (5.04, -0.3, 1.0)), parent=1)
     path = tmp_path_factory.mktemp("worlds") / "world.json"
-    WorldModel([door, handle]).save(path)
+    path.write_text(json.dumps(WorldModel([door, handle]).to_json()),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -289,6 +290,20 @@ def test_perceive_nan_detector_cost_exits_io(assets, tmp_path, capsys,
     assert field in _one_line_error(capsys, "io")
 
 
+def test_perceive_overflowing_sensing_cost_exits_perception(assets, tmp_path,
+                                                           capsys):
+    # each cost passes DetectorSpec, but 30 frames of their sum overflow,
+    # and an infinite timestamp is not JSON
+    data = json.loads((assets / "detector_registry.json").read_text())
+    for entry in data["detectors"]:
+        entry["frame_cost"] = 1e307
+    registry = tmp_path / "reg_huge.json"
+    registry.write_text(json.dumps(data))
+    code = main(["perceive", "--registry", str(registry), "--exhaustive", "--json"])
+    assert code == 3
+    assert "not finite" in _one_line_error(capsys, "perception")
+
+
 def test_run_config_sets_tree(trees, model_dir, tmp_path, capsys):
     models = {"perception_model": str(model_dir / "perception.json"),
               "behavior_model": str(model_dir / "behavior.json")}
@@ -339,6 +354,10 @@ BAD_SCENES = [
     pytest.param('{"robot_start": {"x": null, "y": 0}}', id="start-x-null"),
     pytest.param('{"robot_start": null}', id="start-null"),
     pytest.param('{"visibility": {"max_range": null}}', id="range-null"),
+    # spurious detections are drawn from 1 m out to max_range
+    pytest.param('{"visibility": {"max_range": 0.5}}', id="range-under-1"),
+    pytest.param('{"visibility": {"max_range": -3}}', id="range-negative"),
+    pytest.param('{"visibility": {"fov_deg": -10}}', id="fov-negative"),
     pytest.param('{"objects": [{"id": 1, "label": "door", "pose": {"x": 5, "y": null},'
                  ' "bbox": {"min": [5, 0, 0], "max": [6, 1, 1]}}]}', id="pose-y-null"),
 ]

@@ -517,12 +517,9 @@ def test_gold_descriptor_resolution(space):
         ],
     }]
     (ex,) = dcg.build_examples("perception", raw, space)
-    assert len(ex.gold) == 3
-    ids = {j for (_, j) in ex.gold}
-    assert ids == {
-        ex.graph.bank.index(space.semantic("door")),
-        ex.graph.bank.index(space.hierarchy("door", "handle")),
-    }
+    door = ex.graph.bank.index(space.semantic("door"))
+    handle = ex.graph.bank.index(space.hierarchy("door", "handle"))
+    assert ex.gold == {0: {door}, 1: {door, handle}}
 
 
 def test_gold_phrase_index_bounds(space):
@@ -551,8 +548,8 @@ def test_gold_on_a_repeated_label_resolves_to_its_class(space):
     (ex,) = dcg.build_examples("behavior", [_two_door_example(8)], space)
     bank = ex.graph.bank
     assert len(bank) == len(space.actions) * 2
-    assert (1, bank.index(BehaviorSymbol("open", "door"))) in ex.gold
-    assert {bank[j].label for _, j in ex.gold} == {"door"}
+    assert ex.gold[1] == {bank.index(BehaviorSymbol("open", "door"))}
+    assert {bank[j].label for ids in ex.gold.values() for j in ids} == {"door"}
     corpus = dcg.CompiledCorpus([ex])
     result = dcg.train(corpus, kind="behavior")
     assert dcg.recovery(corpus, result.model) == 1.0
@@ -561,6 +558,19 @@ def test_gold_on_a_repeated_label_resolves_to_its_class(space):
 def test_gold_object_absent_from_world_raises(space):
     with pytest.raises(dcg.CorpusError, match="gold object 9 not in the example's world"):
         dcg.build_examples("behavior", [_two_door_example(9)], space)
+
+
+@pytest.mark.parametrize("which", ["perception", "behavior"])
+def test_corpus_gold_has_the_shape_infer_returns(which, perception_corpus,
+                                                 behavior_corpus, perception_model,
+                                                 behavior_model):
+    # one key per phrase, a phrase without gold mapping to the empty set,
+    # so a trained model's assignment compares to gold as is
+    corpus, model = {"perception": (perception_corpus, perception_model),
+                     "behavior": (behavior_corpus, behavior_model)}[which]
+    for ex in corpus.examples:
+        assert list(ex.gold) == list(range(ex.graph.tree.n_phrases))
+        assert dcg.infer(ex.graph, model).expressed == ex.gold
 
 
 def test_margins_match_direct_scores(space, perception_corpus):
@@ -572,12 +582,10 @@ def test_margins_match_direct_scores(space, perception_corpus):
     k = 0
     for ex in perception_corpus.examples:
         graph = ex.graph
-        gold_at = {p.index: {j for (i, j) in ex.gold if i == p.index}
-                   for p in graph.tree.phrases_bottom_up()}
         for phrase in graph.tree.phrases_bottom_up():
             child_syms = set()
             for child in phrase.children:
-                child_syms |= {graph.bank[j] for j in gold_at[child.index]}
+                child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
             for sym in graph.bank:
                 want = sum(w[at[n]] for n in
                            dcg.feature_names(phrase, sym, child_syms))
@@ -693,17 +701,15 @@ def _two_sided_compile(examples):
     golds, counts, flat_idx, flat_val = [], [], [], []
     for ex in examples:
         graph = ex.graph
-        gold_at = {p.index: {j for (i, j) in ex.gold if i == p.index}
-                   for p in graph.tree.phrases_bottom_up()}
         for phrase in graph.tree.phrases_bottom_up():
             child_syms = set()
             for child in phrase.children:
-                child_syms |= {graph.bank[j] for j in gold_at[child.index]}
+                child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
             for j, sym in enumerate(graph.bank):
                 stems = dcg.feature_names(phrase, sym, child_syms)
                 ti = ids([s + "&T" for s in stems])
                 fi = ids([s + "&F" for s in stems])
-                golds.append(float(j in gold_at[phrase.index]))
+                golds.append(float(j in ex.gold[phrase.index]))
                 counts.append(len(ti) + len(fi))
                 flat_idx += [*ti, *fi]
                 flat_val += [1.0] * len(ti) + [-1.0] * len(fi)

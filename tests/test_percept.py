@@ -145,6 +145,17 @@ def _obj(i, label, x, y, z=0.5):
                        Aabb((x - 0.2, y - 0.2, z - 0.2), (x + 0.2, y + 0.2, z + 0.2)))
 
 
+def test_visibility_bounds():
+    # spurious detections are drawn from 1 m out to the range
+    Visibility(max_range=1.0, fov=2 * math.pi)
+    for max_range in (0.5, -3.0, math.nan):
+        with pytest.raises(PerceptionError, match="max_range must be >= 1"):
+            Visibility(max_range=max_range)
+    for deg in (-10.0, 0.0, 360.5, math.nan):
+        with pytest.raises(PerceptionError, match=r"fov_deg must be in \(0, 360\]"):
+            Visibility(fov=math.radians(deg))
+
+
 def test_visible_range_cut():
     vis = Visibility(max_range=6.0, fov=math.radians(87))
     robot = Pose(0, 0)

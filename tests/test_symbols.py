@@ -53,7 +53,7 @@ def test_hierarchy_lookup(space):
 def test_semantic_lookup(space):
     sym = space.semantic("door")
     assert isinstance(sym, IndependentDetectorSymbol)
-    assert sym.category == "semantic_label"
+    assert sym.value == "door"
     with pytest.raises(SymbolError):
         space.semantic("window")
 
@@ -69,12 +69,9 @@ def test_hierarchy_rejects_self_pair():
 
 
 def test_independent_symbol_validation():
-    sym = IndependentDetectorSymbol("semantic_label", "door")
-    assert sym.category == "semantic_label"
-    with pytest.raises(SymbolError, match="unknown detector category"):
-        IndependentDetectorSymbol("texture", "rough")
+    assert IndependentDetectorSymbol("door").value == "door"
     with pytest.raises(SymbolError, match="empty symbol value"):
-        IndependentDetectorSymbol("semantic_label", "")
+        IndependentDetectorSymbol("")
 
 
 def test_behavior_symbol_shapes():
@@ -113,12 +110,6 @@ def test_hierarchy_alone_pulls_parent(space):
 def test_behavior_symbol_rejected_by_detector_mapping():
     with pytest.raises(SymbolError):
         detectors_from_groundings([BehaviorSymbol("open", 1)])
-
-
-def test_non_label_category_rejected_by_detector_mapping():
-    # only semantic labels map to detectors, so no other category builds
-    with pytest.raises(SymbolError, match="unknown detector category"):
-        IndependentDetectorSymbol("color", "red")
 
 
 def test_detectors_monotone_and_idempotent(space):

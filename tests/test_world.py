@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import random
 
@@ -350,7 +351,7 @@ def test_world_json_roundtrip(tmp_path):
     world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05, t=3.0),
                     links=LINKS)
     path = tmp_path / "world.json"
-    world.save(path)
+    path.write_text(json.dumps(world.to_json()), encoding="utf-8")
     loaded = WorldModel.load(path)
     assert set(loaded.objects) == set(world.objects)
     for i, obj in world.objects.items():
@@ -367,7 +368,7 @@ def test_loaded_world_keeps_ids_fresh(tmp_path):
     world.integrate(_det("door", 5, 0))
     world.integrate(_det("box", 1, 1))
     path = tmp_path / "world.json"
-    world.save(path)
+    path.write_text(json.dumps(world.to_json()), encoding="utf-8")
     loaded = WorldModel.load(path)
     loaded.integrate(_det("cup", 9, 9))
     assert max(loaded.objects) == 3
