@@ -22,7 +22,14 @@ from .executive import (
     receive_behavior,
 )
 from .parse import Lexicon, ParseTree, load_parse_tree, validate_against_lexicon
-from .percept import PerceptionConfig, PerceptionError, Scene, load_registry, run_perception
+from .percept import (
+    PerceptionConfig,
+    PerceptionError,
+    Scene,
+    UnregisteredDetectorError,
+    load_registry,
+    run_perception,
+)
 from .symbols import (
     DetectorSet,
     SymbolSpace,
@@ -277,14 +284,20 @@ def _write_outputs(out_dir: Path, world: WorldModel, metrics,
 
 
 def _perceive(args, mode: str, scene: Scene, registry,
-              detectors: DetectorSet | None):
+              detectors: DetectorSet | None, grounded: bool = False):
     """Run the sensing loop in ``mode`` with the seed and frame budget
-    ``args`` give; a bad perception configuration exits 3."""
+    ``args`` give; a bad perception configuration exits 3. ``grounded``
+    says the detector ids came from grounding the instruction, so an
+    unregistered id is a label of the symbol space the registry lacks."""
     try:
         config = PerceptionConfig(registry, detectors, mode, args.seed, args.frames)
         return run_perception(scene, config)
     except PerceptionError as e:
-        raise StageError("perception", str(e), EXIT_PERCEPTION)
+        why = ""
+        if grounded and isinstance(e, UnregisteredDetectorError):
+            why = (" (grounded from the symbol space, but the registry has "
+                   "no detector for them)")
+        raise StageError("perception", f"{e}{why}", EXIT_PERCEPTION)
 
 
 def cmd_perceive(args) -> int:
@@ -341,7 +354,8 @@ def _ground_and_perceive(args, inputs: tuple, tree: ParseTree, mode: str,
             detectors.ids - dropped,
             frozenset((p, s) for p, s in detectors.links
                       if subtype_detector_id(p, s) not in dropped))
-    world, metrics = _perceive(args, mode, scene, registry, detectors)
+    world, metrics = _perceive(args, mode, scene, registry, detectors,
+                               grounded=True)
     return detectors, world, metrics
 
 
@@ -468,8 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     defaults = dcg.TrainConfig()
-    p.add_argument("--iterations", type=int, default=defaults.iterations)
-    p.add_argument("--step", type=float, default=defaults.step)
+    p.add_argument("--iterations", type=int, default=defaults.iterations,
+                   help="cap on L-BFGS iterations (default %(default)s)")
+    p.add_argument("--step", type=float, default=defaults.step,
+                   help="trial step of the first iteration, along the "
+                        "gradient; later iterations try 1.0 along the "
+                        "L-BFGS direction (default %(default)s)")
     p.add_argument("--l2", type=float, default=defaults.l2)
     p.set_defaults(func=cmd_train)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,8 @@ from .symbols import (
 from .world import WorldModel, finite_number, is_int
 
 TEMPLATE_VERSION = 2
+# curvature pairs the L-BFGS direction in ``train`` remembers
+LBFGS_MEMORY = 10
 
 
 class NumericError(ArithmeticError):
@@ -148,12 +151,6 @@ def _stems(ps, ss, cs) -> list[str]:
     """Feature names of the conjunction template."""
     return [f"{p}&{s}" if c is None else f"{p}&{s}&{c}"
             for p, s, c in _conjunctions(ps, ss, cs)]
-
-
-def feature_names(phrase: Phrase, symbol, child_symbols=frozenset()) -> list[str]:
-    """Expand the conjunction template for one factor."""
-    return _stems(phrase_atoms(phrase), symbol_atoms(symbol),
-                  child_atoms(child_symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +557,39 @@ class TrainResult:
         return self.stop != "iterations"
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """The two-loop recursion: the inverse-Hessian estimate of the last
+    curvature pairs ``(s, y, s.y)`` applied to ``grad``, with H0 =
+    (s.y)/(y.y) from the newest pair. y is the old gradient minus the
+    new, so the result is an ascent direction."""
+    q = grad.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        alphas.append(a)
+        q -= a * y
+    _, y, sy = pairs[-1]
+    q *= sy / float(y @ y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
+    return q
+
+
 def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
           kind: str = "perception") -> TrainResult:
-    """Batch gradient ascent with backtracking line search.
+    """L-BFGS ascent (Liu & Nocedal, 1989) with backtracking line search.
 
-    Every accepted step satisfies the sufficient-increase condition, so
-    the recorded objective history is non-decreasing. Non-finite values
-    abort with the iteration number.
+    A step along the gradient (the first, or any taken while no
+    curvature pair is stored or the quasi-Newton direction does not
+    ascend) starts its line search at ``config.step``; a step along the
+    two-loop direction starts at 1.0. The last ``LBFGS_MEMORY`` pairs
+    with s.y > 0 are kept. Every accepted step satisfies the
+    sufficient-increase condition, so the recorded objective history is
+    non-decreasing. Non-finite values abort with the iteration number.
 
-    Margins are linear in the weights, so a trial point w + step * grad
-    has margins m + step * margins(grad): each iteration reads the sparse
-    corpus twice (the margins of the gradient, then the gradient at the
+    Margins are linear in the weights, so a trial point w + step * d
+    has margins m + step * margins(d): each iteration reads the sparse
+    corpus twice (the margins of the direction, then the gradient at the
     accepted point) however many steps the line search tries.
     """
     l2 = config.l2
@@ -583,6 +602,7 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
         return grad, gnorm2
 
     w = np.zeros(corpus.dim)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
     stop = "iterations"
     it = 0
     try:
@@ -594,14 +614,19 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
             if gnorm2 == 0.0:
                 stop = "zero_gradient"
                 break
-            mg = corpus.margins(grad)
-            step = config.step
+            d, slope, step = grad, gnorm2, config.step
+            if pairs:
+                d_q = _lbfgs_direction(grad, pairs)
+                slope_q = float(grad @ d_q)
+                if slope_q > 0.0:
+                    d, slope, step = d_q, slope_q, 1.0
+            md = corpus.margins(d)
             accepted = False
             for _ in range(config.max_backtracks):
-                w_new = w + step * grad
-                m_new = m + step * mg
+                w_new = w + step * d
+                m_new = m + step * md
                 obj_new = log_likelihood(corpus, w_new, l2, m_new)
-                if obj_new >= obj + config.armijo * step * gnorm2:
+                if obj_new >= obj + config.armijo * step * slope:
                     accepted = True
                     break
                 step *= 0.5
@@ -609,9 +634,13 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
                 stop = "line_search"
                 break
             gain = obj_new - obj
-            w, m, obj = w_new, m_new, obj_new
+            grad_new, gnorm2 = gradient_at(m_new, w_new)
+            s, y = w_new - w, grad - grad_new
+            sy = float(s @ y)
+            if sy > 0.0:
+                pairs.append((s, y, sy))
+            w, m, obj, grad = w_new, m_new, obj_new, grad_new
             history.append(obj)
-            grad, gnorm2 = gradient_at(m, w)
             if gain <= config.tol * (1.0 + abs(obj)):
                 stop = "tol"
                 break

@@ -41,6 +41,10 @@ class PerceptionError(RuntimeError):
     pass
 
 
+class UnregisteredDetectorError(PerceptionError):
+    """Active detector ids that the registry has no detector for."""
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     """One object detector: what it emits, what a frame of it costs, and
@@ -207,7 +211,8 @@ def active_detectors(config: PerceptionConfig) -> list[DetectorSpec]:
         raise PerceptionError("adaptive perception with no detectors to run")
     missing = sorted(config.active.ids - by_id.keys())
     if missing:
-        raise PerceptionError(f"detector ids not in registry: {', '.join(missing)}")
+        raise UnregisteredDetectorError(
+            f"detector ids not in registry: {', '.join(missing)}")
     return sorted((by_id[i] for i in config.active.ids), key=lambda d: d.id)
 
 

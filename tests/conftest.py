@@ -43,13 +43,13 @@ def behavior_corpus(space):
 
 @pytest.fixture(scope="session")
 def perception_train(perception_corpus):
-    return dcg.train(perception_corpus, dcg.TrainConfig(iterations=300),
+    return dcg.train(perception_corpus, dcg.TrainConfig(),
                      kind="perception")
 
 
 @pytest.fixture(scope="session")
 def behavior_train(behavior_corpus):
-    return dcg.train(behavior_corpus, dcg.TrainConfig(iterations=400),
+    return dcg.train(behavior_corpus, dcg.TrainConfig(),
                      kind="behavior")
 
 

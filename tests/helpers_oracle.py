@@ -76,6 +76,13 @@ def random_graph(seed: int):
     return graph
 
 
+def factor_features(phrase, symbol, child_symbols=frozenset()) -> list[str]:
+    """The feature names of one factor: the conjunction template over
+    the phrase's, the symbol's and the child symbols' atoms."""
+    return dcg._stems(dcg.phrase_atoms(phrase), dcg.symbol_atoms(symbol),
+                      dcg.child_atoms(child_symbols))
+
+
 def graph_kind(graph) -> str:
     """The kind of model that scores the graph's bank."""
     behavior = isinstance(graph.bank[0], symbols.BehaviorSymbol)
@@ -92,7 +99,7 @@ def hash_model(graph, salt: str) -> dcg.Model:
     for phrase in graph.tree.phrases_bottom_up():
         for sym in graph.bank:
             for ctx in bank_sets:
-                for n in dcg.feature_names(phrase, sym, set(ctx)):
+                for n in factor_features(phrase, sym, set(ctx)):
                     if n not in weights:
                         weights[n] = hash_weight(n, salt)
     return dcg.Model(graph_kind(graph), weights)
@@ -117,7 +124,7 @@ def enumerate_assignment(graph, model) -> dict[int, frozenset[int]]:
             for j, value in enumerate(bits):
                 if value:
                     score += sum(model.weights.get(n, 0.0) for n in
-                                 dcg.feature_names(phrase, graph.bank[j], ctx))
+                                 factor_features(phrase, graph.bank[j], ctx))
             if score > best_score:
                 best_bits, best_score = bits, score
         chosen = frozenset(j for j, v in enumerate(best_bits) if v)

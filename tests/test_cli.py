@@ -57,12 +57,12 @@ def test_package_root_imports_no_module():
 def test_train_perception_model(tmp_path, assets, capsys):
     out = tmp_path / "perception.json"
     code = main(["train", "--corpus", str(assets / "perception_corpus.json"),
-                 "--out", str(out), "--iterations", "200", "--json"])
+                 "--out", str(out), "--json"])
     assert code == 0
     summary = _json_out(capsys)
     assert summary["kind"] == "perception"
     assert summary["recovery"] == 1.0
-    assert (summary["converged"], summary["stop"]) == (False, "iterations")
+    assert (summary["converged"], summary["stop"]) == (True, "tol")
     assert summary["grad_norm"] > 0.0
     data = json.loads(out.read_text())
     assert data["template_version"] == 2
@@ -411,6 +411,23 @@ def test_run_open_completes(trees, model_dir, tmp_path, capsys):
         "RECEIVED", "NAVIGATING", "DETECTING", "LOCALIZING",
         "TURNING", "PUSHING", "COMPLETE",
     ]
+
+
+def test_run_on_a_label_without_a_detector_names_the_asset_gap(model_dir, tmp_path,
+                                                               capsys):
+    # "box" is a label of the bundled symbol space, and no registered
+    # detector emits it
+    tree = tmp_path / "tree.txt"
+    tree.write_text("(VP (VB drive) (PP (TO to) (NP (DT the) (NN box))))\n")
+    code = main(["run", "--tree", str(tree),
+                 "--perception-model", str(model_dir / "perception.json"),
+                 "--behavior-model", str(model_dir / "behavior.json"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert _one_line_error(capsys, "perception") == (
+        "error [perception]: detector ids not in registry: box (grounded from "
+        "the symbol space, but the registry has no detector for them)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_drive_completes(trees, model_dir, tmp_path, capsys):

@@ -16,7 +16,7 @@ from minworld.parse import load_parse_tree
 from minworld.symbols import BehaviorSymbol, SymbolSpace
 from minworld.world import Aabb, Detection, Pose, WorldModel, WorldObject
 
-from helpers_oracle import hash_model
+from helpers_oracle import factor_features, hash_model
 
 OPEN = "(VP (VB open) (NP (DT the) (NN door)))"
 
@@ -45,14 +45,14 @@ def test_phrase_atoms_verb():
 
 
 def test_two_way_feature_names(space):
-    names = dcg.feature_names(_door_np(), space.semantic("door"))
+    names = factor_features(_door_np(), space.semantic("door"))
     assert "word:door&label:door" in names
     assert "tag:NN&category:semantic_label" in names
 
 
 def test_three_way_feature_name_with_child(space):
     vp = load_parse_tree(OPEN).root
-    names = dcg.feature_names(
+    names = factor_features(
         vp, space.hierarchy("door", "handle"),
         child_symbols={space.semantic("door")},
     )
@@ -60,7 +60,7 @@ def test_three_way_feature_name_with_child(space):
 
 
 def test_no_child_marker(space):
-    names = dcg.feature_names(_door_np(), space.semantic("door"))
+    names = factor_features(_door_np(), space.semantic("door"))
     assert any(n.endswith("&child_none") for n in names)
 
 
@@ -88,7 +88,7 @@ def test_child_atoms_sorted_and_deduped(space):
 def test_atoms_with_the_name_separator_are_rejected(space):
     phrase = load_parse_tree("(NP (DT the) (NN a&b))").root
     with pytest.raises(dcg.GroundingError):
-        dcg.feature_names(phrase, space.semantic("door"))
+        factor_features(phrase, space.semantic("door"))
     graph = dcg.build_perception_graph(load_parse_tree("(NP (NN a&b))"), space)
     with pytest.raises(dcg.GroundingError):
         dcg.infer(graph, dcg.Model("perception", {}))
@@ -116,7 +116,7 @@ def test_zero_model_expresses_nothing(space):
     graph = dcg.build_perception_graph(tree, space)
     model = dcg.Model("perception", {n: 0.0 for phrase in tree.phrases_bottom_up()
                                      for sym in graph.bank
-                                     for n in dcg.feature_names(phrase, sym)})
+                                     for n in factor_features(phrase, sym)})
     got = dcg.infer(graph, model)
     assert all(not ids for ids in got.expressed.values())
 
@@ -208,7 +208,7 @@ def _reference_infer(graph, model):
         chosen = set()
         for j, sym in enumerate(graph.bank):
             margin = sum(model.weights.get(n, 0.0) for n in
-                         dcg.feature_names(phrase, sym, ctx))
+                         factor_features(phrase, sym, ctx))
             if margin > 0.0:
                 chosen.add(j)
         expressed[phrase.index] = frozenset(chosen)
@@ -588,7 +588,7 @@ def test_margins_match_direct_scores(space, perception_corpus):
                 child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
             for sym in graph.bank:
                 want = sum(w[at[n]] for n in
-                           dcg.feature_names(phrase, sym, child_syms))
+                           factor_features(phrase, sym, child_syms))
                 assert abs(got[k] - want) < 1e-9
                 k += 1
     assert k == perception_corpus.n_factors
@@ -653,8 +653,7 @@ def test_training_scores_through_the_public_objective(perception_corpus,
 
     for name in ("log_likelihood", "ll_gradient"):
         monkeypatch.setattr(dcg, name, counting(name))
-    got = dcg.train(perception_corpus, dcg.TrainConfig(iterations=300),
-                    kind="perception")
+    got = dcg.train(perception_corpus, dcg.TrainConfig(), kind="perception")
     assert calls["log_likelihood"] > 0 and calls["ll_gradient"] > 0
     assert got.model.weights == perception_train.model.weights
     assert got.objective_history == perception_train.objective_history
@@ -706,7 +705,7 @@ def _two_sided_compile(examples):
             for child in phrase.children:
                 child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
             for j, sym in enumerate(graph.bank):
-                stems = dcg.feature_names(phrase, sym, child_syms)
+                stems = factor_features(phrase, sym, child_syms)
                 ti = ids([s + "&T" for s in stems])
                 fi = ids([s + "&F" for s in stems])
                 golds.append(float(j in ex.gold[phrase.index]))
@@ -735,73 +734,56 @@ def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
         [ref.names[i][:-2] for i, v in zip(ref.flat_idx, ref.flat_val) if v > 0]
 
 
-def _two_sided_train(ref, iterations, step=1.0, l2=1e-3, tol=1e-9,
-                     max_backtracks=40, armijo=1e-4):
-    """Gradient ascent on the two-sided weights, evaluating the full
-    objective at every line-search trial and summing the gradient with
-    np.add.at: (weights, history, iterations, stop, gradient norm)."""
+def _newton_optimum(corpus, l2):
+    """The maximizer of the l2-regularised log-likelihood by damped
+    Newton steps on a dense design matrix, solved to |g| < 1e-11:
+    (weights, objective)."""
+    x = np.zeros((corpus.n_factors, corpus.dim))
+    np.add.at(x, (np.repeat(np.arange(corpus.n_factors), corpus.counts),
+                  corpus.flat_idx), 1.0)
+    sign = np.where(corpus.golds > 0.5, 1.0, -1.0)
+
     def objective(w):
-        m = np.add.reduceat(w[ref.flat_idx] * ref.flat_val, ref.offsets)
-        signed = np.where(ref.golds > 0.5, m, -m)
-        return float(-np.logaddexp(0.0, -signed).sum()) - 0.5 * l2 * float(w @ w)
+        return float(-np.logaddexp(0.0, -sign * (x @ w)).sum()) - 0.5 * l2 * float(w @ w)
 
-    def gradient(w):
-        m = np.add.reduceat(w[ref.flat_idx] * ref.flat_val, ref.offsets)
-        coef = ref.golds - 1.0 / (1.0 + np.exp(-m))
-        grad = np.zeros(len(w))
-        np.add.at(grad, ref.flat_idx, np.repeat(coef, ref.counts) * ref.flat_val)
-        return grad - l2 * w
-
-    w = np.zeros(len(ref.names))
-    obj = objective(w)
-    history = [obj]
-    stop = "iterations"
-    it = 0
-    for it in range(1, iterations + 1):
-        grad = gradient(w)
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            stop = "zero_gradient"
-            break
-        trial = step
-        for _ in range(max_backtracks):
-            w_new = w + trial * grad
-            obj_new = objective(w_new)
-            if obj_new >= obj + armijo * trial * gnorm2:
-                break
-            trial *= 0.5
-        else:
-            stop = "line_search"
-            break
-        gain = obj_new - obj
-        w, obj = w_new, obj_new
-        history.append(obj)
-        if gain <= tol * (1.0 + abs(obj)):
-            stop = "tol"
-            break
-    return w, history, it, stop, float(np.linalg.norm(gradient(w)))
+    w = np.zeros(corpus.dim)
+    for _ in range(100):
+        p_true = 1.0 / (1.0 + np.exp(-(x @ w)))
+        grad = x.T @ (corpus.golds - p_true) - l2 * w
+        if np.linalg.norm(grad) < 1e-11:
+            return w, objective(w)
+        hessian = (x.T * (p_true * (1.0 - p_true))) @ x + l2 * np.eye(corpus.dim)
+        d = np.linalg.solve(hessian, grad)
+        step = 1.0
+        while objective(w + step * d) < objective(w):
+            step *= 0.5
+        w = w + step * d
+    raise AssertionError("Newton solve did not converge")
 
 
-@pytest.mark.parametrize("which,iterations", [("perception", 300),
-                                              ("behavior", 40)])
-def test_cached_margin_training_matches_reference(which, iterations,
-                                                  perception_corpus,
-                                                  behavior_corpus):
-    # theta = w_T - w_F with half the l2 and twice the step takes the
-    # two-sided factor's iterates exactly, up to rounding
-    corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
-    ref = _two_sided_compile(corpus.examples)
-    w, history, it, stop, gnorm = _two_sided_train(ref, iterations)
-    got = dcg.train(corpus, dcg.TrainConfig(iterations=iterations), kind=which)
-    assert (got.iterations, got.stop) == (it, stop)
-    assert len(got.objective_history) == len(history)
-    assert np.allclose(got.objective_history, history, rtol=0.0, atol=1e-10)
-    at = {n: i for i, n in enumerate(ref.names)}
-    theta = np.array([w[at[n + "&T"]] - w[at[n + "&F"]]
-                      for n in corpus.names])
-    w_got = np.array([got.model.weights[n] for n in corpus.names])
-    assert np.allclose(w_got, theta, rtol=0.0, atol=1e-10)
-    assert got.grad_norm == pytest.approx(gnorm / math.sqrt(2.0), rel=1e-9)
+def test_training_reaches_the_newton_optimum(perception_corpus, perception_train):
+    # the objective is strictly concave for l2 > 0, so L-BFGS run until
+    # the objective stops rising lands on the one maximizer
+    config = dcg.TrainConfig()
+    w_opt, obj_opt = _newton_optimum(perception_corpus, config.l2)
+    names = perception_corpus.names
+    exact = dcg.train(perception_corpus, dataclasses.replace(config, tol=0.0))
+    w_got = np.array([exact.model.weights[n] for n in names])
+    assert np.abs(w_got - w_opt).max() < 1e-5
+    default = perception_train.objective_history[-1]
+    assert abs(default - obj_opt) <= 1e-7 * abs(obj_opt)
+
+
+def test_unregularised_training_on_separable_data_stays_finite(perception_corpus):
+    # with l2 = 0 the corpus is separable and the objective has no
+    # maximizer; training still stops with finite weights
+    result = dcg.train(perception_corpus, dcg.TrainConfig(l2=0.0))
+    history = result.objective_history
+    assert np.isfinite(history).all()
+    assert all(b >= a for a, b in zip(history, history[1:]))
+    assert np.isfinite(list(result.model.weights.values())).all()
+    assert math.isfinite(result.grad_norm)
+    assert result.stop in ("tol", "line_search", "iterations")
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -821,8 +803,7 @@ def test_train_config_accepts_edges():
     dcg.TrainConfig(iterations=0, l2=0.0, tol=0.0, max_backtracks=1, step=1)
 
 
-def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
-                                                        perception_train):
+def test_training_reports_stop_reason_and_gradient_norm(perception_corpus):
     def norm_at(result, l2):
         w = np.array([result.model.weights[n] for n in perception_corpus.names])
         g = dcg.ll_gradient(perception_corpus, w, l2)
@@ -830,8 +811,9 @@ def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
 
     l2 = dcg.TrainConfig().l2
 
-    capped = perception_train
-    assert (capped.stop, capped.converged) == ("iterations", False)
+    capped = dcg.train(perception_corpus, dcg.TrainConfig(iterations=5))
+    assert (capped.stop, capped.iterations, capped.converged) == \
+        ("iterations", 5, False)
     assert capped.grad_norm == pytest.approx(norm_at(capped, l2), rel=1e-9)
 
     tol = dcg.train(perception_corpus, dcg.TrainConfig(tol=1.0))

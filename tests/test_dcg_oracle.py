@@ -7,6 +7,7 @@ from minworld import dcg
 
 from helpers_oracle import (
     enumerate_assignment,
+    factor_features,
     graph_kind,
     hash_model,
     random_graph,
@@ -35,7 +36,7 @@ def test_oracle_prefers_false_on_ties():
     model = dcg.Model(graph_kind(graph), {
         n: 0.0 for phrase in graph.tree.phrases_bottom_up()
         for sym in graph.bank
-        for n in dcg.feature_names(phrase, sym, set())})
+        for n in factor_features(phrase, sym, set())})
     want = enumerate_assignment(graph, model)
     assert all(not ids for ids in want.values())
     got = dcg.infer(graph, model).expressed
