@@ -734,6 +734,97 @@ def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
         [ref.names[i][:-2] for i, v in zip(ref.flat_idx, ref.flat_val) if v > 0]
 
 
+def _two_sided_train(ref, iterations, step=1.0, l2=1e-3, tol=1e-9,
+                     max_backtracks=40, armijo=1e-4, memory=10):
+    """L-BFGS ascent on the two-sided weights, evaluating the full
+    objective at every line-search trial and summing the gradient with
+    np.add.at: (weights, history, iterations, stop, gradient norm)."""
+    def objective(w):
+        m = np.add.reduceat(w[ref.flat_idx] * ref.flat_val, ref.offsets)
+        signed = np.where(ref.golds > 0.5, m, -m)
+        return float(-np.logaddexp(0.0, -signed).sum()) - 0.5 * l2 * float(w @ w)
+
+    def gradient(w):
+        m = np.add.reduceat(w[ref.flat_idx] * ref.flat_val, ref.offsets)
+        coef = ref.golds - 1.0 / (1.0 + np.exp(-m))
+        grad = np.zeros(len(w))
+        np.add.at(grad, ref.flat_idx, np.repeat(coef, ref.counts) * ref.flat_val)
+        return grad - l2 * w
+
+    def two_loop(grad, pairs):
+        q = grad.copy()
+        alphas = []
+        for s, y in reversed(pairs):
+            alphas.append(float(s @ q) / float(s @ y))
+            q -= alphas[-1] * y
+        s, y = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            q += (a - float(y @ q) / float(s @ y)) * s
+        return q
+
+    w = np.zeros(len(ref.names))
+    obj = objective(w)
+    grad = gradient(w)
+    history = [obj]
+    pairs = []
+    stop = "iterations"
+    it = 0
+    for it in range(1, iterations + 1):
+        gnorm2 = float(grad @ grad)
+        if gnorm2 == 0.0:
+            stop = "zero_gradient"
+            break
+        d, slope, trial = grad, gnorm2, step
+        if pairs:
+            d_q = two_loop(grad, pairs)
+            if float(grad @ d_q) > 0.0:
+                d, slope, trial = d_q, float(grad @ d_q), 1.0
+        for _ in range(max_backtracks):
+            w_new = w + trial * d
+            obj_new = objective(w_new)
+            if obj_new >= obj + armijo * trial * slope:
+                break
+            trial *= 0.5
+        else:
+            stop = "line_search"
+            break
+        gain = obj_new - obj
+        grad_new = gradient(w_new)
+        s, y = w_new - w, grad - grad_new
+        if float(s @ y) > 0.0:
+            pairs = (pairs + [(s, y)])[-memory:]
+        w, obj, grad = w_new, obj_new, grad_new
+        history.append(obj)
+        if gain <= tol * (1.0 + abs(obj)):
+            stop = "tol"
+            break
+    return w, history, it, stop, float(np.linalg.norm(gradient(w)))
+
+
+@pytest.mark.parametrize("which,iterations", [("perception", 300),
+                                              ("behavior", 40)])
+def test_cached_margin_training_matches_reference(which, iterations,
+                                                  perception_corpus,
+                                                  behavior_corpus):
+    # theta = w_T - w_F with half the l2 and twice the gradient step takes
+    # the two-sided factor's iterates exactly, up to rounding; the two-loop
+    # direction and its unit step map across unchanged
+    corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
+    ref = _two_sided_compile(corpus.examples)
+    w, history, it, stop, gnorm = _two_sided_train(ref, iterations)
+    got = dcg.train(corpus, dcg.TrainConfig(iterations=iterations), kind=which)
+    assert (got.iterations, got.stop) == (it, stop)
+    assert len(got.objective_history) == len(history)
+    assert np.allclose(got.objective_history, history, rtol=0.0, atol=1e-10)
+    at = {n: i for i, n in enumerate(ref.names)}
+    theta = np.array([w[at[n + "&T"]] - w[at[n + "&F"]]
+                      for n in corpus.names])
+    w_got = np.array([got.model.weights[n] for n in corpus.names])
+    assert np.allclose(w_got, theta, rtol=0.0, atol=1e-10)
+    assert got.grad_norm == pytest.approx(gnorm / math.sqrt(2.0), rel=1e-9)
+
+
 def _newton_optimum(corpus, l2):
     """The maximizer of the l2-regularised log-likelihood by damped
     Newton steps on a dense design matrix, solved to |g| < 1e-11:
