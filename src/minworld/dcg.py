@@ -446,23 +446,41 @@ class CompiledCorpus:
 
     Each phrase's context comes from ``_context`` over the gold ids of
     its children, the walk ``infer`` makes over the ids it inferred.
+
+    Each context (phrase atoms, child atoms) featurizes a symbol atom
+    once, as the ids of ``_stems(ps, [s], cs)``, and keeps each symbol's
+    row: its atoms' ids, sorted. Atoms new to a context are numbered in
+    ``_stems(ps, new, cs)`` order; the rest are numbered already, so
+    ``names`` keeps the per-factor template's first-seen order.
     """
 
     def __init__(self, examples: list[TrainingExample]):
         self.examples = examples
         index: dict[str, int] = {}
+        # (ps, cs) -> (symbol atom -> block, symbol -> row)
+        contexts: dict[tuple, tuple[dict, dict]] = {}
         golds, counts, flat_idx = [], [], []
         for ex in examples:
             bank = ex.graph.bank
             for phrase in ex.graph.tree.phrases_bottom_up():
                 ps, cs = _context(phrase, bank, ex.gold)
+                blocks, rows = contexts.setdefault((tuple(ps), tuple(cs)), ({}, {}))
                 true_ids = ex.gold[phrase.index]
                 for j, sym in enumerate(bank):
-                    idx = sorted([index.setdefault(n, len(index)) for n in
-                                  _stems(ps, symbol_atoms(sym), cs)])
+                    row = rows.get(sym)
+                    if row is None:
+                        atoms = symbol_atoms(sym)
+                        new = [s for s in atoms if s not in blocks]
+                        if new:  # _stems checks them for '&'
+                            ids = [index.setdefault(n, len(index))
+                                   for n in _stems(ps, new, cs)]
+                            for s in new:
+                                blocks[s] = ids if len(new) == 1 else \
+                                    [index[n] for n in _stems(ps, [s], cs)]
+                        row = rows[sym] = sorted([i for s in atoms for i in blocks[s]])
                     golds.append(j in true_ids)
-                    counts.append(len(idx))
-                    flat_idx += idx
+                    counts.append(len(row))
+                    flat_idx += row
         self.names = list(index)
         self.n_factors = len(golds)
         self.golds = np.array(golds, dtype=float)
@@ -546,9 +564,10 @@ class TrainResult:
     model: Model
     objective_history: list[float]
     iterations: int
-    # why training stopped: "zero_gradient", "tol" (the gain fell under
-    # tol), "line_search" (no backtracked step passed the Armijo test) or
-    # "iterations" (the cap)
+    # why training stopped: "zero_gradient", "tol" (an iteration's
+    # objective gain fell under tol * (1 + |obj|); theta itself is not
+    # within a tolerance of the optimum), "line_search" (no backtracked
+    # step passed the Armijo test) or "iterations" (the cap)
     stop: str
     grad_norm: float  # |gradient of the objective| at the returned weights
 

@@ -70,6 +70,23 @@ def test_train_perception_model(tmp_path, assets, capsys):
     assert not any(n.endswith(("&T", "&F")) for n in data["weights"])
 
 
+@pytest.mark.parametrize("corpus", ["perception", "behavior"])
+def test_train_model_file_does_not_depend_on_the_hash_seed(corpus, tmp_path, assets):
+    # the string hash seed orders sets and dicts of strings; the feature
+    # numbering, and so the model file, must not follow it
+    src = str(pathlib.Path(dcg.__file__).resolve().parents[1])
+    files = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"{corpus}_{seed}.json"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        subprocess.run([sys.executable, "-c", "from minworld.cli import entry; entry()",
+                        "train", "--corpus", str(assets / f"{corpus}_corpus.json"),
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+
+
 def test_train_flag_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
     want = dcg.TrainConfig()

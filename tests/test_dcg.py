@@ -573,25 +573,26 @@ def test_corpus_gold_has_the_shape_infer_returns(which, perception_corpus,
         assert dcg.infer(ex.graph, model).expressed == ex.gold
 
 
-def test_margins_match_direct_scores(space, perception_corpus):
+def test_margins_match_direct_scores(space, perception_corpus, behavior_corpus):
     # flattened sparse arithmetic agrees with per-factor refeaturization
     rng = np.random.default_rng(5)
-    w = rng.normal(size=perception_corpus.dim)
-    at = {n: i for i, n in enumerate(perception_corpus.names)}
-    got = perception_corpus.margins(w)
-    k = 0
-    for ex in perception_corpus.examples:
-        graph = ex.graph
-        for phrase in graph.tree.phrases_bottom_up():
-            child_syms = set()
-            for child in phrase.children:
-                child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
-            for sym in graph.bank:
-                want = sum(w[at[n]] for n in
-                           factor_features(phrase, sym, child_syms))
-                assert abs(got[k] - want) < 1e-9
-                k += 1
-    assert k == perception_corpus.n_factors
+    for corpus in (perception_corpus, behavior_corpus):
+        w = rng.normal(size=corpus.dim)
+        at = {n: i for i, n in enumerate(corpus.names)}
+        got = corpus.margins(w)
+        k = 0
+        for ex in corpus.examples:
+            graph = ex.graph
+            for phrase in graph.tree.phrases_bottom_up():
+                child_syms = set()
+                for child in phrase.children:
+                    child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
+                for sym in graph.bank:
+                    want = sum(w[at[n]] for n in
+                               factor_features(phrase, sym, child_syms))
+                    assert abs(got[k] - want) < 1e-9
+                    k += 1
+        assert k == corpus.n_factors
 
 
 def test_log_likelihood_at_zero(perception_corpus):
@@ -732,6 +733,116 @@ def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
     names = corpus.names
     assert [names[i] for i in corpus.flat_idx] == \
         [ref.names[i][:-2] for i, v in zip(ref.flat_idx, ref.flat_val) if v > 0]
+
+
+def _per_factor_compile(examples):
+    """The corpus build before per-context atom blocks: every factor
+    formats and numbers its own template names, in order."""
+    index: dict[str, int] = {}
+    golds, counts, flat_idx = [], [], []
+    for ex in examples:
+        for phrase in ex.graph.tree.phrases_bottom_up():
+            ps, cs = dcg._context(phrase, ex.graph.bank, ex.gold)
+            for j, sym in enumerate(ex.graph.bank):
+                idx = sorted(index.setdefault(n, len(index)) for n in
+                             dcg._stems(ps, dcg.symbol_atoms(sym), cs))
+                golds.append(j in ex.gold[phrase.index])
+                counts.append(len(idx))
+                flat_idx += idx
+    counts = np.array(counts, dtype=int)
+    return SimpleNamespace(
+        names=list(index), golds=np.array(golds, dtype=float), counts=counts,
+        offsets=np.concatenate(([0], np.cumsum(counts)[:-1])),
+        flat_idx=np.array(flat_idx, dtype=int))
+
+
+def _assert_compiles_like(corpus, ref):
+    assert corpus.names == ref.names
+    for key in ("golds", "counts", "offsets", "flat_idx"):
+        got, want = getattr(corpus, key), getattr(ref, key)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), key
+
+
+def _world_json(objects):
+    """A world of (id, label) objects, in that order."""
+    return {"objects": [
+        {"id": obj_id, "label": label,
+         "pose": {"x": float(obj_id), "y": 0.0, "z": 0.5, "yaw": 0.0},
+         "bbox": {"min": [obj_id - 0.3, -0.3, 0.0],
+                  "max": [obj_id + 0.3, 0.3, 1.0]}}
+        for obj_id, label in objects]}
+
+
+def _one_tree_many_worlds():
+    """"open the door" over worlds whose labels come in different
+    first-id orders, so one symbol sits at a different bank id in each."""
+    out = []
+    for order in (["door", "ball", "suitcase"], ["ball", "door", "suitcase"],
+                  ["suitcase", "ball", "door", "ball"], ["door"]):
+        objects = list(enumerate(order, start=1))
+        door = next(i for i, label in objects if label == "door")
+        gold = [[0, {"action": a, "object": door}] for a in ("navigate", "open")]
+        out.append({"tree": OPEN, "world": _world_json(objects),
+                    "gold": gold + [[1, {"action": "open", "object": door}]]})
+    return out
+
+
+def _shared_parent_corpus():
+    """A space whose hierarchies share parents (door.handle, door.hinge)
+    and subtypes (box.handle), so in one context a hierarchy symbol
+    brings one or two atoms next to ones an earlier symbol featurized."""
+    space = SymbolSpace(["box", "door", "handle", "hinge", "top"],
+                        [("door", "handle"), ("box", "top"), ("door", "hinge"),
+                         ("box", "handle"), ("top", "door")], ["open"])
+    raw = [{"tree": OPEN, "gold": [[0, {"label": "door"}], [1, {"label": "door"}],
+                                   [1, {"parent": "door", "subtype": "hinge"}]]},
+           {"tree": "(NP (DT the) (NN box))",
+            "gold": [[0, {"parent": "box", "subtype": "handle"}]]}]
+    return space, raw
+
+
+def test_compiled_corpus_matches_the_per_factor_template(space, assets):
+    corpora = {}
+    for which in ("perception", "behavior"):
+        kind, raw = dcg.load_corpus(assets / f"{which}_corpus.json")
+        corpora[which] = dcg.build_examples(kind, raw, space)
+        for seed in (1, 2, 3):
+            shuffled = list(raw)
+            random.Random(seed).shuffle(shuffled)
+            corpora[f"{which}_shuffled_{seed}"] = \
+                dcg.build_examples(kind, shuffled, space)
+    corpora["one_tree_many_worlds"] = dcg.build_examples(
+        "behavior", _one_tree_many_worlds(), space)
+    shared_space, shared_raw = _shared_parent_corpus()
+    corpora["shared_parent"] = dcg.build_examples(
+        "perception", shared_raw, shared_space)
+    parents = [a for sym in shared_space.perception
+               for a in dcg.symbol_atoms(sym) if a.startswith("hier_parent:")]
+    assert len(set(parents)) < len(parents)
+    for examples in corpora.values():
+        _assert_compiles_like(dcg.CompiledCorpus(examples),
+                              _per_factor_compile(examples))
+    # back to back: the second corpus starts from no cache of the first
+    for first, second in (("perception", "behavior"),
+                          ("behavior", "perception_shuffled_1"),
+                          ("shared_parent", "perception")):
+        a = dcg.CompiledCorpus(corpora[first])
+        b = dcg.CompiledCorpus(corpora[second])
+        _assert_compiles_like(a, _per_factor_compile(corpora[first]))
+        _assert_compiles_like(b, _per_factor_compile(corpora[second]))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["new", "cached"])
+def test_compiled_corpus_rejects_a_world_label_with_separator(space, cached):
+    # the label's context is new, or compiled already from an earlier
+    # example whose world lacks the label
+    bad = {"tree": OPEN, "world": _world_json([(1, "door"), (2, "a&b")]),
+           "gold": [[0, {"action": "open", "object": 1}]]}
+    good = {**bad, "world": _world_json([(1, "door")])}
+    raw = [good, bad] if cached else [bad]
+    examples = dcg.build_examples("behavior", raw, space)
+    with pytest.raises(dcg.GroundingError, match="a&b"):
+        dcg.CompiledCorpus(examples)
 
 
 def _two_sided_train(ref, iterations, step=1.0, l2=1e-3, tol=1e-9,
