@@ -736,8 +736,8 @@ def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
 
 
 def _per_factor_compile(examples):
-    """The corpus build before per-context atom blocks: every factor
-    formats and numbers its own template names, in order."""
+    """The per-factor corpus build: every factor formats and numbers
+    its own template names, in order."""
     index: dict[str, int] = {}
     golds, counts, flat_idx = [], [], []
     for ex in examples:
