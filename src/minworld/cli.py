@@ -37,7 +37,7 @@ from .symbols import (
     load_symbol_space,
     subtype_detector_id,
 )
-from .world import WorldModel, is_int, json_object
+from .world import Pose, WorldModel, WorldObject, is_int, json_object
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -359,6 +359,16 @@ def _ground_and_perceive(args, inputs: tuple, tree: ParseTree, mode: str,
     return detectors, world, metrics
 
 
+def _true_handle(scene: Scene, target: WorldObject) -> Pose | None:
+    """The true pose of the target's handle: the lowest-id scene child of
+    the scene object of the target's label nearest to it, or None."""
+    truth = min((o for o in scene.objects if o.label == target.label),
+                key=lambda o: (o.pose.distance(target.pose), o.id), default=None)
+    handles = [o for o in scene.objects
+               if truth is not None and o.parent == truth.id]
+    return min(handles, key=lambda o: o.id).pose if handles else None
+
+
 def cmd_run(args) -> int:
     _apply_config(args)
     tree = _load("instruction tree", args.tree, _read_tree)
@@ -371,10 +381,7 @@ def cmd_run(args) -> int:
                               space, world)
 
     robot = RobotState(base=scene.robot_start)
-    door = DoorSim()
-    handles = [o for o in scene.objects if o.parent is not None]
-    if handles:
-        door.handle_pose = handles[0].pose
+    door = DoorSim(handle_pose=_true_handle(scene, world.objects[request.target_a]))
     status = receive_behavior(request, world.snapshot, robot, door)
 
     out_dir = Path(args.out_dir or "minworld_out")
@@ -414,7 +421,7 @@ def _bench_cases(args) -> list[tuple[Path, str]]:
         for spec in args.case:
             path, _, mode = spec.partition("=")
             mode = mode or "adaptive"
-            if mode not in ("adaptive", "exhaustive"):
+            if mode not in percept.MODES:
                 raise StageError("io", f"bad case mode {mode!r}", EXIT_IO)
             cases.append((_require_file("instruction tree", path), mode))
         return cases

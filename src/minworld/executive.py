@@ -124,10 +124,13 @@ class ExecStatus:
         return lines
 
 
-def _approach_point(robot: Pose, target: WorldObject,
-                    standoff: float) -> tuple[float, float, float]:
+def _standoff_goal(robot: Pose, target: WorldObject, standoff: float,
+                   obstacles) -> tuple[float, float, float]:
     """Standoff goal: back off from the nearest face point toward the
-    robot; returns (x, y, yaw facing the target)."""
+    robot; returns (x, y, yaw facing the target). A goal inside another
+    object's footprint is unreachable."""
+    if standoff <= 0:
+        raise ValueError("standoff must be positive")
     px = min(max(robot.x, target.bbox.lo[0]), target.bbox.hi[0])
     py = min(max(robot.y, target.bbox.lo[1]), target.bbox.hi[1])
     dx, dy = robot.x - px, robot.y - py
@@ -135,24 +138,25 @@ def _approach_point(robot: Pose, target: WorldObject,
     if dist == 0.0:
         # robot is on the target footprint; face its center
         cx, cy, _ = target.bbox.center
-        yaw = math.atan2(cy - robot.y, cx - robot.x)
-        return robot.x, robot.y, yaw
-    ux, uy = dx / dist, dy / dist
-    gx, gy = px + standoff * ux, py + standoff * uy
-    yaw = math.atan2(-uy, -ux)
-    return gx, gy, yaw
-
-
-def _standoff_goal(robot: Pose, target: WorldObject, standoff: float,
-                   obstacles) -> tuple[float, float, float]:
-    """The approach point, unless it lies inside another object's
-    footprint, which makes it unreachable."""
-    gx, gy, yaw = _approach_point(robot, target, standoff)
+        gx, gy, yaw = robot.x, robot.y, math.atan2(cy - robot.y, cx - robot.x)
+    else:
+        ux, uy = dx / dist, dy / dist
+        gx, gy, yaw = px + standoff * ux, py + standoff * uy, math.atan2(-uy, -ux)
     for obs in obstacles:
         if obs.id != target.id and obs.bbox.contains((gx, gy, obs.bbox.center[2])):
             raise NavigationError(
                 f"standoff point blocked by object {obs.id} ({obs.label})")
     return gx, gy, yaw
+
+
+def _drive(robot: RobotState, goal, speed: float) -> RobotState:
+    gx, gy, yaw = goal
+    dist = math.hypot(gx - robot.base.x, gy - robot.base.y)
+    if dist < 1e-9 and abs(math.remainder(yaw - robot.base.yaw, math.tau)) < 1e-9:
+        return robot
+    robot.base = Pose(gx, gy, robot.base.z, yaw)
+    robot.time += dist / speed
+    return robot
 
 
 def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
@@ -162,15 +166,8 @@ def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
     Already at the goal: pose unchanged, zero additional time. A goal
     inside an obstacle footprint is unreachable.
     """
-    if standoff <= 0:
-        raise ValueError("standoff must be positive")
-    gx, gy, yaw = _standoff_goal(robot.base, target, standoff, obstacles)
-    dist = math.hypot(gx - robot.base.x, gy - robot.base.y)
-    if dist < 1e-9 and abs(math.remainder(yaw - robot.base.yaw, math.tau)) < 1e-9:
-        return robot
-    robot.base = Pose(gx, gy, robot.base.z, yaw)
-    robot.time += dist / speed
-    return robot
+    return _drive(robot, _standoff_goal(robot.base, target, standoff, obstacles),
+                  speed)
 
 
 def localize(robot: RobotState, door: DoorSim, handle: WorldObject,
@@ -263,12 +260,12 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
         return fail(f"target {b.target_a} not in world")
     try:
         # plan before moving so an unreachable goal fails at dispatch
-        _standoff_goal(robot.base, target, params.standoff, snap.query())
+        goal = _standoff_goal(robot.base, target, params.standoff, snap.query())
     except NavigationError as e:
         return fail(str(e))
 
     enter(ExecState.NAVIGATING)
-    navigate(robot, target, params.standoff, params.speed)
+    _drive(robot, goal, params.speed)
 
     if b.action == "navigate":
         enter(ExecState.COMPLETE)

@@ -200,7 +200,8 @@ class LexiconViolation:
 
 
 def validate_against_lexicon(tree: ParseTree, lexicon: Lexicon) -> list[LexiconViolation]:
-    """Leaves whose word is not listed for their tag, in leaf order."""
+    """Leaves whose word is not listed for their tag, phrase by phrase
+    bottom-up (children before parents), in word order within a phrase."""
     out = []
     for phrase in tree.phrases_bottom_up():
         for word, tag in phrase.words:

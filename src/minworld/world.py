@@ -1,9 +1,9 @@
 """World model: objects accumulated from detections.
 
 One writer (the perception loop) integrates detections; readers take
-immutable snapshots. Objects may carry a parent link one level deep
-(a handle on a door), never chains. Objects are indexed by label, so a
-detection is compared only with the objects that share its label.
+snapshots, independent mutable copies. Objects may carry a parent link
+one level deep (a handle on a door), never chains. Objects are indexed
+by label, so a detection is compared only with the objects of its label.
 """
 
 from __future__ import annotations

@@ -430,6 +430,41 @@ def test_run_open_completes(trees, model_dir, tmp_path, capsys):
     ]
 
 
+TWO_DOOR_SCENE = {
+    "objects": [
+        # the handle of door 2 is the first parented object listed
+        {"id": 3, "label": "door_handle", "parent": 2,
+         "pose": {"x": 5.0, "y": 2.15, "z": 0.95},
+         "bbox": {"min": [5.0, 2.1, 0.9], "max": [5.04, 2.2, 1.0]}},
+        {"id": 1, "label": "door", "pose": {"x": 5.0, "y": 0.0, "z": 1.0},
+         "bbox": {"min": [5.0, -0.45, 0.0], "max": [5.05, 0.45, 2.0]}},
+        {"id": 2, "label": "door", "pose": {"x": 5.0, "y": 2.5, "z": 1.0},
+         "bbox": {"min": [5.0, 2.05, 0.0], "max": [5.05, 2.95, 2.0]}},
+        {"id": 4, "label": "door_handle", "parent": 1,
+         "pose": {"x": 5.0, "y": -0.35, "z": 0.95},
+         "bbox": {"min": [5.0, -0.4, 0.9], "max": [5.04, -0.3, 1.0]}},
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_run_open_checks_the_handle_of_the_door_it_opens(seed, trees, model_dir,
+                                                         tmp_path, capsys):
+    # the true handle is the one on the scene door nearest the world
+    # target, not the first parented scene object
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(TWO_DOOR_SCENE), encoding="utf-8")
+    code = main(_run_args(trees, model_dir, tmp_path, "open",
+                          "--scene", str(scene), "--seed", seed))
+    out = _json_out(capsys)
+    assert (code, out["result"]) == (0, "COMPLETE"), out
+    assert out["behavior"] == {"action": "open", "target": 1}
+    world = json.loads((tmp_path / "out" / "world.json").read_text())
+    target = world["objects"][0]
+    assert (target["id"], target["label"]) == (1, "door")
+    assert abs(target["pose"]["y"]) < 0.1  # world object 1 is scene door 1
+
+
 def test_run_on_a_label_without_a_detector_names_the_asset_gap(model_dir, tmp_path,
                                                                capsys):
     # "box" is a label of the bundled symbol space, and no registered
@@ -496,6 +531,18 @@ def test_run_word_outside_lexicon(tmp_path, model_dir, capsys):
                  "--behavior-model", str(model_dir / "behavior.json")])
     assert code == 1
     assert "lexicon" in capsys.readouterr().err
+
+
+def test_run_reports_the_first_violation_bottom_up(tmp_path, model_dir, capsys):
+    # both words are outside the lexicon; the noun phrase comes first
+    tree = tmp_path / "tree.txt"
+    tree.write_text("(VP (VB jump) (NP (DT the) (NN window)))\n")
+    code = main(["run", "--tree", str(tree),
+                 "--perception-model", str(model_dir / "perception.json"),
+                 "--behavior-model", str(model_dir / "behavior.json")])
+    assert code == 1
+    assert _one_line_error(capsys, "io") == (
+        "error [io]: word 'window' not in lexicon for tag NN\n")
 
 
 def test_run_without_models(trees, capsys):

@@ -251,6 +251,35 @@ def test_blocked_goal_fails_at_dispatch():
     assert robot.base.x == 0.0  # never moved
 
 
+@pytest.mark.parametrize("action", ["navigate", "open"])
+def test_dispatch_plans_one_goal_and_drives_to_it(monkeypatch, action):
+    # the goal is planned once, with obstacles, and is the pose driven to
+    goals = []
+
+    def counting(*args):
+        goals.append(standoff_goal(*args))
+        return goals[-1]
+
+    standoff_goal = executive._standoff_goal
+    monkeypatch.setattr(executive, "_standoff_goal", counting)
+    status, _, robot = _run(BehaviorRequest(action, 1), _world(_door(), _handle()))
+    assert status.state is S.COMPLETE
+    assert len(goals) == 1
+    assert (robot.base.x, robot.base.y, robot.base.yaw) == goals[0]
+    reference = navigate(_robot(), _door(), obstacles=[_door(), _handle()])
+    assert reference.base == robot.base
+    if action == "navigate":
+        assert robot.time == reference.time
+
+
+def test_dispatch_rejects_bad_standoff_before_moving():
+    robot = _robot()
+    with pytest.raises(ValueError, match="standoff"):
+        _run(BehaviorRequest("navigate", 1), _world(_door()),
+             params=ExecParams(standoff=0.0), robot=robot)
+    assert robot.base == Pose(0.0, 0.0) and robot.time == 0.0
+
+
 def test_missing_constituent_fails_at_detecting():
     status, _, _ = _run(BehaviorRequest("open", 1), _world(_door()))
     assert status.states() == [S.RECEIVED, S.NAVIGATING, S.DETECTING, S.FAILURE]

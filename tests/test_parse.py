@@ -140,6 +140,19 @@ def test_unknown_word_flagged(lexicon):
     assert violations == [LexiconViolation(phrase_index=0, tag="NN", word="window")]
 
 
+def test_violations_come_bottom_up_by_phrase(lexicon):
+    # the NP's word comes before the verb that precedes it in the text
+    tree = load_parse_tree("(VP (VB jump) (NP (DT the) (NN window)))")
+    assert validate_against_lexicon(tree, lexicon) == [
+        LexiconViolation(phrase_index=0, tag="NN", word="window"),
+        LexiconViolation(phrase_index=1, tag="VB", word="jump"),
+    ]
+    tree = load_parse_tree(TURN.replace("handle", "lever").replace("turn", "spin")
+                           .replace("door", "gate"))
+    assert [v.word for v in validate_against_lexicon(tree, lexicon)] == [
+        "lever", "gate", "spin"]
+
+
 def test_empty_lexicon_flags_every_leaf():
     tree = load_parse_tree(DRIVE)
     violations = validate_against_lexicon(tree, Lexicon({}))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -14,9 +15,8 @@ from minworld.percept import (
     PerceptionMetrics,
     Scene,
     Visibility,
-    active_detectors,
-    integration_links,
     load_registry,
+    perception_plan,
     run_perception,
     visible,
 )
@@ -94,48 +94,58 @@ def test_config_validation(registry):
             PerceptionConfig(registry, seed=seed)
 
 
+def _plan_ids(config):
+    detectors, links, false_positives = perception_plan(config)
+    return [d.id for d in detectors], links, false_positives
+
+
 def test_active_exhaustive_is_sorted_baseline(registry):
-    config = PerceptionConfig(registry, mode="exhaustive")
-    ids = [d.id for d in active_detectors(config)]
+    config = PerceptionConfig(
+        registry, _active("door", "door_handle", links=[("door", "handle")]),
+        mode="exhaustive")
+    ids, links, false_positives = _plan_ids(config)
     assert ids == ["ball", "cracker_box", "door", "pitcher", "suitcase"]
+    assert links == frozenset()
+    # door's false-positive rate is 0.0
+    assert false_positives == {"ball", "cracker_box", "pitcher", "suitcase"}
 
 
 def test_active_adaptive_resolves_requested_ids(registry):
     config = PerceptionConfig(registry, _active("door_handle", "door"))
-    ids = [d.id for d in active_detectors(config)]
-    assert ids == ["door", "door_handle"]
+    assert _plan_ids(config) == (["door", "door_handle"], frozenset(), frozenset())
 
 
 def test_active_adaptive_requires_detectors(registry):
     with pytest.raises(PerceptionError):
-        active_detectors(PerceptionConfig(registry, None))
+        perception_plan(PerceptionConfig(registry, None))
     with pytest.raises(PerceptionError):
-        active_detectors(PerceptionConfig(registry, _active()))
+        perception_plan(PerceptionConfig(registry, _active()))
 
 
 def test_active_adaptive_rejects_unknown_ids(registry):
     config = PerceptionConfig(registry, _active("door", "window"))
     with pytest.raises(PerceptionError):
-        active_detectors(config)
+        perception_plan(config)
 
 
 def test_exhaustive_requires_baseline():
     specs = (DetectorSpec("a", "a", 0.1, baseline=False),)
     with pytest.raises(PerceptionError):
-        active_detectors(PerceptionConfig(specs, mode="exhaustive"))
+        perception_plan(PerceptionConfig(specs, mode="exhaustive"))
 
 
 def test_integration_links_resolve_emitted_labels(registry):
     config = PerceptionConfig(
         registry, _active("door", "door_handle", links=[("door", "handle")]))
-    assert integration_links(config) == frozenset({("door", "door_handle")})
+    assert _plan_ids(config) == (["door", "door_handle"],
+                                 frozenset({("door", "door_handle")}), frozenset())
 
 
 def test_integration_links_reject_unregistered_subtype(registry):
     config = PerceptionConfig(
         registry, _active("door", links=[("door", "hinge")]))
-    with pytest.raises(PerceptionError):
-        integration_links(config)
+    with pytest.raises(PerceptionError, match="door_hinge"):
+        perception_plan(config)
 
 
 # -- visibility --------------------------------------------------------------
@@ -234,6 +244,15 @@ def test_same_seed_reproduces_world(registry, scene):
     assert m1.to_json() == m2.to_json()
 
 
+def test_metrics_json_is_every_field_copied(registry, scene):
+    _, metrics = run_perception(scene, PerceptionConfig(registry, mode="exhaustive"))
+    data = metrics.to_json()
+    assert data == dataclasses.asdict(metrics)
+    assert list(data) == [f.name for f in dataclasses.fields(metrics)]
+    data["active_detectors"].append("x")
+    assert "x" not in metrics.active_detectors
+
+
 def test_different_seed_moves_noisy_detections(registry, scene):
     config_a = PerceptionConfig(registry, _active("door"), seed=0)
     config_b = PerceptionConfig(registry, _active("door"), seed=1)
@@ -330,9 +349,11 @@ class _FullScanWorld(WorldModel):
 
 
 def _reference_perception(scene, config):
-    """The sensing loop with a visibility test and a noise draw per hit."""
-    active = active_detectors(config)
-    links = integration_links(config) if config.mode == "adaptive" else frozenset()
+    """The sensing loop with a visibility test and a noise draw per hit.
+    It takes only the detectors and resolved links from the plan, and
+    decides by mode itself whether links apply and false positives fire."""
+    active, plan_links, _ = perception_plan(config)
+    links = plan_links if config.mode == "adaptive" else frozenset()
     period = sum(d.frame_cost for d in active)
     robot = scene.robot_start
     rng = np.random.default_rng(config.seed)
