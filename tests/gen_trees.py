@@ -5,16 +5,11 @@ A tree is a verb with a direct object, a ``to`` phrase or a ``through``
 phrase. The noun phrase is ``the NOUN``, nested with "of" up to a depth:
 depth 1 gives "the handle of the door". Words come from the lexicon; the
 shapes and their function words come from the bundled trees. Depth 1
-gives 360 trees and depth 2 gives 1860.
-
-    python tests/gen_trees.py [--depth N] [--lexicon lexicon.json]
-
-prints one bracketed tree a line, in a fixed order.
+gives 360 trees and depth 2 gives 1860, in a fixed order.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 from pathlib import Path
 
@@ -50,18 +45,6 @@ def generate(lexicon: dict, depth: int = 1) -> list[str]:
             for shape in VERB_PHRASES for verb in lexicon["VB"] for np in nps]
 
 
-def load_lexicon(path: str | Path = LEXICON) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def load_lexicon() -> dict:
+    return json.loads(LEXICON.read_text(encoding="utf-8"))
 
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--depth", type=int, default=1)
-    parser.add_argument("--lexicon", default=str(LEXICON))
-    args = parser.parse_args(argv)
-    for tree in generate(load_lexicon(args.lexicon), args.depth):
-        print(tree)
-
-
-if __name__ == "__main__":
-    main()
