@@ -1,8 +1,8 @@
 """Command-line entry point: train models, ground instructions, run the
 perceive-and-act loop, and benchmark perception cost.
 
-Exit codes: 0 success, 1 I/O or format problems, 2 grounding failure,
-3 perception configuration failure, 4 execution failure.
+Exit codes: 0 success, 1 usage, I/O or format problems, 2 grounding
+failure, 3 perception configuration failure, 4 execution failure.
 """
 
 from __future__ import annotations
@@ -57,25 +57,8 @@ def _asset(name: str) -> Path:
     return Path(__file__).resolve().parent / "assets" / name
 
 
-DEFAULTS = {
-    "space": _asset("symbol_space.json"),
-    "registry": _asset("detector_registry.json"),
-    "scene": _asset("door_scene.json"),
-    "lexicon": _asset("lexicon.json"),
-}
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _require_file(label: str, path) -> Path:
-    if path is None:
-        raise StageError("io", f"no {label} given (flag or config)", EXIT_IO)
-    p = Path(path)
-    if not p.is_file():
-        raise StageError("io", f"{label} file not found: {p}", EXIT_IO)
-    return p
 
 
 def _load(label: str, path, loader):
@@ -84,7 +67,11 @@ def _load(label: str, path, loader):
     a ValueError (bad JSON, tree, symbol space, world, scene, corpus or
     model), a missing key, a bad detector, or a corpus word grounding
     cannot featurize."""
-    p = _require_file(label, path)
+    if path is None:
+        raise StageError("io", f"no {label} given (flag or config)", EXIT_IO)
+    p = Path(path)
+    if not p.is_file():
+        raise StageError("io", f"{label} file not found: {p}", EXIT_IO)
     try:
         return loader(p)
     except (ValueError, KeyError, PerceptionError, dcg.GroundingError) as e:
@@ -95,11 +82,37 @@ def _read_tree(path: Path) -> ParseTree:
     return load_parse_tree(path.read_text(encoding="utf-8").strip())
 
 
-def _read_model(kind: str, path) -> dcg.Model:
-    model = _load(f"{kind} model", path, dcg.Model.load)
-    if model.kind != kind:
-        raise StageError("io", f"{kind} model has wrong kind", EXIT_IO)
-    return model
+# Every input file a command reads but the training corpus, by flag dest:
+# the label its error lines use, its loader, and its bundled default.
+INPUTS = {
+    "space": ("symbol space", load_symbol_space, _asset("symbol_space.json")),
+    "registry": ("detector registry", load_registry, _asset("detector_registry.json")),
+    "scene": ("scene", Scene.load, _asset("door_scene.json")),
+    "lexicon": ("lexicon", Lexicon.from_json, _asset("lexicon.json")),
+    "tree": ("instruction tree", _read_tree, None),
+    "model": ("model", dcg.Model.load, None),
+    "perception_model": ("perception model", dcg.Model.load, None),
+    "behavior_model": ("behavior model", dcg.Model.load, None),
+    "world": ("world", WorldModel.load, None),
+}
+SHARED_INPUTS = ("space", "registry", "scene", "lexicon", "perception_model")
+# The keys a run config may set: the paths of the inputs and the output
+# directory, resolved against the config file's directory, and integer flags
+# with their defaults. argparse leaves every one of them None, so a flag given
+# on the command line wins. A command reads only the keys it has a flag for.
+CONFIG_PATHS = (*INPUTS, "out_dir")
+CONFIG_DEFAULTS = {"seed": 0, "frames": percept.DEFAULT_FRAME_BUDGET}
+
+
+def _input(key: str, path):
+    """Input ``key`` of INPUTS, from ``path`` or else its bundled default.
+    A ``<kind>_model`` must be a model of that kind."""
+    label, loader, default = INPUTS[key]
+    value = _load(label, path or default, loader)
+    kind = key.removesuffix("_model")
+    if kind != key and value.kind != kind:
+        raise StageError("io", f"{label} has wrong kind", EXIT_IO)
+    return value
 
 
 def ground_detectors(tree: ParseTree, model: dcg.Model,
@@ -135,19 +148,10 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
     return BehaviorRequest(sym.action, world.query(sym.label)[0].id)
 
 
-# The keys a run config may set: path flags, resolved against the config
-# file's directory, and integer flags with their defaults. argparse leaves
-# every one of them None, so a flag given on the command line wins. A
-# command reads only the path keys it has a flag for.
-CONFIG_PATHS = ("space", "registry", "scene", "lexicon", "tree",
-                "perception_model", "behavior_model", "out_dir")
-CONFIG_DEFAULTS = {"seed": 0, "frames": percept.DEFAULT_FRAME_BUDGET}
-
-
 def _apply_config(args: argparse.Namespace) -> None:
-    """Overlay a run-config JSON under explicit flags, then give the
-    integer flags neither set their defaults."""
-    if args.config is not None:
+    """Overlay the run-config JSON, if the command takes one, under explicit
+    flags, then give the integer flags neither set their defaults."""
+    if getattr(args, "config", None) is not None:
         cfg_path = Path(args.config)
         cfg = _load("config", cfg_path, lambda p: json_object(
             json.loads(p.read_text(encoding="utf-8")), "config"))
@@ -180,7 +184,7 @@ def cmd_train(args) -> int:
                                  l2=args.l2)
     except dcg.TrainingError as e:
         raise StageError("training", str(e), EXIT_IO)
-    space = _load("symbol space", args.space or DEFAULTS["space"], load_symbol_space)
+    space = _input("space", args.space)
 
     def compile_corpus(path):
         kind, raw = dcg.load_corpus(path)
@@ -218,10 +222,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    space = _load("symbol space", args.space or DEFAULTS["space"], load_symbol_space)
-    tree = _load("instruction tree", args.tree, _read_tree)
-    model = _load("model", args.model, dcg.Model.load)
+    space = _input("space", args.space)
+    tree = _input("tree", args.tree)
+    model = _input("model", args.model)
     if model.kind == "perception":
+        if args.world:
+            raise StageError("io", "--world is unused with a perception model", EXIT_IO)
         detectors = ground_detectors(tree, model, space)
         out = {
             "instruction": tree.instruction,
@@ -238,7 +244,7 @@ def cmd_ground(args) -> int:
     else:
         if not args.world:
             raise StageError("io", "behavior grounding needs --world", EXIT_IO)
-        world = _load("world", args.world, WorldModel.load)
+        world = _input("world", args.world)
         request = ground_behavior(tree, model, space, world)
         label = world.objects[request.target_a].label
         out = {
@@ -301,9 +307,11 @@ def _perceive(args, mode: str, scene: Scene, registry,
 
 
 def cmd_perceive(args) -> int:
-    scene = _load("scene", args.scene or DEFAULTS["scene"], Scene.load)
-    registry = _load("detector registry", args.registry or DEFAULTS["registry"],
-                     load_registry)
+    if args.exhaustive and args.links:
+        raise StageError("io", "--links is unused with --exhaustive", EXIT_IO)
+    _apply_config(args)
+    scene = _input("scene", args.scene)
+    registry = _input("registry", args.registry)
     active = None
     if args.detectors:
         ids = frozenset(x.strip() for x in args.detectors.split(",") if x.strip())
@@ -327,15 +335,7 @@ def cmd_perceive(args) -> int:
 
 
 def _load_inputs(args) -> tuple:
-    """The inputs every tree of a run or bench shares, each read once:
-    symbol space, detector registry, scene, lexicon, perception model."""
-    return (_load("symbol space", args.space or DEFAULTS["space"],
-                  load_symbol_space),
-            _load("detector registry", args.registry or DEFAULTS["registry"],
-                  load_registry),
-            _load("scene", args.scene or DEFAULTS["scene"], Scene.load),
-            _load("lexicon", args.lexicon or DEFAULTS["lexicon"], Lexicon.from_json),
-            _read_model("perception", args.perception_model))
+    return tuple(_input(key, getattr(args, key)) for key in SHARED_INPUTS)
 
 
 def _ground_and_perceive(args, inputs: tuple, tree: ParseTree, mode: str,
@@ -371,13 +371,13 @@ def _true_handle(scene: Scene, target: WorldObject) -> Pose | None:
 
 def cmd_run(args) -> int:
     _apply_config(args)
-    tree = _load("instruction tree", args.tree, _read_tree)
+    tree = _input("tree", args.tree)
     inputs = _load_inputs(args)
     mode = "exhaustive" if args.exhaustive else "adaptive"
     detectors, world, metrics = _ground_and_perceive(
         args, inputs, tree, mode, frozenset(args.drop_detector or ()))
     space, _, scene, _, _ = inputs
-    request = ground_behavior(tree, _read_model("behavior", args.behavior_model),
+    request = ground_behavior(tree, _input("behavior_model", args.behavior_model),
                               space, world)
 
     robot = RobotState(base=scene.robot_start)
@@ -415,19 +415,20 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_cases(args) -> list[tuple[Path, str]]:
-    if args.case:
-        cases = []
-        for spec in args.case:
-            path, _, mode = spec.partition("=")
-            mode = mode or "adaptive"
-            if mode not in percept.MODES:
-                raise StageError("io", f"bad case mode {mode!r}", EXIT_IO)
-            cases.append((_require_file("instruction tree", path), mode))
-        return cases
-    drive = _asset("trees/drive_to_the_door.txt")
-    open_ = _asset("trees/open_the_door.txt")
-    return [(drive, "exhaustive"), (drive, "adaptive"), (open_, "adaptive")]
+def _bench_cases(args) -> list[tuple[ParseTree, str]]:
+    """A (tree, mode) per ``--case``, or the three bundled rows."""
+    cases = []
+    for spec in args.case or ():
+        path, _, mode = spec.partition("=")
+        mode = mode or "adaptive"
+        if mode not in percept.MODES:
+            raise StageError("io", f"bad case mode {mode!r}", EXIT_IO)
+        cases.append((path, mode))
+    if not cases:
+        drive = _asset("trees/drive_to_the_door.txt")
+        open_ = _asset("trees/open_the_door.txt")
+        cases = [(drive, "exhaustive"), (drive, "adaptive"), (open_, "adaptive")]
+    return [(_input("tree", path), mode) for path, mode in cases]
 
 
 def cmd_bench(args) -> int:
@@ -435,8 +436,7 @@ def cmd_bench(args) -> int:
     cases = _bench_cases(args)
     inputs = _load_inputs(args)
     rows = []
-    for tree_path, mode in cases:
-        tree = _load("instruction tree", tree_path, _read_tree)
+    for tree, mode in cases:
         _, _, metrics = _ground_and_perceive(args, inputs, tree, mode)
         rows.append({
             "instruction": tree.instruction,
@@ -461,31 +461,38 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", help="symbol space JSON (default: bundled)")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error [io]`` line and exit 1."""
+
+    def error(self, message: str):
+        raise StageError("io", f"{self.prog}: {message}", EXIT_IO)
+
+
+def _add_flags(p: argparse.ArgumentParser, *keys: str,
+               required: tuple[str, ...] = ()) -> None:
+    """``--json`` and a flag per key: an input of INPUTS (one in ``required``
+    must be given), ``config``, or an integer of CONFIG_DEFAULTS."""
     p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_shared_inputs(p: argparse.ArgumentParser) -> None:
-    """The flags run and bench share."""
-    p.add_argument("--config", help="run-config JSON supplying the paths below")
-    p.add_argument("--perception-model")
-    p.add_argument("--scene")
-    p.add_argument("--registry")
-    p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int, help="default 0")
-    p.add_argument("--frames", type=int,
-                   help=f"default {percept.DEFAULT_FRAME_BUDGET}")
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if key in CONFIG_DEFAULTS:
+            p.add_argument(flag, type=int, help=f"default {CONFIG_DEFAULTS[key]}")
+        elif key == "config":
+            p.add_argument(flag, help="run-config JSON setting these flags")
+        else:
+            label, _, default = INPUTS[key]
+            p.add_argument(flag, required=key in required,
+                           help=label + (" (default: bundled)" if default else ""))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minworld",
         description="ground instructions to detectors and run the simulated loop")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit factor weights on a corpus")
-    _add_common(p)
+    _add_flags(p, "space")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     defaults = dcg.TrainConfig()
@@ -499,38 +506,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ground", help="infer detectors or behavior for a tree")
-    _add_common(p)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--world", help="world snapshot JSON (behavior models)")
+    _add_flags(p, "space", "tree", "model", "world", required=("tree", "model"))
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("perceive", help="run the sensing loop on a scene")
-    _add_common(p)
-    p.add_argument("--scene")
-    p.add_argument("--registry")
-    p.add_argument("--detectors", help="comma-separated detector ids")
+    _add_flags(p, "scene", "registry", *CONFIG_DEFAULTS)
+    mode = p.add_mutually_exclusive_group()  # the baseline sets its own detectors
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--detectors", help="comma-separated detector ids")
     p.add_argument("--links", help="comma-separated parent:subtype pairs")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=percept.DEFAULT_FRAME_BUDGET)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_perceive)
 
     p = sub.add_parser("run", help="full pipeline: ground, perceive, act")
-    _add_common(p)
-    p.add_argument("--tree")
-    _add_shared_inputs(p)
-    p.add_argument("--behavior-model")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--drop-detector", action="append", metavar="ID",
-                   help="remove a detector from the inferred set (repeatable)")
+    _add_flags(p, "tree", "config", *SHARED_INPUTS, "behavior_model",
+               *CONFIG_DEFAULTS)
+    mode = p.add_mutually_exclusive_group()  # the baseline drops no detector
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--drop-detector", action="append", metavar="ID",
+                      help="remove a detector from the inferred set (repeatable)")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="perception-cost benchmark rows")
-    _add_common(p)
-    _add_shared_inputs(p)
+    _add_flags(p, "config", *SHARED_INPUTS, *CONFIG_DEFAULTS)
     p.add_argument("--case", action="append", metavar="TREE[=MODE]",
                    help="benchmark row (default: the three bundled rows)")
     p.add_argument("--out", help="also write the JSON rows to this file")
@@ -539,9 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StageError as e:
         print(f"error [{e.stage}]: {e}", file=sys.stderr)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import collections
 import json
 import os
@@ -153,6 +154,15 @@ def test_ground_behavior_with_world(trees, model_dir, world_file, capsys):
     assert out["target_label"] == "door"
 
 
+def test_ground_perception_model_rejects_world(trees, model_dir, capsys):
+    # a perception model grounds detectors and never reads the world
+    code = main(["ground", "--tree", trees["open"],
+                 "--model", str(model_dir / "perception.json"),
+                 "--world", "/nonexistent/world.json"])
+    assert code == 1
+    assert "--world" in _one_line_error(capsys, "io")
+
+
 def test_ground_zero_model_exits_grounding(tmp_path, trees, assets, capsys):
     flat = tmp_path / "flat.json"
     assert main(["train", "--corpus", str(assets / "perception_corpus.json"),
@@ -275,6 +285,16 @@ def test_perceive_exhaustive(capsys):
     out = _json_out(capsys)
     assert out["metrics"]["avg_period"] == pytest.approx(2.060)
     assert out["metrics"]["mode"] == "exhaustive"
+
+
+@pytest.mark.parametrize("flags,flag", [
+    (["--detectors", "door", "--links", "door:handle"], "--detectors"),
+    (["--links", "door:handle"], "--links"),
+], ids=["detectors", "links"])
+def test_perceive_exhaustive_rejects_the_adaptive_flags(flags, flag, capsys):
+    # the baseline runs its own detectors with no links
+    assert main(["perceive", "--exhaustive", *flags]) == 1
+    assert flag in _one_line_error(capsys, "io")
 
 
 def test_perceive_without_detectors_fails(capsys):
@@ -514,6 +534,15 @@ def test_run_dropped_constituent_fails_execution(trees, model_dir, tmp_path,
     assert [s for s, _ in trace["trace"]][-2:] == ["DETECTING", "FAILURE"]
 
 
+def test_run_exhaustive_rejects_drop_detector(trees, model_dir, tmp_path, capsys):
+    # the baseline's detectors are not the grounded ones, so nothing drops
+    code = main(_run_args(trees, model_dir, tmp_path, "drive", "--exhaustive",
+                          "--drop-detector", "door"))
+    assert code == 1
+    assert "--drop-detector" in _one_line_error(capsys, "io")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_dropping_everything_fails_perception(trees, model_dir, tmp_path,
                                                   capsys):
     code = main(_run_args(trees, model_dir, tmp_path, "open",
@@ -738,6 +767,26 @@ def test_bench_table_output(model_dir, capsys):
     assert "0.158" in out
 
 
+# -- usage errors ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "abc"], ["perceive", "--space", "x"],
+    ["train", "--out", "m.json"], ["bogus"], [],
+], ids=["bad-int", "unknown-flag", "missing-required", "unknown-command",
+        "no-command"])
+def test_usage_error_exits_io_with_one_line(argv, capsys):
+    # exit 2 is grounding failure, not argparse's usage exit
+    assert main(argv) == 1
+    _one_line_error(capsys, "io")
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    assert "--tree" in capsys.readouterr().out
+
+
 # -- malformed input files ---------------------------------------------------
 
 # Every flag that names an input file, per command; the sweep points one of
@@ -751,6 +800,29 @@ FILE_FLAGS = {
     "bench": ["--config", "--perception-model", "--scene", "--registry",
               "--lexicon", "--space", "--case"],
 }
+
+# The other flags of each command; with FILE_FLAGS, every flag it declares.
+OTHER_FLAGS = {
+    "train": ["--json", "--out", "--iterations", "--step", "--l2"],
+    "ground": ["--json"],
+    "perceive": ["--json", "--seed", "--frames", "--exhaustive", "--detectors",
+                 "--links", "--out-dir"],
+    "run": ["--json", "--seed", "--frames", "--exhaustive", "--drop-detector",
+            "--out-dir"],
+    "bench": ["--json", "--seed", "--frames", "--out"],
+}
+
+
+def test_every_flag_is_a_swept_file_flag_or_listed_as_other():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    declared = {name: sorted(flag for action in parser._actions
+                             if not isinstance(action, argparse._HelpAction)
+                             for flag in action.option_strings)
+                for name, parser in commands.choices.items()}
+    assert declared == {command: sorted(FILE_FLAGS[command] + OTHER_FLAGS[command])
+                        for command in FILE_FLAGS}
+
 
 MALFORMED = [(command, flag, text)
              for command, flags in FILE_FLAGS.items() for flag in flags
@@ -792,6 +864,9 @@ MALFORMED = [(command, flag, text)
     # once ignored: bench has no tree, behavior model or out dir to set
     *[("bench", "--config", f'{{"{key}": "x"}}')
       for key in ("tree", "behavior_model", "out_dir")],
+    # the inputs only ground reads are no run-config keys
+    *[(command, "--config", f'{{"{key}": "x"}}') for command in ("run", "bench")
+      for key in ("model", "world")],
 ]
 
 
