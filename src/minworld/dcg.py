@@ -315,7 +315,7 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
 
     expressed: dict[int, frozenset[int]] = {}
     margins = []
-    for phrase in graph.tree.phrases_bottom_up():
+    for phrase in graph.tree.phrases:
         ps, cs = _context(phrase, bank, expressed)
         atom_scores = [0.0]
         for s in known:
@@ -462,7 +462,7 @@ class CompiledCorpus:
         golds, counts, flat_idx = [], [], []
         for ex in examples:
             bank = ex.graph.bank
-            for phrase in ex.graph.tree.phrases_bottom_up():
+            for phrase in ex.graph.tree.phrases:
                 ps, cs = _context(phrase, bank, ex.gold)
                 blocks, rows = contexts.setdefault((tuple(ps), tuple(cs)), ({}, {}))
                 true_ids = ex.gold[phrase.index]

@@ -12,7 +12,7 @@ children before their parent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .world import json_object
@@ -31,60 +31,31 @@ class Phrase:
     """One internal node of the parse tree.
 
     ``words`` holds the phrase's direct leaves as (word, tag) pairs and
-    ``children`` its nested phrases; ``layout`` remembers how the two
-    interleave in the source text so serialization and the leaf walk
-    preserve surface order. ``index`` is the post-order position.
+    ``children`` its nested phrases. ``index`` is the post-order position.
     """
 
     label: str
     words: tuple[tuple[str, str], ...]
     children: tuple["Phrase", ...]
     index: int
-    layout: tuple[tuple[str, int], ...] = field(repr=False, default=())
-
-    def leaves(self) -> list[tuple[str, str]]:
-        out: list[tuple[str, str]] = []
-        for kind, i in self.layout:
-            if kind == "w":
-                out.append(self.words[i])
-            else:
-                out.extend(self.children[i].leaves())
-        return out
-
-    def _serialize(self) -> str:
-        parts = [self.label]
-        for kind, i in self.layout:
-            if kind == "w":
-                word, tag = self.words[i]
-                parts.append(f"({tag} {word})")
-            else:
-                parts.append(self.children[i]._serialize())
-        return "(" + " ".join(parts) + ")"
 
 
 @dataclass(frozen=True)
 class ParseTree:
-    root: Phrase
+    """A tree as its phrases in post-order, so ``phrases[i].index == i``,
+    children come before their parent and the root is last;
+    ``instruction`` is the leaf words in text order."""
+
+    phrases: tuple[Phrase, ...]
     instruction: str
 
     @property
+    def root(self) -> Phrase:
+        return self.phrases[-1]
+
+    @property
     def n_phrases(self) -> int:
-        return self.root.index + 1
-
-    def phrases_bottom_up(self) -> list[Phrase]:
-        """All phrases, children always before parents (post-order)."""
-        out: list[Phrase] = []
-
-        def walk(p: Phrase) -> None:
-            for c in p.children:
-                walk(c)
-            out.append(p)
-
-        walk(self.root)
-        return out
-
-    def serialize(self) -> str:
-        return self.root._serialize()
+        return len(self.phrases)
 
 
 def _check_label(label: str, what: str, offset: int) -> None:
@@ -96,7 +67,8 @@ def load_parse_tree(text: str) -> ParseTree:
     """Parse one bracketed tree; raises TreeError with a char offset."""
     s = text
     n = len(s)
-    counter = [0]
+    phrases: list[Phrase] = []
+    leaf_words: list[str] = []  # in text order
 
     def skip_ws(i: int) -> int:
         while i < n and s[i].isspace():
@@ -136,23 +108,17 @@ def load_parse_tree(text: str) -> ParseTree:
             raise TreeError("leaf with more than one word", start)
         if bare:
             _check_label(label, "POS tag", start)
-            return (bare[0].lower(), label), i
+            word = bare[0].lower()
+            leaf_words.append(word)
+            return (word, label), i
         if not nodes:
             raise TreeError("empty phrase", start)
         _check_label(label, "phrase label", start)
-        words: list[tuple[str, str]] = []
-        children: list[Phrase] = []
-        layout: list[tuple[str, int]] = []
-        for node in nodes:
-            if isinstance(node, Phrase):
-                layout.append(("c", len(children)))
-                children.append(node)
-            else:
-                layout.append(("w", len(words)))
-                words.append(node)
-        phrase = Phrase(label, tuple(words), tuple(children),
-                        counter[0], tuple(layout))
-        counter[0] += 1
+        phrase = Phrase(label,
+                        tuple(x for x in nodes if not isinstance(x, Phrase)),
+                        tuple(x for x in nodes if isinstance(x, Phrase)),
+                        len(phrases))
+        phrases.append(phrase)
         return phrase, i
 
     i = skip_ws(0)
@@ -165,8 +131,7 @@ def load_parse_tree(text: str) -> ParseTree:
     if not isinstance(node, Phrase):
         # a single leaf like "(NN door)" is not an instruction
         raise TreeError("tree has no phrase structure", 0)
-    instruction = " ".join(w for w, _ in node.leaves())
-    return ParseTree(node, instruction)
+    return ParseTree(tuple(phrases), " ".join(leaf_words))
 
 
 @dataclass(frozen=True)
@@ -203,7 +168,7 @@ def validate_against_lexicon(tree: ParseTree, lexicon: Lexicon) -> list[LexiconV
     """Leaves whose word is not listed for their tag, phrase by phrase
     bottom-up (children before parents), in word order within a phrase."""
     out = []
-    for phrase in tree.phrases_bottom_up():
+    for phrase in tree.phrases:
         for word, tag in phrase.words:
             if word not in lexicon.entries.get(tag, frozenset()):
                 out.append(LexiconViolation(phrase.index, tag, word))

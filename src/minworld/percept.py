@@ -269,14 +269,14 @@ def run_perception(scene: Scene,
         for det in active:
             hits = in_view.get(det.emits_label)
             if hits:
-                label, source = det.emits_label, det.id
+                label = det.emits_label
                 # one (k, 2) draw reads the stream exactly as k draws of 2
                 noise = (rng.normal(0.0, 1.0, (len(hits), 2))
                          * det.noise_sigma).tolist()
                 for obj, (dx, dy) in zip(hits, noise):
                     integrate(Detection(
                         label, obj.pose.moved(dx, dy),
-                        obj.bbox.translated(dx, dy), time, source),
+                        obj.bbox.translated(dx, dy), time),
                         links, radius)
                 emitted += len(hits)
             if det.id in false_positives:
@@ -289,7 +289,7 @@ def run_perception(scene: Scene,
                     integrate(Detection(
                         det.emits_label, Pose(x, y, 0.5),
                         Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
-                        time, det.id, spurious=True), links, radius)
+                        time), links, radius)
                     emitted += 1
                     spurious += 1
     metrics = PerceptionMetrics(

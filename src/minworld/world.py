@@ -227,8 +227,6 @@ class Detection(NamedTuple):
     pose: Pose
     bbox: Aabb
     timestamp: float
-    source_detector: str
-    spurious: bool = False
 
 
 class WorldModel:

@@ -96,7 +96,7 @@ def hash_model(graph, salt: str) -> dcg.Model:
                  for r in range(len(graph.bank) + 1)
                  for combo in itertools.combinations(graph.bank, r)]
     weights: dict[str, float] = {}
-    for phrase in graph.tree.phrases_bottom_up():
+    for phrase in graph.tree.phrases:
         for sym in graph.bank:
             for ctx in bank_sets:
                 for n in factor_features(phrase, sym, set(ctx)):

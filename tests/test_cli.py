@@ -154,6 +154,19 @@ def test_ground_behavior_with_world(trees, model_dir, world_file, capsys):
     assert out["target_label"] == "door"
 
 
+def test_ground_text_output(trees, model_dir, world_file, capsys):
+    assert main(["ground", "--tree", trees["open"],
+                 "--model", str(model_dir / "perception.json")]) == 0
+    assert capsys.readouterr().out == ("instruction: open the door\n"
+                                       "detectors:   door, door_handle\n"
+                                       "link:        door -> handle\n")
+    assert main(["ground", "--tree", trees["open"],
+                 "--model", str(model_dir / "behavior.json"),
+                 "--world", world_file]) == 0
+    assert capsys.readouterr().out == ("instruction: open the door\n"
+                                       "behavior:    open -> object 1 (door)\n")
+
+
 def test_ground_perception_model_rejects_world(trees, model_dir, capsys):
     # a perception model grounds detectors and never reads the world
     code = main(["ground", "--tree", trees["open"],
@@ -285,6 +298,17 @@ def test_perceive_exhaustive(capsys):
     out = _json_out(capsys)
     assert out["metrics"]["avg_period"] == pytest.approx(2.060)
     assert out["metrics"]["mode"] == "exhaustive"
+
+
+def test_perceive_text_output(capsys):
+    assert main(["perceive", "--detectors", "door,door_handle",
+                 "--links", "door:handle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["mode adaptive, 30 frames, period 0.158 s, total 4.740 s",
+                         "active: door, door_handle"]
+    (handle,) = [line for line in lines if line.startswith("object 2: ")]
+    assert handle.startswith("object 2: door_handle at (")
+    assert handle.endswith(") (on 1)")
 
 
 @pytest.mark.parametrize("flags,flag", [
@@ -580,6 +604,21 @@ def test_run_without_models(trees, capsys):
     assert "error [io]" in capsys.readouterr().err
 
 
+def test_run_model_of_the_wrong_kind_exits_io(trees, model_dir, capsys):
+    code = main(["run", "--tree", trees["open"],
+                 "--perception-model", str(model_dir / "behavior.json"),
+                 "--behavior-model", str(model_dir / "behavior.json")])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error [io]: perception model has wrong kind\n")
+
+
+def test_run_out_dir_that_is_a_file_exits_io(trees, model_dir, tmp_path, capsys):
+    taken = tmp_path / "out"
+    taken.write_text("")
+    assert main(_run_args(trees, model_dir, tmp_path)) == 1
+    assert "File exists" in _one_line_error(capsys, "io")
+
+
 def test_run_config_overlay(trees, model_dir, tmp_path, capsys):
     cfg = {
         "perception_model": str(model_dir / "perception.json"),
@@ -867,6 +906,10 @@ MALFORMED = [(command, flag, text)
     # the inputs only ground reads are no run-config keys
     *[(command, "--config", f'{{"{key}": "x"}}') for command in ("run", "bench")
       for key in ("model", "world")],
+    # corpus shapes once untested: examples not a list, an example not an
+    # object, an example without gold
+    *[("train", "--corpus", f'{{"kind": "perception", "examples": {examples}}}')
+      for examples in ('{"a": 1}', "[3]", '[{"tree": "(VP (VB open))"}]')],
 ]
 
 

@@ -22,12 +22,12 @@ OPEN = "(VP (VB open) (NP (DT the) (NN door)))"
 
 
 def _door_np():
-    return load_parse_tree(OPEN).phrases_bottom_up()[0]
+    return load_parse_tree(OPEN).phrases[0]
 
 
 def _det(label, x, y, z=0.0, t=0.0):
     box = Aabb((x - 0.5, y - 0.5, z - 0.5), (x + 0.5, y + 0.5, z + 0.5))
-    return Detection(label, Pose(x, y, z), box, t, label)
+    return Detection(label, Pose(x, y, z), box, t)
 
 
 # -- feature templates -------------------------------------------------------
@@ -114,7 +114,7 @@ def test_behavior_bank_covers_actions_by_objects(space):
 def test_zero_model_expresses_nothing(space):
     tree = load_parse_tree(OPEN)
     graph = dcg.build_perception_graph(tree, space)
-    model = dcg.Model("perception", {n: 0.0 for phrase in tree.phrases_bottom_up()
+    model = dcg.Model("perception", {n: 0.0 for phrase in tree.phrases
                                      for sym in graph.bank
                                      for n in factor_features(phrase, sym)})
     got = dcg.infer(graph, model)
@@ -201,7 +201,7 @@ def _reference_infer(graph, model):
     """Inference as a sum over named features: name every factor's
     features and sum their weights."""
     expressed, by_index = {}, {}
-    for phrase in graph.tree.phrases_bottom_up():
+    for phrase in graph.tree.phrases:
         ctx: set = set()
         for child in phrase.children:
             ctx |= by_index[child.index]
@@ -253,7 +253,7 @@ def _template_infer(graph, model):
     summed as ``infer`` sums them. ``_reference_infer`` adds the same
     weights in another order."""
     expressed, by_index = {}, {}
-    for phrase in graph.tree.phrases_bottom_up():
+    for phrase in graph.tree.phrases:
         ctx: set = set()
         for child in phrase.children:
             ctx |= by_index[child.index]
@@ -583,7 +583,7 @@ def test_margins_match_direct_scores(space, perception_corpus, behavior_corpus):
         k = 0
         for ex in corpus.examples:
             graph = ex.graph
-            for phrase in graph.tree.phrases_bottom_up():
+            for phrase in graph.tree.phrases:
                 child_syms = set()
                 for child in phrase.children:
                     child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
@@ -701,7 +701,7 @@ def _two_sided_compile(examples):
     golds, counts, flat_idx, flat_val = [], [], [], []
     for ex in examples:
         graph = ex.graph
-        for phrase in graph.tree.phrases_bottom_up():
+        for phrase in graph.tree.phrases:
             child_syms = set()
             for child in phrase.children:
                 child_syms |= {graph.bank[j] for j in ex.gold[child.index]}
@@ -741,7 +741,7 @@ def _per_factor_compile(examples):
     index: dict[str, int] = {}
     golds, counts, flat_idx = [], [], []
     for ex in examples:
-        for phrase in ex.graph.tree.phrases_bottom_up():
+        for phrase in ex.graph.tree.phrases:
             ps, cs = dcg._context(phrase, ex.graph.bank, ex.gold)
             for j, sym in enumerate(ex.graph.bank):
                 idx = sorted(index.setdefault(n, len(index)) for n in

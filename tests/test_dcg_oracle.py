@@ -34,7 +34,7 @@ def test_inference_matches_exhaustive_enumeration():
 def test_oracle_prefers_false_on_ties():
     graph = random_graph(0)
     model = dcg.Model(graph_kind(graph), {
-        n: 0.0 for phrase in graph.tree.phrases_bottom_up()
+        n: 0.0 for phrase in graph.tree.phrases
         for sym in graph.bank
         for n in factor_features(phrase, sym, set())})
     want = enumerate_assignment(graph, model)

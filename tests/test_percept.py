@@ -372,7 +372,7 @@ def _reference_perception(scene, config):
                 world.integrate(Detection(
                     det.emits_label,
                     Pose(obj.pose.x + dx, obj.pose.y + dy, obj.pose.z, obj.pose.yaw),
-                    obj.bbox.translated(dx, dy), time, det.id), links,
+                    obj.bbox.translated(dx, dy), time), links,
                     config.assoc_radius)
                 emitted += 1
             if config.mode == "exhaustive" and det.false_positive_rate > 0.0:
@@ -385,7 +385,7 @@ def _reference_perception(scene, config):
                     world.integrate(Detection(
                         det.emits_label, Pose(x, y, 0.5),
                         Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
-                        time, det.id, spurious=True), links, config.assoc_radius)
+                        time), links, config.assoc_radius)
                     emitted += 1
                     spurious += 1
     return world, PerceptionMetrics(

@@ -17,9 +17,9 @@ from minworld.world import (
 )
 
 
-def _det(label, x, y, z=0.0, t=0.0, half=0.4, source=None):
+def _det(label, x, y, z=0.0, t=0.0, half=0.4):
     box = Aabb((x - half, y - half, z - half), (x + half, y + half, z + half))
-    return Detection(label, Pose(x, y, z), box, t, source or label)
+    return Detection(label, Pose(x, y, z), box, t)
 
 
 # -- geometry ----------------------------------------------------------------
