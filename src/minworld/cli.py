@@ -373,12 +373,12 @@ def cmd_run(args) -> int:
     _apply_config(args)
     tree = _input("tree", args.tree)
     inputs = _load_inputs(args)
+    behavior_model = _input("behavior_model", args.behavior_model)
     mode = "exhaustive" if args.exhaustive else "adaptive"
     detectors, world, metrics = _ground_and_perceive(
         args, inputs, tree, mode, frozenset(args.drop_detector or ()))
     space, _, scene, _, _ = inputs
-    request = ground_behavior(tree, _input("behavior_model", args.behavior_model),
-                              space, world)
+    request = ground_behavior(tree, behavior_model, space, world)
 
     robot = RobotState(base=scene.robot_start)
     door = DoorSim(handle_pose=_true_handle(scene, world.objects[request.target_a]))

@@ -13,8 +13,7 @@ maximum likelihood on annotated corpora.
 
 Features are named conjunctions of phrase atoms, symbol atoms, and
 child-summary atoms, one weight per conjunction. One template,
-``_conjunctions``, yields the (phrase, symbol, child-or-None) atom
-triples; training joins them into names with ``&`` (``p&s`` or
+``_stems``, names them by joining the atoms with ``&`` (``p&s`` or
 ``p&s&c``), so no atom may contain ``&``.
 
 A ``Model`` holds theta once, as a read-only map from conjunction name
@@ -138,19 +137,13 @@ def _context(phrase: Phrase, bank,
     return ps, cs
 
 
-def _conjunctions(ps, ss, cs) -> list[tuple[str, str, str | None]]:
-    """The conjunction template: every (phrase atom, symbol atom) pair,
-    alone (child None) and then with each child atom."""
-    _check_atoms(ps, ss, cs)
-    pairs = [(p, s) for p in ps for s in ss]
-    return ([(p, s, None) for p, s in pairs]
-            + [(p, s, c) for p, s in pairs for c in cs])
-
-
 def _stems(ps, ss, cs) -> list[str]:
-    """Feature names of the conjunction template."""
-    return [f"{p}&{s}" if c is None else f"{p}&{s}&{c}"
-            for p, s, c in _conjunctions(ps, ss, cs)]
+    """Feature names of the conjunction template: every (phrase atom,
+    symbol atom) pair ``p&s``, and then each pair with each child atom,
+    ``p&s&c``."""
+    _check_atoms(ps, ss, cs)
+    pairs = [f"{p}&{s}" for p in ps for s in ss]
+    return pairs + [f"{pair}&{c}" for pair in pairs for c in cs]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +312,7 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
         ps, cs = _context(phrase, bank, expressed)
         atom_scores = [0.0]
         for s in known:
-            # a_s summed in _conjunctions' order: every (p, s), then
-            # every (p, s, c)
+            # a_s summed in _stems' order: every p&s, then every p&s&c
             rows = [by_c for by_c in map(table[s].get, ps) if by_c is not None]
             a = 0.0
             for by_c in rows:

@@ -2,9 +2,11 @@
 
 Navigate drives the base to a standoff point at the target; open chains
 navigate, constituent detection, handle localization, turning, and the
-final push. The machine only ever takes transitions from the fixed
-graph below, and raises RuntimeError on any other; anything that cannot
-proceed terminates in FAILURE.
+final push, in one straight-line dispatch. The simulated door models the
+arm's reach, the localization tolerance, the latch and a jam; each step
+adds its simulated time to the robot's clock. The machine only ever
+takes transitions from the fixed graph below, and raises RuntimeError on
+any other; anything that cannot proceed terminates in FAILURE.
 """
 
 from __future__ import annotations
@@ -46,14 +48,6 @@ class NavigationError(RuntimeError):
     pass
 
 
-class LocalizeError(RuntimeError):
-    pass
-
-
-class TurnError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class BehaviorRequest:
     action: str
@@ -63,9 +57,6 @@ class BehaviorRequest:
 @dataclass
 class RobotState:
     base: Pose
-    arm_extended: bool = False
-    contact_force: float = 0.0
-    applied_torque: float = 0.0
     time: float = 0.0
 
 
@@ -74,14 +65,11 @@ class DoorSim:
     """Latched door with a lever handle.
 
     handle_pose, when set, is the true handle location the arm must hit;
-    jam_angle, when set below the travel limit, makes the handle bind
-    there (torque spikes past the limit before end of travel).
+    jam_angle, when set below the travel limit handle_limit, makes the
+    handle bind there before end of travel and leaves the door latched.
     """
 
-    handle_angle: float = 0.0
     handle_limit: float = 0.6
-    handle_torque_limit: float = 2.0
-    open_fraction: float = 0.0
     latched: bool = True
     handle_pose: Pose | None = None
     jam_angle: float | None = None
@@ -93,12 +81,9 @@ class ExecParams:
     standoff: float = 0.5         # m from the target face
     arm_reach: float = 0.9        # m, base to handle in the plane
     localize_tolerance: float = 0.1
-    contact_threshold: float = 5.0  # N, descent stops past this
-    contact_force: float = 6.0      # N felt at contact
     descend_time: float = 1.5
     turn_rate: float = 0.6        # rad/s handle rotation
     push_time: float = 1.5
-    push_fraction: float = 0.3
 
 
 @dataclass
@@ -170,74 +155,13 @@ def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
                   speed)
 
 
-def localize(robot: RobotState, door: DoorSim, handle: WorldObject,
-             params: ExecParams = ExecParams()) -> RobotState:
-    """Descend onto the handle from above until contact.
-
-    The believed handle pose must be within reach of the base and within
-    the configured tolerance of the true handle location.
-    """
-    reach = math.hypot(handle.pose.x - robot.base.x,
-                       handle.pose.y - robot.base.y)
-    if reach > params.arm_reach:
-        raise LocalizeError(
-            f"handle {reach:.2f} m from base exceeds reach {params.arm_reach} m")
-    actual = door.handle_pose or handle.pose
-    error = handle.pose.distance(actual)
-    if error > params.localize_tolerance:
-        raise LocalizeError(
-            f"handle estimate off by {error:.2f} m, tolerance "
-            f"{params.localize_tolerance} m")
-    robot.arm_extended = True
-    robot.contact_force = params.contact_force
-    robot.time += params.descend_time
-    return robot
-
-
-def turn(robot: RobotState, door: DoorSim,
-         params: ExecParams = ExecParams()) -> tuple[RobotState, DoorSim]:
-    """Rotate the handle until the torque limit marks end of travel.
-
-    A jam (binding before the travel limit) spikes torque early and
-    leaves the door latched.
-    """
-    if not robot.arm_extended or robot.contact_force < params.contact_threshold:
-        raise TurnError("no handle contact")
-    if not door.latched:
-        return robot, door
-    if door.jam_angle is not None and door.jam_angle < door.handle_limit:
-        door.handle_angle = door.jam_angle
-        robot.applied_torque = door.handle_torque_limit
-        robot.time += door.jam_angle / params.turn_rate
-        raise TurnError(
-            f"handle jammed at {door.jam_angle:.2f} rad before limit "
-            f"{door.handle_limit:.2f} rad")
-    door.handle_angle = door.handle_limit
-    robot.applied_torque = door.handle_torque_limit
-    door.latched = False
-    robot.time += door.handle_limit / params.turn_rate
-    return robot, door
-
-
-def push(robot: RobotState, door: DoorSim,
-         params: ExecParams = ExecParams()) -> tuple[RobotState, DoorSim]:
-    if door.latched:
-        raise TurnError("pushing a latched door")
-    door.open_fraction = max(door.open_fraction, params.push_fraction)
-    robot.arm_extended = False
-    robot.contact_force = 0.0
-    robot.applied_torque = 0.0
-    robot.time += params.push_time
-    return robot, door
-
-
 def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
                      door: DoorSim,
                      params: ExecParams = ExecParams()) -> ExecStatus:
     """Dispatch one behavior request and run it to a terminal state.
 
-    world_provider() yields a fresh world snapshot; it is consulted at
-    dispatch and again at the detection step, never mutated.
+    world_provider() yields a snapshot of the finished world; it is
+    called once, at dispatch, and the snapshot is never mutated.
     """
     trace: list[tuple[ExecState, float]] = [(ExecState.RECEIVED, robot.time)]
 
@@ -272,25 +196,38 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
         return ExecStatus(ExecState.COMPLETE, trace)
 
     enter(ExecState.DETECTING)
-    children = world_provider().query(parent=b.target_a)
-    handle = children[0] if children else None
-    if handle is None:
+    children = snap.query(parent=b.target_a)
+    if not children:
         return fail(f"no constituent of target {b.target_a} in world")
+    handle = children[0]
 
     enter(ExecState.LOCALIZING)
-    try:
-        localize(robot, door, handle, params)
-    except LocalizeError as e:
-        return fail(str(e))
+    # descend onto the believed handle: it must be within the arm's reach
+    # and within tolerance of the true handle
+    reach = math.hypot(handle.pose.x - robot.base.x,
+                       handle.pose.y - robot.base.y)
+    if reach > params.arm_reach:
+        return fail(f"handle {reach:.2f} m from base exceeds reach "
+                    f"{params.arm_reach} m")
+    error = handle.pose.distance(door.handle_pose or handle.pose)
+    if error > params.localize_tolerance:
+        return fail(f"handle estimate off by {error:.2f} m, tolerance "
+                    f"{params.localize_tolerance} m")
+    robot.time += params.descend_time
 
     enter(ExecState.TURNING)
-    try:
-        turn(robot, door, params)
-    except TurnError as e:
-        return fail(str(e))
+    # turn to end of travel, which unlatches the door; a jam binds the
+    # handle first. An unlatched door needs no turn.
+    if door.latched:
+        if door.jam_angle is not None and door.jam_angle < door.handle_limit:
+            robot.time += door.jam_angle / params.turn_rate
+            return fail(f"handle jammed at {door.jam_angle:.2f} rad before "
+                        f"limit {door.handle_limit:.2f} rad")
+        door.latched = False
+        robot.time += door.handle_limit / params.turn_rate
 
     enter(ExecState.PUSHING)
-    push(robot, door, params)
+    robot.time += params.push_time
 
     enter(ExecState.COMPLETE)
     return ExecStatus(ExecState.COMPLETE, trace)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from minworld import dcg
+from minworld import cli, dcg
 from minworld.cli import build_parser, cmd_bench, main
 from minworld.world import Aabb, Pose, WorldModel, WorldObject
 
@@ -524,6 +524,32 @@ def test_run_on_a_label_without_a_detector_names_the_asset_gap(model_dir, tmp_pa
         "error [perception]: detector ids not in registry: box (grounded from "
         "the symbol space, but the registry has no detector for them)\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_without_behavior_model_exits_io_before_sensing(trees, model_dir,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+    # every input loads before the first frame: the missing model, not
+    # the unregistered "box" detector, is the error, and a model of the
+    # wrong kind is no behavior model either
+    box = tmp_path / "box.txt"
+    box.write_text("(VP (VB drive) (PP (TO to) (NP (DT the) (NN box))))\n")
+    perception = str(model_dir / "perception.json")
+
+    def sense(*args, **kwargs):
+        raise AssertionError("sensing began before every input loaded")
+
+    monkeypatch.setattr(cli, "_perceive", sense)
+    for tree, extra, error in [
+            (str(box), [], "no behavior model given (flag or config)"),
+            (trees["open"], [], "no behavior model given (flag or config)"),
+            (trees["open"], ["--behavior-model", perception],
+             "behavior model has wrong kind")]:
+        code = main(["run", "--tree", tree, "--perception-model", perception,
+                     "--out-dir", str(tmp_path / "out"), *extra])
+        assert code == 1
+        assert _one_line_error(capsys, "io") == f"error [io]: {error}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_drive_completes(trees, model_dir, tmp_path, capsys):

@@ -266,10 +266,11 @@ def _template_infer(graph, model):
                 if s not in scores:
                     row = model.folded.get(s, {})
                     a = 0.0
-                    for p, _, c in dcg._conjunctions(ps, [s], cs):
+                    for name in dcg._stems(ps, [s], cs):
+                        p, _, *c = name.split("&")
                         by_c = row.get(p)
                         if by_c is not None:
-                            a += by_c.get(c, 0.0)
+                            a += by_c.get(c[0] if c else None, 0.0)
                     scores[s] = a
                 flat.append(scores[s])
         m = np.add.reduceat(np.array(flat), np.array(starts, dtype=np.intp))

@@ -11,15 +11,10 @@ from minworld.executive import (
     DoorSim,
     ExecParams,
     ExecState,
-    LocalizeError,
     NavigationError,
     RobotState,
-    TurnError,
-    localize,
     navigate,
-    push,
     receive_behavior,
-    turn,
 )
 from minworld.world import Aabb, Pose, WorldModel, WorldObject
 
@@ -34,6 +29,13 @@ def _door():
 def _handle():
     return WorldObject(2, "door_handle", Pose(5.0, -0.35, 0.95),
                        Aabb((5.0, -0.4, 0.9), (5.04, -0.3, 1.0)),
+                       parent=1)
+
+
+def _far_handle():
+    """A handle on the door 1.30 m from the standoff point, out of reach."""
+    return WorldObject(2, "door_handle", Pose(5.0, -1.2, 0.95),
+                       Aabb((5.0, -1.25, 0.9), (5.04, -1.15, 1.0)),
                        parent=1)
 
 
@@ -99,114 +101,23 @@ def test_navigate_target_footprint_never_blocks():
     assert robot.base.x == pytest.approx(4.5)
 
 
-# -- manipulation ------------------------------------------------------------
-
-def _ready_robot() -> RobotState:
-    return navigate(_robot(), _door())
-
-
-def test_localize_makes_contact():
-    robot = _ready_robot()
-    t = robot.time
-    localize(robot, DoorSim(), _handle())
-    assert robot.arm_extended
-    assert robot.contact_force == pytest.approx(6.0)
-    assert robot.time == pytest.approx(t + 1.5)
-
-
-def test_localize_rejects_out_of_reach():
-    with pytest.raises(LocalizeError):
-        localize(_robot(), DoorSim(), _handle())  # still at the origin
-
-
-def test_localize_rejects_bad_estimate():
-    robot = _ready_robot()
-    door = DoorSim(handle_pose=Pose(5.0, -0.35 + 0.2, 0.95))
-    with pytest.raises(LocalizeError):
-        localize(robot, door, _handle())
-
-
-def test_localize_accepts_estimate_within_tolerance():
-    robot = _ready_robot()
-    door = DoorSim(handle_pose=Pose(5.0, -0.35 + 0.05, 0.95))
-    localize(robot, door, _handle())
-    assert robot.arm_extended
-
-
-def test_turn_requires_contact():
-    robot = _ready_robot()
-    with pytest.raises(TurnError):
-        turn(robot, DoorSim())
-
-
-def test_turn_unlatches():
-    robot = _ready_robot()
-    door = DoorSim()
-    localize(robot, door, _handle())
-    t = robot.time
-    turn(robot, door)
-    assert not door.latched
-    assert door.handle_angle == pytest.approx(0.6)
-    assert robot.applied_torque == pytest.approx(2.0)
-    assert robot.time == pytest.approx(t + 0.6 / 0.6)
-
-
-def test_turn_unlatched_is_a_no_op():
-    robot = _ready_robot()
-    door = DoorSim(latched=False)
-    localize(robot, door, _handle())
-    t = robot.time
-    turn(robot, door)
-    assert robot.time == t
-    assert door.handle_angle == 0.0
-
-
-def test_turn_jam_fails_before_limit():
-    robot = _ready_robot()
-    door = DoorSim(jam_angle=0.2)
-    localize(robot, door, _handle())
-    with pytest.raises(TurnError):
-        turn(robot, door)
-    assert door.latched
-    assert door.handle_angle == pytest.approx(0.2)
-    assert robot.applied_torque == pytest.approx(2.0)
-
-
-def test_push_requires_unlatched():
-    robot = _ready_robot()
-    door = DoorSim()
-    localize(robot, door, _handle())
-    with pytest.raises(TurnError):
-        push(robot, door)
-
-
-def test_push_opens_and_retracts():
-    robot = _ready_robot()
-    door = DoorSim()
-    localize(robot, door, _handle())
-    turn(robot, door)
-    push(robot, door)
-    assert door.open_fraction == pytest.approx(0.3)
-    assert not robot.arm_extended
-    assert robot.contact_force == 0.0
-
-
-def test_manipulation_tail_timing():
-    robot = _ready_robot()
-    t = robot.time
-    door = DoorSim()
-    localize(robot, door, _handle())
-    turn(robot, door)
-    push(robot, door)
-    assert robot.time == pytest.approx(t + 1.5 + 1.0 + 1.5)
-
-
 # -- the dispatcher ----------------------------------------------------------
 
 def _run(request, world, door=None, params=ExecParams(), robot=None):
     door = door or DoorSim(handle_pose=_handle().pose)
     robot = robot or _robot()
     return receive_behavior(request, world.snapshot, robot, door, params), door, robot
+
+
+def _open(door=None, handle=None):
+    """An open dispatch from the origin; the base reaches its standoff
+    point at t = 9.0 s, where the default handle is 0.61 m away."""
+    return _run(BehaviorRequest("open", 1), _world(_door(), handle or _handle()),
+                door=door)
+
+
+def _times(status) -> dict:
+    return dict(status.trace)  # a trace never revisits a state
 
 
 def test_navigate_behavior_trace():
@@ -224,7 +135,6 @@ def test_open_behavior_trace():
         S.TURNING, S.PUSHING, S.COMPLETE,
     ]
     assert not door.latched
-    assert door.open_fraction == pytest.approx(0.3)
     assert robot.time > 0
 
 
@@ -308,21 +218,91 @@ def test_jam_fails_at_turning():
     assert "jam" in status.failure_reason
 
 
-def test_detection_uses_a_fresh_snapshot():
-    # the handle appears between dispatch and the detection step
-    first = _world(_door())
-    second = _world(_door(), _handle())
+# -- manipulation, through the dispatch --------------------------------------
+
+def test_localize_makes_contact():
+    # the descent onto the handle takes descend_time
+    status, _, _ = _open()
+    t = _times(status)
+    assert t[S.LOCALIZING] == pytest.approx(9.0)
+    assert t[S.TURNING] == pytest.approx(t[S.LOCALIZING] + 1.5)
+
+
+def test_localize_rejects_out_of_reach():
+    status, door, robot = _open(handle=_far_handle())
+    assert status.states() == [
+        S.RECEIVED, S.NAVIGATING, S.DETECTING, S.LOCALIZING, S.FAILURE,
+    ]
+    assert status.failure_reason == "handle 1.30 m from base exceeds reach 0.9 m"
+    assert _times(status)[S.FAILURE] == robot.time == pytest.approx(9.0)
+    assert door.latched
+
+
+def test_localize_rejects_bad_estimate():
+    status, door, robot = _open(DoorSim(handle_pose=Pose(5.0, -0.35 + 0.2, 0.95)))
+    assert status.states()[-2:] == [S.LOCALIZING, S.FAILURE]
+    assert status.failure_reason == "handle estimate off by 0.20 m, tolerance 0.1 m"
+    assert _times(status)[S.FAILURE] == robot.time == pytest.approx(9.0)
+    assert door.latched
+
+
+def test_localize_accepts_estimate_within_tolerance():
+    status, _, _ = _open(DoorSim(handle_pose=Pose(5.0, -0.35 + 0.05, 0.95)))
+    assert status.state is S.COMPLETE
+
+
+def test_turn_unlatches():
+    status, door, _ = _open()
+    t = _times(status)
+    assert not door.latched
+    assert t[S.PUSHING] == pytest.approx(t[S.TURNING] + 0.6 / 0.6)
+
+
+def test_turn_unlatched_is_a_no_op():
+    status, door, _ = _open(DoorSim(handle_pose=_handle().pose, latched=False))
+    t = _times(status)
+    assert status.state is S.COMPLETE
+    assert t[S.PUSHING] == t[S.TURNING]
+    assert not door.latched
+
+
+def test_turn_jam_fails_before_limit():
+    status, door, robot = _open(DoorSim(handle_pose=_handle().pose, jam_angle=0.2))
+    t = _times(status)
+    assert status.states()[-2:] == [S.TURNING, S.FAILURE]
+    assert status.failure_reason == "handle jammed at 0.20 rad before limit 0.60 rad"
+    assert t[S.FAILURE] == robot.time == pytest.approx(t[S.TURNING] + 0.2 / 0.6)
+    assert door.latched
+
+
+def test_turn_binding_at_the_limit_is_end_of_travel():
+    status, door, _ = _open(DoorSim(handle_pose=_handle().pose, jam_angle=0.6))
+    t = _times(status)
+    assert status.state is S.COMPLETE
+    assert t[S.PUSHING] == pytest.approx(t[S.TURNING] + 0.6 / 0.6)
+    assert not door.latched
+
+
+def test_manipulation_tail_timing():
+    status, _, robot = _open()
+    t = _times(status)
+    assert t[S.COMPLETE] == robot.time
+    assert t[S.COMPLETE] == pytest.approx(t[S.LOCALIZING] + 1.5 + 1.0 + 1.5)
+
+
+@pytest.mark.parametrize("action", ["navigate", "open"])
+def test_dispatch_reads_the_world_once(action):
+    world = _world(_door(), _handle())
     calls = []
 
     def provider():
         calls.append(None)
-        return (first if len(calls) == 1 else second).snapshot()
+        return world.snapshot()
 
-    door = DoorSim(handle_pose=_handle().pose)
-    status = receive_behavior(BehaviorRequest("open", 1), provider,
-                              _robot(), door)
+    status = receive_behavior(BehaviorRequest(action, 1), provider, _robot(),
+                              DoorSim(handle_pose=_handle().pose))
     assert status.state is S.COMPLETE
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _fault_matrix():
@@ -336,12 +316,22 @@ def _fault_matrix():
     yield BehaviorRequest("open", 77), full, DoorSim()
     yield BehaviorRequest("open", 1), _world(_door()), DoorSim()
     yield BehaviorRequest("open", 1), _world(_door(), _handle(), wall), DoorSim()
+    yield BehaviorRequest("open", 1), _world(_door(), _far_handle()), DoorSim()
     yield (BehaviorRequest("open", 1), full,
            DoorSim(handle_pose=Pose(5.0, 0.2, 0.95)))
     yield (BehaviorRequest("open", 1), full,
            DoorSim(handle_pose=_handle().pose, jam_angle=0.3))
     yield (BehaviorRequest("open", 1), full,
            DoorSim(handle_pose=_handle().pose, latched=False))
+
+
+def test_fault_matrix_takes_every_edge():
+    # an edge of the graph no dispatch can take is dead
+    taken = set()
+    for request, world, door in _fault_matrix():
+        states = _run(request, world, door=door)[0].states()
+        taken |= set(zip(states, states[1:]))
+    assert taken == ALLOWED_TRANSITIONS
 
 
 def test_every_trace_follows_the_transition_graph():
