@@ -433,25 +433,29 @@ def build_examples(kind: str, raw_examples: list[dict],
 
 class CompiledCorpus:
     """Featurized corpus: the feature names in the order first seen,
-    and per-factor gold values and active feature indices (positions in
-    ``names``), flattened for vectorized math.
+    and the distinct rows (phrase context, symbol) with their active
+    feature indices (positions in ``names``), flattened for vectorized
+    math, each with two gold counts: ``pos`` factors of the row are
+    gold true and ``neg`` gold false.
 
     Each phrase's context comes from ``_context`` over the gold ids of
     its children, the walk ``infer`` makes over the ids it inferred.
 
     Each context (phrase atoms, child atoms) featurizes a symbol atom
-    once, as the ids of ``_stems(ps, [s], cs)``, and keeps each symbol's
-    row: its atoms' ids, sorted. Atoms new to a context are numbered in
-    ``_stems(ps, new, cs)`` order; the rest are numbered already, so
-    ``names`` keeps the per-factor template's first-seen order.
+    once, as the ids of ``_stems(ps, [s], cs)``, and makes each symbol's
+    row once: its atoms' ids, sorted. Atoms new to a context are
+    numbered in ``_stems(ps, new, cs)`` order; the rest are numbered
+    already, so ``names`` keeps the per-factor template's first-seen
+    order. Factor k is row ``row_of[k]`` with gold value ``golds[k]``;
+    ``n_factors`` counts factors, not rows.
     """
 
     def __init__(self, examples: list[TrainingExample]):
         self.examples = examples
         index: dict[str, int] = {}
-        # (ps, cs) -> (symbol atom -> block, symbol -> row)
+        # (ps, cs) -> (symbol atom -> block, symbol -> row number)
         contexts: dict[tuple, tuple[dict, dict]] = {}
-        golds, counts, flat_idx = [], [], []
+        row_of, golds, pos, neg, counts, flat_idx = [], [], [], [], [], []
         for ex in examples:
             bank = ex.graph.bank
             for phrase in ex.graph.tree.phrases:
@@ -459,8 +463,8 @@ class CompiledCorpus:
                 blocks, rows = contexts.setdefault((tuple(ps), tuple(cs)), ({}, {}))
                 true_ids = ex.gold[phrase.index]
                 for j, sym in enumerate(bank):
-                    row = rows.get(sym)
-                    if row is None:
+                    r = rows.get(sym)
+                    if r is None:
                         atoms = symbol_atoms(sym)
                         new = [s for s in atoms if s not in blocks]
                         if new:  # _stems checks them for '&'
@@ -469,13 +473,25 @@ class CompiledCorpus:
                             for s in new:
                                 blocks[s] = ids if len(new) == 1 else \
                                     [index[n] for n in _stems(ps, [s], cs)]
-                        row = rows[sym] = sorted([i for s in atoms for i in blocks[s]])
-                    golds.append(j in true_ids)
-                    counts.append(len(row))
-                    flat_idx += row
+                        row = sorted([i for s in atoms for i in blocks[s]])
+                        r = rows[sym] = len(counts)
+                        counts.append(len(row))
+                        flat_idx += row
+                        pos.append(0)
+                        neg.append(0)
+                    gold = j in true_ids
+                    if gold:
+                        pos[r] += 1
+                    else:
+                        neg[r] += 1
+                    row_of.append(r)
+                    golds.append(gold)
         self.names = list(index)
         self.n_factors = len(golds)
+        self.row_of = np.array(row_of, dtype=int)
         self.golds = np.array(golds, dtype=float)
+        self.pos = np.array(pos, dtype=float)
+        self.neg = np.array(neg, dtype=float)
         self.counts = np.array(counts, dtype=int)
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.flat_idx = np.array(flat_idx, dtype=int)
@@ -485,22 +501,24 @@ class CompiledCorpus:
         return len(self.names)
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        """Per-factor sum of the active features' weights."""
+        """Per-row sum of the active features' weights."""
         if len(w) < self.dim:
             raise NumericError("weight vector shorter than feature space")
         return np.add.reduceat(w[self.flat_idx], self.offsets) \
-            if self.n_factors else np.zeros(0)
+            if len(self.counts) else np.zeros(0)
 
 
 def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
                    m: np.ndarray | None = None) -> float:
-    """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2; ``m`` is
+    """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2, as a row's
+    margin m counted ``pos`` times gold true and ``neg`` times gold
+    false: -pos softplus(-m) - neg softplus(m). ``m`` is
     ``corpus.margins(w)`` when the caller already has it."""
     if m is None:
         m = corpus.margins(w)
-    signed = np.where(corpus.golds > 0.5, m, -m)
-    lp = -np.logaddexp(0.0, -signed)
-    val = float(lp.sum()) - 0.5 * l2 * float(w @ w)
+    lp = corpus.pos.dot(np.logaddexp(0.0, -m)) \
+        + corpus.neg.dot(np.logaddexp(0.0, m))
+    val = -float(lp) - 0.5 * l2 * float(w @ w)
     if not math.isfinite(val):
         raise NumericError("non-finite log-likelihood")
     return val
@@ -508,13 +526,14 @@ def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
 
 def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
                 m: np.ndarray | None = None) -> np.ndarray:
-    """Analytic gradient: sum over factors of (1_gold - p_true) times
-    the factor's features, minus l2 w; ``m`` as in ``log_likelihood``."""
+    """Analytic gradient: sum over rows of (pos - (pos + neg) p_true)
+    times the row's features, minus l2 w; ``m`` as in
+    ``log_likelihood``."""
     if m is None:
         m = corpus.margins(w)
     with np.errstate(over="ignore"):
         p_true = 1.0 / (1.0 + np.exp(-m))
-    coef = corpus.golds - p_true
+    coef = corpus.pos - (corpus.pos + corpus.neg) * p_true
     # not in place: bincount over an empty corpus returns integers
     return np.bincount(corpus.flat_idx, weights=np.repeat(coef, corpus.counts),
                        minlength=len(w)) - l2 * w
@@ -572,17 +591,19 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     """The two-loop recursion: the inverse-Hessian estimate of the last
     curvature pairs ``(s, y, s.y)`` applied to ``grad``, with H0 =
     (s.y)/(y.y) from the newest pair. y is the old gradient minus the
-    new, so the result is an ascent direction."""
+    new, so the result is an ascent direction. Every scaled pair vector
+    is written into one scratch buffer."""
     q = grad.copy()
+    scaled = np.empty_like(q)
     alphas = []
     for s, y, sy in reversed(pairs):
-        a = float(s @ q) / sy
+        a = s.dot(q) / sy
         alphas.append(a)
-        q -= a * y
+        q -= np.multiply(a, y, out=scaled)
     _, y, sy = pairs[-1]
-    q *= sy / float(y @ y)
+    q *= sy / y.dot(y)
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
-        q += (a - float(y @ q) / sy) * s
+        q += np.multiply(a - y.dot(q) / sy, s, out=scaled)
     return q
 
 
@@ -601,7 +622,10 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
     Margins are linear in the weights, so a trial point w + step * d
     has margins m + step * margins(d): each iteration reads the sparse
     corpus twice (the margins of the direction, then the gradient at the
-    accepted point) however many steps the line search tries.
+    accepted point) however many steps the line search tries. Both reads
+    and every objective are over the corpus's distinct rows, each
+    weighted by its gold counts, so a repeated (context, symbol) costs
+    nothing per iteration.
     """
     l2 = config.l2
 

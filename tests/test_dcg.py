@@ -575,12 +575,13 @@ def test_corpus_gold_has_the_shape_infer_returns(which, perception_corpus,
 
 
 def test_margins_match_direct_scores(space, perception_corpus, behavior_corpus):
-    # flattened sparse arithmetic agrees with per-factor refeaturization
+    # flattened sparse arithmetic agrees with per-factor refeaturization,
+    # each factor read through its row
     rng = np.random.default_rng(5)
     for corpus in (perception_corpus, behavior_corpus):
         w = rng.normal(size=corpus.dim)
         at = {n: i for i, n in enumerate(corpus.names)}
-        got = corpus.margins(w)
+        got = corpus.margins(w)[corpus.row_of]
         k = 0
         for ex in corpus.examples:
             graph = ex.graph
@@ -626,6 +627,48 @@ def test_gradient_matches_finite_differences(perception_corpus):
         fd = (dcg.log_likelihood(perception_corpus, wp, 1e-3)
               - dcg.log_likelihood(perception_corpus, wm, 1e-3)) / (2 * h)
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
+
+
+def _factor_objective(corpus, w, l2):
+    """The objective and gradient summed factor by factor over the
+    expanded rows: (log-likelihood, gradient)."""
+    factors = _factor_rows(corpus)
+    m = np.add.reduceat(w[factors.flat_idx], factors.offsets)
+    signed = np.where(factors.golds > 0.5, m, -m)
+    ll = float(-np.logaddexp(0.0, -signed).sum()) - 0.5 * l2 * float(w @ w)
+    coef = factors.golds - 1.0 / (1.0 + np.exp(-m))
+    grad = np.zeros(len(w))
+    np.add.at(grad, factors.flat_idx, np.repeat(coef, factors.counts))
+    return ll, grad - l2 * w
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+def test_row_objective_matches_the_per_factor_sum(l2, perception_corpus,
+                                                  behavior_corpus):
+    rng = np.random.default_rng(11)
+    for corpus in (perception_corpus, behavior_corpus):
+        for _ in range(3):
+            w = rng.normal(size=corpus.dim)
+            ll, grad = _factor_objective(corpus, w, l2)
+            assert abs(dcg.log_likelihood(corpus, w, l2) - ll) <= 1e-12 * abs(ll)
+            assert np.linalg.norm(dcg.ll_gradient(corpus, w, l2) - grad) \
+                <= 1e-12 * np.linalg.norm(grad)
+
+
+def test_repeated_examples_count_twice_on_the_same_rows(space, assets):
+    for which in ("perception", "behavior"):
+        kind, raw = dcg.load_corpus(assets / f"{which}_corpus.json")
+        examples = dcg.build_examples(kind, raw, space)
+        once = dcg.CompiledCorpus(examples)
+        twice = dcg.CompiledCorpus(examples + examples)
+        assert twice.names == once.names
+        assert twice.n_factors == 2 * once.n_factors
+        for key in ("flat_idx", "counts"):
+            assert getattr(twice, key).tolist() == getattr(once, key).tolist()
+        assert twice.pos.tolist() == (2 * once.pos).tolist()
+        assert twice.neg.tolist() == (2 * once.neg).tolist()
+        w = np.random.default_rng(2).normal(size=once.dim)
+        assert dcg.log_likelihood(twice, w) == 2 * dcg.log_likelihood(once, w)
 
 
 def test_given_margins_give_the_same_objective(perception_corpus):
@@ -728,11 +771,12 @@ def test_compiled_corpus_matches_two_sided_featurize(which, perception_corpus,
     # names, in the same order, factor by factor
     corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
     ref = _two_sided_compile(corpus.examples)
-    assert corpus.names == [n[:-2] for n in ref.names if n.endswith("&T")]
-    assert corpus.golds.tolist() == ref.golds.tolist()
-    assert (2 * corpus.counts).tolist() == ref.counts.tolist()
-    names = corpus.names
-    assert [names[i] for i in corpus.flat_idx] == \
+    factors = _factor_rows(corpus)
+    assert factors.names == [n[:-2] for n in ref.names if n.endswith("&T")]
+    assert factors.golds.tolist() == ref.golds.tolist()
+    assert (2 * factors.counts).tolist() == ref.counts.tolist()
+    names = factors.names
+    assert [names[i] for i in factors.flat_idx] == \
         [ref.names[i][:-2] for i, v in zip(ref.flat_idx, ref.flat_val) if v > 0]
 
 
@@ -757,11 +801,37 @@ def _per_factor_compile(examples):
         flat_idx=np.array(flat_idx, dtype=int))
 
 
+def _rows(corpus):
+    """Each compiled row's feature ids, as a list."""
+    return [corpus.flat_idx[o:o + n].tolist()
+            for o, n in zip(corpus.offsets, corpus.counts)]
+
+
+def _factor_rows(corpus):
+    """The compiled corpus expanded back to one row per factor, through
+    ``row_of``, in the shape ``_per_factor_compile`` returns."""
+    rows = _rows(corpus)
+    counts = corpus.counts[corpus.row_of]
+    return SimpleNamespace(
+        names=corpus.names, golds=corpus.golds, counts=counts,
+        offsets=np.concatenate(([0], np.cumsum(counts)[:-1])),
+        flat_idx=np.array([i for r in corpus.row_of for i in rows[r]], dtype=int))
+
+
 def _assert_compiles_like(corpus, ref):
-    assert corpus.names == ref.names
+    factors = _factor_rows(corpus)
+    assert factors.names == ref.names
     for key in ("golds", "counts", "offsets", "flat_idx"):
-        got, want = getattr(corpus, key), getattr(ref, key)
+        got, want = getattr(factors, key), getattr(ref, key)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), key
+    # each distinct row once, counting its factors by gold value
+    rows = [tuple(r) for r in _rows(corpus)]
+    assert len(set(rows)) == len(rows)
+    n_rows = len(rows)
+    assert corpus.pos.tolist() == np.bincount(
+        corpus.row_of, weights=corpus.golds, minlength=n_rows).tolist()
+    assert corpus.neg.tolist() == np.bincount(
+        corpus.row_of, weights=1.0 - corpus.golds, minlength=n_rows).tolist()
 
 
 def _world_json(objects):
@@ -846,6 +916,36 @@ def test_compiled_corpus_rejects_a_world_label_with_separator(space, cached):
         dcg.CompiledCorpus(examples)
 
 
+def two_loop(grad, pairs):
+    """The textbook L-BFGS two-loop recursion over ``(s, y)`` pairs."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alphas.append(float(s @ q) / float(s @ y))
+        q -= alphas[-1] * y
+    s, y = pairs[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - float(y @ q) / float(s @ y)) * s
+    return q
+
+
+@pytest.mark.parametrize("memory", [1, 3, 10])
+def test_lbfgs_direction_matches_the_textbook_two_loop(memory):
+    rng = np.random.default_rng(memory)
+    for _ in range(20):
+        dim = int(rng.integers(1, 60))
+        pairs = []
+        while len(pairs) < memory:
+            s = rng.normal(size=dim)
+            y = s * rng.uniform(0.1, 3.0, size=dim) + rng.normal(scale=0.3, size=dim)
+            if float(s @ y) > 0.0:
+                pairs.append((s, y))
+        grad = rng.normal(size=dim)
+        got = dcg._lbfgs_direction(grad, [(s, y, float(s @ y)) for s, y in pairs])
+        assert np.array_equal(got, two_loop(grad, pairs))
+
+
 def _two_sided_train(ref, iterations, step=1.0, l2=1e-3, tol=1e-9,
                      max_backtracks=40, armijo=1e-4, memory=10):
     """L-BFGS ascent on the two-sided weights, evaluating the full
@@ -862,18 +962,6 @@ def _two_sided_train(ref, iterations, step=1.0, l2=1e-3, tol=1e-9,
         grad = np.zeros(len(w))
         np.add.at(grad, ref.flat_idx, np.repeat(coef, ref.counts) * ref.flat_val)
         return grad - l2 * w
-
-    def two_loop(grad, pairs):
-        q = grad.copy()
-        alphas = []
-        for s, y in reversed(pairs):
-            alphas.append(float(s @ q) / float(s @ y))
-            q -= alphas[-1] * y
-        s, y = pairs[-1]
-        q *= float(s @ y) / float(y @ y)
-        for (s, y), a in zip(pairs, reversed(alphas)):
-            q += (a - float(y @ q) / float(s @ y)) * s
-        return q
 
     w = np.zeros(len(ref.names))
     obj = objective(w)
@@ -939,12 +1027,13 @@ def test_cached_margin_training_matches_reference(which, iterations,
 
 def _newton_optimum(corpus, l2):
     """The maximizer of the l2-regularised log-likelihood by damped
-    Newton steps on a dense design matrix, solved to |g| < 1e-11:
-    (weights, objective)."""
+    Newton steps on a dense design matrix with one row per factor,
+    solved to |g| < 1e-11: (weights, objective)."""
+    factors = _factor_rows(corpus)
     x = np.zeros((corpus.n_factors, corpus.dim))
-    np.add.at(x, (np.repeat(np.arange(corpus.n_factors), corpus.counts),
-                  corpus.flat_idx), 1.0)
-    sign = np.where(corpus.golds > 0.5, 1.0, -1.0)
+    np.add.at(x, (np.repeat(np.arange(corpus.n_factors), factors.counts),
+                  factors.flat_idx), 1.0)
+    sign = np.where(factors.golds > 0.5, 1.0, -1.0)
 
     def objective(w):
         return float(-np.logaddexp(0.0, -sign * (x @ w)).sum()) - 0.5 * l2 * float(w @ w)
@@ -952,7 +1041,7 @@ def _newton_optimum(corpus, l2):
     w = np.zeros(corpus.dim)
     for _ in range(100):
         p_true = 1.0 / (1.0 + np.exp(-(x @ w)))
-        grad = x.T @ (corpus.golds - p_true) - l2 * w
+        grad = x.T @ (factors.golds - p_true) - l2 * w
         if np.linalg.norm(grad) < 1e-11:
             return w, objective(w)
         hessian = (x.T * (p_true * (1.0 - p_true))) @ x + l2 * np.eye(corpus.dim)
