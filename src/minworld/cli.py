@@ -202,6 +202,7 @@ def cmd_train(args) -> int:
         "examples": len(corpus.examples),
         "factors": corpus.n_factors,
         "features": corpus.dim,
+        "coordinates": corpus.grouped.n_coords,
         "iterations": result.iterations,
         "converged": result.converged,
         "stop": result.stop,

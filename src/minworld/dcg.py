@@ -9,7 +9,10 @@ regression: p(phi_ij = true) = sigmoid(margin), where the margin is the
 sum of the weights theta of the factor's active features. Inference
 walks phrases bottom-up and sets every variable to its own factor's
 argmax under the already-fixed child assignments; training fits theta by
-maximum likelihood on annotated corpora.
+maximum likelihood on annotated corpora. Feature columns that occur in
+exactly the same corpus rows share one training coordinate
+(``CompiledCorpus.grouped``), so the optimizer moves one number per
+group of identical columns.
 
 Features are named conjunctions of phrase atoms, symbol atoms, and
 child-summary atoms, one weight per conjunction. One template,
@@ -431,12 +434,88 @@ def build_examples(kind: str, raw_examples: list[dict],
     return out
 
 
-class CompiledCorpus:
+class CorpusRows:
+    """A corpus's distinct rows in one system of training coordinates.
+
+    Row r reads the coordinates ``flat_idx[offsets[r]:offsets[r] +
+    counts[r]]``, each times its ``scale``, and stands for ``pos[r]``
+    factors that are gold true and ``neg[r]`` that are gold false. A
+    weight vector has exactly ``n_coords`` entries.
+    """
+
+    def __init__(self, pos: np.ndarray, neg: np.ndarray, counts: np.ndarray,
+                 flat_idx: np.ndarray, scale: np.ndarray):
+        self.pos, self.neg, self.counts = pos, neg, counts
+        self.offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        self.flat_idx = flat_idx
+        self.scale = scale
+
+    @property
+    def n_coords(self) -> int:
+        return len(self.scale)
+
+    def margins(self, w: np.ndarray) -> np.ndarray:
+        """Per-row sum of the active coordinates' scaled weights."""
+        _check_length(self, w)
+        return np.add.reduceat((w * self.scale)[self.flat_idx], self.offsets) \
+            if len(self.counts) else np.zeros(0)
+
+
+def _check_length(rows: CorpusRows, w: np.ndarray) -> None:
+    if len(w) != rows.n_coords:
+        raise NumericError(f"weight vector has {len(w)} entries for "
+                           f"{rows.n_coords} coordinates")
+
+
+# the bit values of 32 consecutive rows in one word; a sum of distinct
+# ones is an exact float
+_ROW_BITS = 2.0 ** np.arange(31, -1, -1)
+
+
+def _grouped(rows: CorpusRows) -> tuple[np.ndarray, CorpusRows]:
+    """Group the columns of name-space ``rows`` by the set of rows they
+    occur in: ``(group_of, grouped)``, each column's group, numbered in
+    the order of the groups' first columns, and the rows over the
+    groups.
+
+    A column's row set is its bit string, 32 rows to a word; word b of
+    every column is one ``bincount`` over the entries of rows 32b to
+    32b + 31, and equal strings are found by ``np.unique``."""
+    counts, flat_idx, offsets = rows.counts, rows.flat_idx, rows.offsets
+    dim = rows.n_coords
+    word = len(_ROW_BITS)
+    bounds = offsets[::word].tolist() + [len(flat_idx)]
+    width = len(bounds) - 1
+    bits = np.empty((dim, width), dtype=np.uint32)
+    for b in range(width):
+        in_word = counts[word * b:word * (b + 1)]
+        bits[:, b] = np.bincount(
+            flat_idx[bounds[b]:bounds[b + 1]], minlength=dim,
+            weights=np.repeat(_ROW_BITS[:len(in_word)], in_word))
+    strings = bits.view(np.dtype((np.void, bits.itemsize * width))).ravel()
+    _, first, inverse = np.unique(strings, return_index=True, return_inverse=True)
+    is_first = np.zeros(dim, dtype=bool)
+    is_first[first] = True
+    # a group's number is its first column's rank among first columns
+    rank = np.cumsum(is_first) - 1
+    group_of = rank[first][inverse]
+    # a row holds all of a group or none of it, so its groups' first
+    # columns, already sorted, list its groups
+    keep = is_first[flat_idx]
+    return group_of, CorpusRows(
+        rows.pos, rows.neg,
+        np.add.reduceat(keep, offsets, dtype=int) if len(counts) else counts,
+        rank[flat_idx[keep]],
+        np.sqrt(np.bincount(group_of, minlength=len(first))))
+
+
+class CompiledCorpus(CorpusRows):
     """Featurized corpus: the feature names in the order first seen,
     and the distinct rows (phrase context, symbol) with their active
     feature indices (positions in ``names``), flattened for vectorized
     math, each with two gold counts: ``pos`` factors of the row are
-    gold true and ``neg`` gold false.
+    gold true and ``neg`` gold false. As ``CorpusRows`` its coordinates
+    are the names, each with scale 1.
 
     Each phrase's context comes from ``_context`` over the gold ids of
     its children, the walk ``infer`` makes over the ids it inferred.
@@ -444,10 +523,19 @@ class CompiledCorpus:
     Each context (phrase atoms, child atoms) featurizes a symbol atom
     once, as the ids of ``_stems(ps, [s], cs)``, and makes each symbol's
     row once: its atoms' ids, sorted. Atoms new to a context are
-    numbered in ``_stems(ps, new, cs)`` order; the rest are numbered
-    already, so ``names`` keeps the per-factor template's first-seen
-    order. Factor k is row ``row_of[k]`` with gold value ``golds[k]``;
-    ``n_factors`` counts factors, not rows.
+    numbered in one ``_stems(ps, new, cs)`` pass, and each new atom's
+    block is read from it; the rest are numbered already, so ``names``
+    keeps the per-factor template's first-seen order. Factor k is row
+    ``row_of[k]`` with gold value ``golds[k]``; ``n_factors`` counts
+    factors, not rows.
+
+    Columns that occur in exactly the same rows are one training
+    coordinate. ``group_of`` maps each name to its group, numbered by
+    first column, and ``grouped`` holds the same rows over the groups:
+    each row lists its distinct groups, sorted, and a group of k
+    columns sharing weight w has coordinate v = sqrt(k) w and scale
+    sqrt(k). Dot products and norms in these coordinates equal those in
+    name space.
     """
 
     def __init__(self, examples: list[TrainingExample]):
@@ -470,9 +558,16 @@ class CompiledCorpus:
                         if new:  # _stems checks them for '&'
                             ids = [index.setdefault(n, len(index))
                                    for n in _stems(ps, new, cs)]
-                            for s in new:
-                                blocks[s] = ids if len(new) == 1 else \
-                                    [index[n] for n in _stems(ps, [s], cs)]
+                            # _stems lists p&s over (p, s), then p&s&c
+                            # over (p, s, c): atom t's ids sit every
+                            # len(new)-th pair and every len(new)-th run
+                            # of len(cs) triples
+                            k, c = len(new), len(cs)
+                            n_pairs = len(ps) * k
+                            for t, s in enumerate(new):
+                                blocks[s] = ids[t:n_pairs:k] + [
+                                    i for at in range(n_pairs + t * c, len(ids), k * c)
+                                    for i in ids[at:at + c]]
                         row = sorted([i for s in atoms for i in blocks[s]])
                         r = rows[sym] = len(counts)
                         counts.append(len(row))
@@ -490,30 +585,28 @@ class CompiledCorpus:
         self.n_factors = len(golds)
         self.row_of = np.array(row_of, dtype=int)
         self.golds = np.array(golds, dtype=float)
-        self.pos = np.array(pos, dtype=float)
-        self.neg = np.array(neg, dtype=float)
-        self.counts = np.array(counts, dtype=int)
-        self.offsets = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
-        self.flat_idx = np.array(flat_idx, dtype=int)
+        super().__init__(np.array(pos, dtype=float), np.array(neg, dtype=float),
+                         np.array(counts, dtype=int), np.array(flat_idx, dtype=int),
+                         np.ones(len(index)))
+        # free the lists and caches first: grouping must not add its
+        # temporaries to them at the compile's peak
+        del index, contexts, row_of, golds, pos, neg, counts, flat_idx
+        self.group_of, self.grouped = _grouped(self)
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def margins(self, w: np.ndarray) -> np.ndarray:
-        """Per-row sum of the active features' weights."""
-        if len(w) < self.dim:
-            raise NumericError("weight vector shorter than feature space")
-        return np.add.reduceat(w[self.flat_idx], self.offsets) \
-            if len(self.counts) else np.zeros(0)
 
-
-def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
+def log_likelihood(corpus: CorpusRows, w: np.ndarray, l2: float = 0.0,
                    m: np.ndarray | None = None) -> float:
     """Sum of per-factor log p(gold phi) minus (l2/2)|w|^2, as a row's
     margin m counted ``pos`` times gold true and ``neg`` times gold
-    false: -pos softplus(-m) - neg softplus(m). ``m`` is
-    ``corpus.margins(w)`` when the caller already has it."""
+    false: -pos softplus(-m) - neg softplus(m). ``w`` is in the
+    coordinates of ``corpus``, the names of a ``CompiledCorpus`` or its
+    ``grouped`` form; ``m`` is ``corpus.margins(w)`` when the caller
+    already has it."""
+    _check_length(corpus, w)
     if m is None:
         m = corpus.margins(w)
     lp = corpus.pos.dot(np.logaddexp(0.0, -m)) \
@@ -524,19 +617,21 @@ def log_likelihood(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
     return val
 
 
-def ll_gradient(corpus: CompiledCorpus, w: np.ndarray, l2: float = 0.0,
+def ll_gradient(corpus: CorpusRows, w: np.ndarray, l2: float = 0.0,
                 m: np.ndarray | None = None) -> np.ndarray:
     """Analytic gradient: sum over rows of (pos - (pos + neg) p_true)
-    times the row's features, minus l2 w; ``m`` as in
-    ``log_likelihood``."""
+    times the row's coordinates, each times its scale, minus l2 w;
+    ``w`` and ``m`` as in ``log_likelihood``."""
+    _check_length(corpus, w)
     if m is None:
         m = corpus.margins(w)
     with np.errstate(over="ignore"):
         p_true = 1.0 / (1.0 + np.exp(-m))
     coef = corpus.pos - (corpus.pos + corpus.neg) * p_true
     # not in place: bincount over an empty corpus returns integers
-    return np.bincount(corpus.flat_idx, weights=np.repeat(coef, corpus.counts),
-                       minlength=len(w)) - l2 * w
+    return corpus.scale * np.bincount(
+        corpus.flat_idx, weights=np.repeat(coef, corpus.counts),
+        minlength=len(w)) - l2 * w
 
 
 @dataclass(frozen=True)
@@ -619,31 +714,40 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
     sufficient-increase condition, so the recorded objective history is
     non-decreasing. Non-finite values abort with the iteration number.
 
-    Margins are linear in the weights, so a trial point w + step * d
+    Margins are linear in the weights, so a trial point v + step * d
     has margins m + step * margins(d): each iteration reads the sparse
     corpus twice (the margins of the direction, then the gradient at the
     accepted point) however many steps the line search tries. Both reads
     and every objective are over the corpus's distinct rows, each
     weighted by its gold counts, so a repeated (context, symbol) costs
     nothing per iteration.
+
+    The loop runs in ``corpus.grouped``'s coordinates, one per group of
+    identical feature columns. Started from zero, a group's weights stay
+    equal in name space, and the change of variables v = sqrt(k) w is an
+    isometry, so every step is the name-space step on fewer numbers.
+    The model is written back as w = v / sqrt(k) for every name of a
+    group, and ``grad_norm`` is the norm in the grouped coordinates,
+    equal to the name-space norm.
     """
     l2 = config.l2
+    rows = corpus.grouped
 
-    def gradient_at(m, w):
-        grad = ll_gradient(corpus, w, l2, m)
+    def gradient_at(m, v):
+        grad = ll_gradient(rows, v, l2, m)
         gnorm2 = float(grad @ grad)
         if not math.isfinite(gnorm2):
             raise NumericError("non-finite gradient")
         return grad, gnorm2
 
-    w = np.zeros(corpus.dim)
+    v = np.zeros(rows.n_coords)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     stop = "iterations"
     it = 0
     try:
-        m = corpus.margins(w)
-        obj = log_likelihood(corpus, w, l2, m)
-        grad, gnorm2 = gradient_at(m, w)
+        m = rows.margins(v)
+        obj = log_likelihood(rows, v, l2, m)
+        grad, gnorm2 = gradient_at(m, v)
         history = [obj]
         for it in range(1, config.iterations + 1):
             if gnorm2 == 0.0:
@@ -655,12 +759,12 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
                 slope_q = float(grad @ d_q)
                 if slope_q > 0.0:
                     d, slope, step = d_q, slope_q, 1.0
-            md = corpus.margins(d)
+            md = rows.margins(d)
             accepted = False
             for _ in range(config.max_backtracks):
-                w_new = w + step * d
+                v_new = v + step * d
                 m_new = m + step * md
-                obj_new = log_likelihood(corpus, w_new, l2, m_new)
+                obj_new = log_likelihood(rows, v_new, l2, m_new)
                 if obj_new >= obj + config.armijo * step * slope:
                     accepted = True
                     break
@@ -669,19 +773,20 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
                 stop = "line_search"
                 break
             gain = obj_new - obj
-            grad_new, gnorm2 = gradient_at(m_new, w_new)
-            s, y = w_new - w, grad - grad_new
+            grad_new, gnorm2 = gradient_at(m_new, v_new)
+            s, y = v_new - v, grad - grad_new
             sy = float(s @ y)
             if sy > 0.0:
                 pairs.append((s, y, sy))
-            w, m, obj, grad = w_new, m_new, obj_new, grad_new
+            v, m, obj, grad = v_new, m_new, obj_new, grad_new
             history.append(obj)
             if gain <= config.tol * (1.0 + abs(obj)):
                 stop = "tol"
                 break
     except NumericError as e:
         raise TrainingError(f"iteration {it}: {e}") from e
-    model = Model(kind, dict(zip(corpus.names, w.tolist())))
+    theta = (v / rows.scale)[corpus.group_of]
+    model = Model(kind, dict(zip(corpus.names, theta.tolist())))
     return TrainResult(model, history, it, stop, math.sqrt(gnorm2))
 
 

@@ -65,6 +65,8 @@ def test_train_perception_model(tmp_path, assets, capsys):
     assert summary["recovery"] == 1.0
     assert (summary["converged"], summary["stop"]) == (True, "tol")
     assert summary["grad_norm"] > 0.0
+    # one training coordinate per group of identical feature columns
+    assert (summary["features"], summary["coordinates"]) == (847, 306)
     data = json.loads(out.read_text())
     assert data["template_version"] == 2
     assert len(data["weights"]) == summary["features"]

@@ -671,6 +671,120 @@ def test_repeated_examples_count_twice_on_the_same_rows(space, assets):
         assert dcg.log_likelihood(twice, w) == 2 * dcg.log_likelihood(once, w)
 
 
+def _column_rows(corpus):
+    """Each feature column's set of rows."""
+    cols = [set() for _ in range(corpus.dim)]
+    for r, row in enumerate(_rows(corpus)):
+        for i in row:
+            cols[i].add(r)
+    return [frozenset(c) for c in cols]
+
+
+def test_grouping_is_exact(space, perception_corpus, behavior_corpus):
+    shared_space, shared_raw = _shared_parent_corpus()
+    corpora = [perception_corpus, behavior_corpus,
+               dcg.CompiledCorpus(dcg.build_examples(
+                   "behavior", _one_tree_many_worlds(), space)),
+               dcg.CompiledCorpus(dcg.build_examples(
+                   "perception", shared_raw, shared_space))]
+    for corpus in corpora:
+        group_of, grouped = corpus.group_of, corpus.grouped
+        cols = _column_rows(corpus)
+        by_group: dict[int, set] = {}
+        for i, g in enumerate(group_of.tolist()):
+            by_group.setdefault(g, set()).add(cols[i])
+        # one row set per group, a different one for each group
+        assert all(len(sets) == 1 for sets in by_group.values())
+        assert len({next(iter(sets)) for sets in by_group.values()}) == len(by_group)
+        # numbered 0, 1, ... by first column
+        assert list(dict.fromkeys(group_of.tolist())) == list(range(grouped.n_coords))
+        # scale^2 is the group's size, up to rounding: scale is its root
+        sizes = np.bincount(group_of, minlength=grouped.n_coords)
+        assert grouped.scale.tolist() == np.sqrt(sizes).tolist()
+        # the same rows, each listing its distinct groups, sorted
+        assert _rows(grouped) == [sorted(set(group_of[row].tolist()))
+                                  for row in _rows(corpus)]
+        assert grouped.pos is corpus.pos and grouped.neg is corpus.neg
+
+
+def test_bundled_corpora_group_to_fewer_coordinates(perception_corpus,
+                                                    behavior_corpus):
+    # (features, coordinates, rows, entries read per pass)
+    for corpus, want in ((perception_corpus, (847, 306, 133, 966)),
+                         (behavior_corpus, (2545, 318, 312, 3164))):
+        grouped = corpus.grouped
+        assert (corpus.dim, grouped.n_coords, len(grouped.counts),
+                len(grouped.flat_idx)) == want
+        assert grouped.counts.sum() == len(grouped.flat_idx)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+def test_grouped_coordinates_are_an_isometry(l2, perception_corpus,
+                                             behavior_corpus):
+    # v = sqrt(k) w on a group of k columns sharing weight w
+    rng = np.random.default_rng(23)
+    for corpus in (perception_corpus, behavior_corpus):
+        grouped, group_of = corpus.grouped, corpus.group_of
+        for _ in range(3):
+            v = rng.normal(size=grouped.n_coords)
+            w = (v / grouped.scale)[group_of]
+            want = dcg.log_likelihood(corpus, w, l2)
+            assert abs(dcg.log_likelihood(grouped, v, l2) - want) <= 1e-12 * abs(want)
+            grad = dcg.ll_gradient(grouped, v, l2)
+            member = grouped.scale[group_of] * dcg.ll_gradient(corpus, w, l2)
+            assert np.abs(grad[group_of] - member).max() <= 1e-12
+
+
+def test_trained_weights_are_equal_within_each_group(perception_corpus,
+                                                     perception_model,
+                                                     behavior_corpus,
+                                                     behavior_model):
+    for corpus, model in ((perception_corpus, perception_model),
+                          (behavior_corpus, behavior_model)):
+        by_group: dict[int, set] = {}
+        for name, g in zip(corpus.names, corpus.group_of.tolist()):
+            by_group.setdefault(g, set()).add(model.weights[name].hex())
+        assert len(by_group) == corpus.grouped.n_coords
+        assert all(len(ws) == 1 for ws in by_group.values())
+
+
+def test_trivial_groupings():
+    empty = dcg.CompiledCorpus([])
+    assert (empty.dim, empty.grouped.n_coords) == (0, 0)
+    assert len(empty.group_of) == 0 and len(empty.grouped.counts) == 0
+    # columns 0..3 each in a row set of their own
+    counts = np.array([2, 3, 1])
+    flat_idx = np.array([0, 1, 0, 2, 3, 3])
+    rows = dcg.CorpusRows(np.array([1.0, 0.0, 2.0]), np.array([1.0, 3.0, 0.0]),
+                          counts, flat_idx, np.ones(4))
+    group_of, grouped = dcg._grouped(rows)
+    assert group_of.tolist() == [0, 1, 2, 3]
+    assert grouped.scale.tolist() == [1.0] * 4
+    assert grouped.counts.tolist() == counts.tolist()
+    assert grouped.flat_idx.tolist() == flat_idx.tolist()
+    w = np.random.default_rng(4).normal(size=4)
+    assert dcg.log_likelihood(grouped, w, 0.1) == dcg.log_likelihood(rows, w, 0.1)
+    assert np.array_equal(dcg.ll_gradient(grouped, w, 0.1),
+                          dcg.ll_gradient(rows, w, 0.1))
+
+
+def test_a_weight_vector_must_match_the_coordinates(perception_corpus,
+                                                    behavior_corpus):
+    for corpus in (perception_corpus, behavior_corpus):
+        for rows in (corpus, corpus.grouped):
+            other = corpus.grouped if rows is corpus else corpus
+            for n in (other.n_coords, rows.n_coords - 1, rows.n_coords + 1):
+                w = np.zeros(n)
+                m = np.zeros(len(rows.counts))
+                with pytest.raises(dcg.NumericError, match="coordinates"):
+                    rows.margins(w)
+                for f in (dcg.log_likelihood, dcg.ll_gradient):
+                    with pytest.raises(dcg.NumericError, match="coordinates"):
+                        f(rows, w)
+                    with pytest.raises(dcg.NumericError, match="coordinates"):
+                        f(rows, w, 0.1, m=m)
+
+
 def test_given_margins_give_the_same_objective(perception_corpus):
     rng = np.random.default_rng(5)
     w = rng.normal(size=perception_corpus.dim)
@@ -1023,6 +1137,19 @@ def test_cached_margin_training_matches_reference(which, iterations,
     w_got = np.array([got.model.weights[n] for n in corpus.names])
     assert np.allclose(w_got, theta, rtol=0.0, atol=1e-10)
     assert got.grad_norm == pytest.approx(gnorm / math.sqrt(2.0), rel=1e-9)
+
+
+def test_converged_behavior_training_follows_the_reference(behavior_corpus):
+    # run to convergence the objective history follows the two-sided
+    # reference; theta is not compared, since in the ill-conditioned
+    # directions both runs stop ~1e-8 apart
+    ref = _two_sided_compile(behavior_corpus.examples)
+    _, history, it, stop, _ = _two_sided_train(ref, 300)
+    got = dcg.train(behavior_corpus, dcg.TrainConfig(iterations=300),
+                    kind="behavior")
+    assert (got.iterations, got.stop) == (it, stop) == (92, "tol")
+    assert len(got.objective_history) == len(history)
+    assert np.allclose(got.objective_history, history, rtol=0.0, atol=1e-10)
 
 
 def _newton_optimum(corpus, l2):
