@@ -24,8 +24,9 @@ to weight, and inference scores with that map folded instead of names.
 Within one phrase the phrase and child atoms are fixed, so a factor's
 margin is the sum, over the symbol's atoms s, of a_s = sum_p (theta[p,s]
 + sum_c theta[p,s,c]). Each ``Model`` folds its weights into a table
-keyed s -> p -> c|None once, and ``infer`` computes each a_s once per
-phrase and each margin as a sum of 2-3 atom scores.
+keyed s -> p -> c|None on first inference, and ``infer`` computes each
+a_s once per phrase and each margin as a sum of 2-3 atom scores.
+Training never folds: ``recovery`` scores the compiled corpus rows.
 
 A behavior symbol names an action and a label, and a factor sees only
 the symbol's atoms, never the world. A behavior bank holds one symbol
@@ -41,6 +42,7 @@ import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
@@ -194,13 +196,12 @@ class Assignment:
 
 
 def _fold(weights: Mapping[str, float]) -> dict:
-    """The weight of every conjunction, keyed s -> p -> c|None."""
+    """The weight of every conjunction, keyed s -> p -> c|None; ``Model``
+    has checked that every name is one."""
     table: dict[str, dict[str, dict[str | None, float]]] = {}
     shared: dict[str, str] = {}  # one string object per distinct child atom
     for name, w in weights.items():
         atoms = name.split("&")
-        if len(atoms) not in (2, 3):
-            raise CorpusError(f"feature name {name!r} is not a conjunction")
         p, s = atoms[0], atoms[1]
         c = shared.setdefault(atoms[2], atoms[2]) if len(atoms) == 3 else None
         row = table.get(s)
@@ -216,8 +217,10 @@ def _fold(weights: Mapping[str, float]) -> dict:
 @dataclass(frozen=True)
 class Model:
     """Trained factor weights, as a read-only map from conjunction name
-    to theta, plus the weights folded by symbol atom for inference. The
-    map is a view of the model's own copy, so the fold cannot go stale.
+    to theta. Every name must be a conjunction of two or three atoms.
+    ``folded`` is the weights folded by symbol atom, made on first
+    inference; the map is a view of the model's own copy, so the fold
+    cannot go stale.
 
     ``bank_layout`` is ``(bank, layout)`` for the last tuple bank
     ``infer`` laid out against this model, or None. The entry holds the
@@ -226,14 +229,19 @@ class Model:
 
     kind: str
     weights: Mapping[str, float]
-    folded: dict = field(init=False, repr=False, compare=False)
     bank_layout: tuple | None = field(default=None, init=False,
                                       repr=False, compare=False)
 
     def __post_init__(self):
         weights = MappingProxyType({n: float(w) for n, w in self.weights.items()})
+        for name in weights:
+            if name.count("&") not in (1, 2):
+                raise CorpusError(f"feature name {name!r} is not a conjunction")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "folded", _fold(weights))
+
+    @cached_property
+    def folded(self) -> dict:
+        return _fold(self.weights)
 
     def save(self, path: str | Path) -> None:
         data = {
@@ -527,7 +535,9 @@ class CompiledCorpus(CorpusRows):
     block is read from it; the rest are numbered already, so ``names``
     keeps the per-factor template's first-seen order. Factor k is row
     ``row_of[k]`` with gold value ``golds[k]``; ``n_factors`` counts
-    factors, not rows.
+    factors, not rows. Factors are numbered as ``infer`` scores them:
+    example by example, phrase by phrase, then by bank id. ``recovery``
+    reads ``row_of`` and ``golds`` in that order.
 
     Columns that occur in exactly the same rows are one training
     coordinate. ``group_of`` maps each name to its group, numbered by
@@ -792,8 +802,29 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
 
 def recovery(corpus: CompiledCorpus, model: Model) -> float:
     """Fraction of corpus examples whose inferred assignment reproduces
-    the gold assignment exactly (every variable, every phrase)."""
-    if not corpus.examples:
+    the gold assignment exactly (every variable, every phrase).
+
+    Read from the compiled rows, without inference: ``infer`` reproduces
+    an example's gold iff every factor of it, scored at its gold context,
+    has margin > 0 exactly where gold is true. By induction over the
+    post-order phrases, children inferred as gold give the phrase its
+    gold context, and there the factor's margin is its row's. The two
+    margins sum the same weights, in another order. A name the model
+    lacks has weight 0, and a model weight the corpus never names is in
+    no gold context. A non-finite margin raises ``NumericError``, as
+    ``infer`` does."""
+    examples = corpus.examples
+    if not examples:
         return 1.0
-    return sum(infer(ex.graph, model).expressed == ex.gold
-               for ex in corpus.examples) / len(corpus.examples)
+    w = np.array([model.weights.get(n, 0.0) for n in corpus.names])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = corpus.margins(w)
+    if not np.isfinite(m).all():
+        raise NumericError("non-finite factor margin")
+    wrong = (m[corpus.row_of] > 0.0) != (corpus.golds > 0.0)
+    # factors are numbered example by example; bincount, not reduceat,
+    # so an example of no factors (an empty bank) counts none wrong
+    example_of = np.repeat(np.arange(len(examples)),
+                           [ex.graph.factor_count for ex in examples])
+    n_wrong = np.bincount(example_of, weights=wrong, minlength=len(examples))
+    return int(np.count_nonzero(n_wrong == 0)) / len(examples)

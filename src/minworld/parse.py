@@ -121,10 +121,15 @@ def load_parse_tree(text: str) -> ParseTree:
         phrases.append(phrase)
         return phrase, i
 
-    i = skip_ws(0)
-    if i >= n or s[i] != "(":
-        raise TreeError("expected '('", i)
-    node, i = read_node(i)
+    try:
+        i = skip_ws(0)
+        if i >= n or s[i] != "(":
+            raise TreeError("expected '('", i)
+        node, i = read_node(i)
+    finally:
+        # read_node reaches itself through its closure cell; emptying the
+        # cell frees the closures by reference counting, not the cyclic GC
+        del read_node
     i = skip_ws(i)
     if i != n:
         raise TreeError("trailing text after tree", i)

@@ -240,6 +240,19 @@ def test_ground_overflowing_margin_exits_grounding(trees, model_dir, tmp_path,
     _one_line_error(capsys, "grounding")
 
 
+@pytest.mark.parametrize("name", ["word:door", "word:door&label:door&child_none&x"])
+def test_ground_non_conjunction_weight_name_exits_io(name, trees, model_dir,
+                                                     tmp_path, capsys):
+    # checked when the model loads, although inference folds it later
+    data = json.loads((model_dir / "perception.json").read_text())
+    data["weights"][name] = 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["ground", "--tree", trees["open"], "--model", str(bad)]) == 1
+    assert f"feature name {name!r} is not a conjunction" in \
+        _one_line_error(capsys, "io")
+
+
 def test_ground_version_1_model_exits_io(trees, model_dir, tmp_path, capsys):
     # the two-sided format: a weight per conjunction and phi literal
     data = json.loads((model_dir / "perception.json").read_text())

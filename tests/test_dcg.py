@@ -195,6 +195,42 @@ def test_model_weights_are_read_only():
     assert model.folded == {"label:door": {"word:door": {None: 1.0}}}
 
 
+def _count_folds(monkeypatch) -> list:
+    calls = []
+    fold = dcg._fold
+
+    def counting(weights):
+        calls.append(1)
+        return fold(weights)
+
+    monkeypatch.setattr(dcg, "_fold", counting)
+    return calls
+
+
+def test_a_model_folds_on_first_inference(monkeypatch, tmp_path, space,
+                                          perception_model):
+    calls = _count_folds(monkeypatch)
+    built = dcg.Model("perception", perception_model.weights)
+    path = tmp_path / "m.json"
+    built.save(path)
+    loaded = dcg.Model.load(path)
+    assert calls == []
+    graph = dcg.build_perception_graph(load_parse_tree(OPEN), space)
+    for model in (built, loaded):
+        calls.clear()
+        first = dcg.infer(graph, model)
+        assert len(calls) == 1
+        assert dcg.infer(graph, model) == first
+        assert len(calls) == 1
+
+
+def test_training_and_recovery_never_fold(monkeypatch, perception_corpus):
+    calls = _count_folds(monkeypatch)
+    result = dcg.train(perception_corpus, dcg.TrainConfig(iterations=5))
+    dcg.recovery(perception_corpus, result.model)
+    assert calls == []
+
+
 # -- folded inference against per-factor featurization -------------------------
 
 def _reference_infer(graph, model):
@@ -843,6 +879,113 @@ def test_zero_iterations_returns_zero_model(perception_corpus):
     assert result.iterations == 0
     assert not any(result.model.weights.values())
     assert len(result.objective_history) == 1
+
+
+# -- recovery from the compiled rows ---------------------------------------------
+
+def _infer_recovery(corpus, model):
+    """The definition: the fraction of examples ``infer`` reproduces."""
+    examples = corpus.examples
+    if not examples:
+        return 1.0
+    return sum(dcg.infer(ex.graph, model).expressed == ex.gold
+               for ex in examples) / len(examples)
+
+
+@pytest.mark.parametrize("l2", [0.0, 5e-4])
+@pytest.mark.parametrize("which", ["perception", "behavior"])
+def test_recovery_matches_inference_along_training(which, l2, perception_corpus,
+                                                   behavior_corpus):
+    corpus = {"perception": perception_corpus, "behavior": behavior_corpus}[which]
+    seen = set()
+    for iterations in range(41):
+        model = dcg.train(corpus, dcg.TrainConfig(iterations=iterations, l2=l2),
+                          kind=which).model
+        got = dcg.recovery(corpus, model)
+        assert got == _infer_recovery(corpus, model), iterations
+        seen.add(got)
+    # the sweep passes through partial recovery on its way to 1.0
+    assert 1.0 in seen and len(seen) > 2
+
+
+def test_recovery_of_foreign_and_zero_models(perception_corpus, behavior_corpus,
+                                             perception_model, behavior_model):
+    half = dcg.CompiledCorpus(perception_corpus.examples[::2])
+    partial = dcg.train(half, kind="perception").model
+    for corpus in (perception_corpus, behavior_corpus):
+        for model in (perception_model, behavior_model, partial,
+                      dcg.Model("perception", {})):
+            assert dcg.recovery(corpus, model) == _infer_recovery(corpus, model)
+    assert 0.0 < dcg.recovery(perception_corpus, partial) < 1.0
+    assert dcg.recovery(behavior_corpus, dcg.Model("behavior", {})) == 0.0
+
+
+def test_recovery_of_small_corpora(space):
+    shared_space, shared_raw = _shared_parent_corpus()
+    # an example whose gold is empty everywhere: a margin of exactly 0
+    # ties to false, so the zero model recovers it
+    no_gold = {"tree": "(NP (DT the) (NN top))", "gold": []}
+    corpora = [
+        dcg.CompiledCorpus(dcg.build_examples("behavior", _one_tree_many_worlds(),
+                                              space)),
+        dcg.CompiledCorpus(dcg.build_examples("perception",
+                                              [*shared_raw, no_gold],
+                                              shared_space)),
+    ]
+    for corpus in corpora:
+        for iterations in (0, 1, 2, 3, 5, 300):
+            model = dcg.train(corpus, dcg.TrainConfig(iterations=iterations)).model
+            assert dcg.recovery(corpus, model) == _infer_recovery(corpus, model)
+    zero = dcg.train(corpora[1], dcg.TrainConfig(iterations=0)).model
+    assert dcg.recovery(corpora[1], zero) == 1 / 3
+    empty = dcg.CompiledCorpus([])
+    assert dcg.recovery(empty, dcg.Model("perception", {})) == 1.0
+
+
+def test_recovery_counts_an_example_of_no_factors(space):
+    # a world of no objects gives an empty behavior bank, so the example
+    # has no factors and is recovered whatever the model; the example
+    # after it has a factor at bank id 0 that gold leaves false
+    raw = _one_tree_many_worlds()
+    empty_world = {"tree": OPEN, "world": _world_json([]), "gold": []}
+    examples = dcg.build_examples("behavior", [raw[0], empty_world, *raw[1:]],
+                                  space)
+    assert examples[1].graph.factor_count == 0
+    assert 0 not in examples[2].gold[0]
+    corpus = dcg.CompiledCorpus(examples)
+    trained = dcg.train(corpus, kind="behavior").model
+    # every factor true: all examples but the empty one are wrong
+    eager = dcg.Model("behavior", dict.fromkeys(corpus.names, 1.0))
+    for model in (trained, eager, dcg.Model("behavior", {})):
+        assert dcg.recovery(corpus, model) == _infer_recovery(corpus, model)
+    assert dcg.recovery(corpus, trained) == 1.0
+    assert dcg.recovery(corpus, eager) == 1 / len(examples)
+
+
+def test_recovery_does_not_infer_or_fold(monkeypatch, perception_corpus,
+                                         perception_model):
+    def forbidden(*args):
+        raise AssertionError("recovery inferred or folded")
+
+    monkeypatch.setattr(dcg, "infer", forbidden)
+    monkeypatch.setattr(dcg, "_fold", forbidden)
+    model = dcg.Model("perception", perception_model.weights)
+    assert dcg.recovery(perception_corpus, model) == 1.0
+
+
+def test_recovery_overflowing_margin_raises(space, perception_corpus):
+    # two finite weights of the first row, on one symbol atom, sum to
+    # inf, in infer as in the row
+    first = [perception_corpus.names[i]
+             for i in perception_corpus.flat_idx[:perception_corpus.counts[0]]]
+    atom = first[0].split("&")[1]
+    pair = [n for n in first if n.split("&")[1] == atom][:2]
+    assert len(pair) == 2
+    model = dcg.Model("perception", dict.fromkeys(pair, 1.7e308))
+    with pytest.raises(dcg.NumericError):
+        dcg.recovery(perception_corpus, model)
+    with pytest.raises(dcg.NumericError):
+        dcg.infer(perception_corpus.examples[0].graph, model)
 
 
 def _two_sided_compile(examples):

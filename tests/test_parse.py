@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import string
 
@@ -67,6 +68,22 @@ def test_whitespace_normalizes():
 def test_words_lowercased():
     tree = load_parse_tree("(VP (VB Open) (NP (DT The) (NN Door)))")
     assert tree.instruction == "open the door"
+
+
+def test_a_parse_leaves_nothing_for_the_cyclic_gc():
+    # the recursive reader's closures would otherwise form a reference
+    # cycle that outlives every parse
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        tree = load_parse_tree(TURN)
+        assert tree.n_phrases == 5
+        del tree
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_instruction_keeps_a_phrase_before_a_word_in_text_order():
