@@ -47,10 +47,15 @@ EXIT_EXECUTION = 4
 
 
 class StageError(Exception):
-    def __init__(self, stage: str, message: str, code: int):
+    """Stops a command with one ``error [stage]`` line and the stage's code."""
+
+    CODES = {"io": EXIT_IO, "training": EXIT_IO, "grounding": EXIT_GROUNDING,
+             "perception": EXIT_PERCEPTION}
+
+    def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-        self.code = code
+        self.code = self.CODES[stage]
 
 
 def _asset(name: str) -> Path:
@@ -65,17 +70,19 @@ def _load(label: str, path, loader):
     """``loader(path)`` for one input file; a missing or malformed file
     exits 1 with one line. The loaders report malformed content only as
     a ValueError (bad JSON, tree, symbol space, world, scene, corpus or
-    model), a missing key, a bad detector, or a corpus word grounding
-    cannot featurize."""
+    model), a missing key, a bad detector, a corpus word grounding
+    cannot featurize, or a RecursionError (JSON or a tree nested too
+    deep for the recursive readers)."""
     if path is None:
-        raise StageError("io", f"no {label} given (flag or config)", EXIT_IO)
+        raise StageError("io", f"no {label} given (flag or config)")
     p = Path(path)
     if not p.is_file():
-        raise StageError("io", f"{label} file not found: {p}", EXIT_IO)
+        raise StageError("io", f"{label} file not found: {p}")
     try:
         return loader(p)
-    except (ValueError, KeyError, PerceptionError, dcg.GroundingError) as e:
-        raise StageError("io", f"bad {label} {p}: {e}", EXIT_IO)
+    except (ValueError, KeyError, PerceptionError, dcg.GroundingError,
+            RecursionError) as e:
+        raise StageError("io", f"bad {label} {p}: {e}")
 
 
 def _read_tree(path: Path) -> ParseTree:
@@ -111,7 +118,7 @@ def _input(key: str, path):
     value = _load(label, path or default, loader)
     kind = key.removesuffix("_model")
     if kind != key and value.kind != kind:
-        raise StageError("io", f"{label} has wrong kind", EXIT_IO)
+        raise StageError("io", f"{label} has wrong kind")
     return value
 
 
@@ -123,8 +130,7 @@ def ground_detectors(tree: ParseTree, model: dcg.Model,
     expressed = assignment.all_symbols(graph)
     if not expressed:
         raise StageError("grounding",
-                         f"no detector symbols expressed for {tree.instruction!r}",
-                         EXIT_GROUNDING)
+                         f"no detector symbols expressed for {tree.instruction!r}")
     return detectors_from_groundings(expressed)
 
 
@@ -135,15 +141,13 @@ def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
     object id."""
     graph = dcg.build_behavior_graph(tree, space, world)
     if not graph.bank:
-        raise StageError("grounding", "world has no objects to ground against",
-                         EXIT_GROUNDING)
+        raise StageError("grounding", "world has no objects to ground against")
     assignment = dcg.infer(graph, model)
     root = graph.tree.root.index
     chosen = sorted(assignment.expressed.get(root, frozenset()))
     if not chosen:
         raise StageError("grounding",
-                         f"no behavior expressed at the root of {tree.instruction!r}",
-                         EXIT_GROUNDING)
+                         f"no behavior expressed at the root of {tree.instruction!r}")
     sym = graph.bank[chosen[0]]
     return BehaviorRequest(sym.action, world.query(sym.label)[0].id)
 
@@ -159,15 +163,15 @@ def _apply_config(args: argparse.Namespace) -> None:
             if key in CONFIG_PATHS and hasattr(args, key):
                 if not isinstance(value, str):
                     raise StageError("io", f"bad config {cfg_path}: {key} must "
-                                     "be a path string", EXIT_IO)
+                                     "be a path string")
                 value = str((cfg_path.parent / value).resolve()) \
                     if not Path(value).is_absolute() else value
             elif key not in CONFIG_DEFAULTS:
                 raise StageError("io", f"bad config {cfg_path}: unknown key "
-                                 f"{key!r}", EXIT_IO)
+                                 f"{key!r}")
             elif value is not None and not is_int(value):  # null: the default
                 raise StageError("io", f"bad config {cfg_path}: {key} must be "
-                                 f"an integer, got {value!r}", EXIT_IO)
+                                 f"an integer, got {value!r}")
             if getattr(args, key) is None:
                 setattr(args, key, value)
     for key, default in CONFIG_DEFAULTS.items():
@@ -183,7 +187,7 @@ def cmd_train(args) -> int:
         config = dcg.TrainConfig(iterations=args.iterations, step=args.step,
                                  l2=args.l2)
     except dcg.TrainingError as e:
-        raise StageError("training", str(e), EXIT_IO)
+        raise StageError("training", str(e))
     space = _input("space", args.space)
 
     def compile_corpus(path):
@@ -194,7 +198,7 @@ def cmd_train(args) -> int:
     try:
         result = dcg.train(corpus, config, kind=kind)
     except dcg.TrainingError as e:
-        raise StageError("training", str(e), EXIT_IO)
+        raise StageError("training", str(e))
     result.model.save(args.out)
     rec = dcg.recovery(corpus, result.model)
     summary = {
@@ -228,7 +232,7 @@ def cmd_ground(args) -> int:
     model = _input("model", args.model)
     if model.kind == "perception":
         if args.world:
-            raise StageError("io", "--world is unused with a perception model", EXIT_IO)
+            raise StageError("io", "--world is unused with a perception model")
         detectors = ground_detectors(tree, model, space)
         out = {
             "instruction": tree.instruction,
@@ -244,7 +248,7 @@ def cmd_ground(args) -> int:
                 print(f"link:        {parent} -> {sub}")
     else:
         if not args.world:
-            raise StageError("io", "behavior grounding needs --world", EXIT_IO)
+            raise StageError("io", "behavior grounding needs --world")
         world = _input("world", args.world)
         request = ground_behavior(tree, model, space, world)
         label = world.objects[request.target_a].label
@@ -270,8 +274,7 @@ def _parse_links(text: str | None) -> frozenset[tuple[str, str]]:
     for part in text.split(","):
         parent, _, sub = part.strip().partition(":")
         if not parent or not sub:
-            raise StageError("io", f"bad link spec {part!r}, want parent:subtype",
-                             EXIT_IO)
+            raise StageError("io", f"bad link spec {part!r}, want parent:subtype")
         out.add((parent, sub))
     return frozenset(out)
 
@@ -304,12 +307,12 @@ def _perceive(args, mode: str, scene: Scene, registry,
         if grounded and isinstance(e, UnregisteredDetectorError):
             why = (" (grounded from the symbol space, but the registry has "
                    "no detector for them)")
-        raise StageError("perception", f"{e}{why}", EXIT_PERCEPTION)
+        raise StageError("perception", f"{e}{why}")
 
 
 def cmd_perceive(args) -> int:
     if args.exhaustive and args.links:
-        raise StageError("io", "--links is unused with --exhaustive", EXIT_IO)
+        raise StageError("io", "--links is unused with --exhaustive")
     _apply_config(args)
     scene = _input("scene", args.scene)
     registry = _input("registry", args.registry)
@@ -347,8 +350,7 @@ def _ground_and_perceive(args, inputs: tuple, tree: ParseTree, mode: str,
     violations = validate_against_lexicon(tree, lexicon)
     if violations:
         v = violations[0]
-        raise StageError("io", f"word {v.word!r} not in lexicon for tag {v.tag}",
-                         EXIT_IO)
+        raise StageError("io", f"word {v.word!r} not in lexicon for tag {v.tag}")
     detectors = ground_detectors(tree, model, space)
     if dropped:
         detectors = DetectorSet(
@@ -423,7 +425,7 @@ def _bench_cases(args) -> list[tuple[ParseTree, str]]:
         path, _, mode = spec.partition("=")
         mode = mode or "adaptive"
         if mode not in percept.MODES:
-            raise StageError("io", f"bad case mode {mode!r}", EXIT_IO)
+            raise StageError("io", f"bad case mode {mode!r}")
         cases.append((path, mode))
     if not cases:
         drive = _asset("trees/drive_to_the_door.txt")
@@ -466,7 +468,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error [io]`` line and exit 1."""
 
     def error(self, message: str):
-        raise StageError("io", f"{self.prog}: {message}", EXIT_IO)
+        raise StageError("io", f"{self.prog}: {message}")
 
 
 def _add_flags(p: argparse.ArgumentParser, *keys: str,

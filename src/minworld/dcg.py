@@ -60,6 +60,12 @@ from .world import WorldModel, finite_number, is_int
 TEMPLATE_VERSION = 2
 # curvature pairs the L-BFGS direction in ``train`` remembers
 LBFGS_MEMORY = 10
+# ``train`` stops when an iteration's objective gain falls under
+# TOL * (1 + |objective|), or when none of MAX_BACKTRACKS trial steps,
+# each half the last, passes the Armijo test gain >= ARMIJO * step * slope
+TOL = 1e-9
+MAX_BACKTRACKS = 40
+ARMIJO = 1e-4
 
 
 class NumericError(ArithmeticError):
@@ -293,6 +299,9 @@ def _layout(bank: tuple, table: dict) -> tuple:
     return flat_at, starts_at, tuple(slot)
 
 
+# an overflowing or inf - inf sum of atom scores is left to the check of
+# the margins, so it prints one error line and no warning
+@np.errstate(over="ignore", invalid="ignore")
 def infer(graph: FactorGraph, model: Model) -> Assignment:
     """Bottom-up per-factor argmax under fixed child assignments.
 
@@ -553,7 +562,7 @@ class CompiledCorpus(CorpusRows):
         index: dict[str, int] = {}
         # (ps, cs) -> (symbol atom -> block, symbol -> row number)
         contexts: dict[tuple, tuple[dict, dict]] = {}
-        row_of, golds, pos, neg, counts, flat_idx = [], [], [], [], [], []
+        row_of, golds, counts, flat_idx = [], [], [], []
         for ex in examples:
             bank = ex.graph.bank
             for phrase in ex.graph.tree.phrases:
@@ -582,25 +591,19 @@ class CompiledCorpus(CorpusRows):
                         r = rows[sym] = len(counts)
                         counts.append(len(row))
                         flat_idx += row
-                        pos.append(0)
-                        neg.append(0)
-                    gold = j in true_ids
-                    if gold:
-                        pos[r] += 1
-                    else:
-                        neg[r] += 1
                     row_of.append(r)
-                    golds.append(gold)
+                    golds.append(j in true_ids)
         self.names = list(index)
         self.n_factors = len(golds)
         self.row_of = np.array(row_of, dtype=int)
         self.golds = np.array(golds, dtype=float)
-        super().__init__(np.array(pos, dtype=float), np.array(neg, dtype=float),
-                         np.array(counts, dtype=int), np.array(flat_idx, dtype=int),
-                         np.ones(len(index)))
+        pos = np.bincount(self.row_of, weights=self.golds, minlength=len(counts))
+        neg = np.bincount(self.row_of, minlength=len(counts)) - pos
+        super().__init__(pos, neg, np.array(counts, dtype=int),
+                         np.array(flat_idx, dtype=int), np.ones(len(index)))
         # free the lists and caches first: grouping must not add its
         # temporaries to them at the compile's peak
-        del index, contexts, row_of, golds, pos, neg, counts, flat_idx
+        del index, contexts, row_of, golds, counts, flat_idx
         self.group_of, self.grouped = _grouped(self)
 
     @property
@@ -646,29 +649,20 @@ def ll_gradient(corpus: CorpusRows, w: np.ndarray, l2: float = 0.0,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What ``minworld train`` can set."""
+
     iterations: int = 300
     step: float = 2.0
     l2: float = 5e-4
-    tol: float = 1e-9
-    max_backtracks: int = 40
-    armijo: float = 1e-4
 
     def __post_init__(self):
-        def count_from(value, low: int) -> bool:
-            return is_int(value) and value >= low
-
         for name, ok, want in (
-            ("iterations", count_from(self.iterations, 0), "an integer >= 0"),
+            ("iterations", is_int(self.iterations) and self.iterations >= 0,
+             "an integer >= 0"),
             ("step", finite_number(self.step) and self.step > 0,
              "a finite number > 0"),
             ("l2", finite_number(self.l2) and self.l2 >= 0,
              "a finite number >= 0"),
-            ("tol", finite_number(self.tol) and self.tol >= 0,
-             "a finite number >= 0"),
-            ("max_backtracks", count_from(self.max_backtracks, 1),
-             "an integer >= 1"),
-            ("armijo", finite_number(self.armijo) and 0 < self.armijo < 1,
-             "a number in (0, 1)"),
         ):
             if not ok:
                 raise TrainingError(f"{name} must be {want}, "
@@ -681,7 +675,7 @@ class TrainResult:
     objective_history: list[float]
     iterations: int
     # why training stopped: "zero_gradient", "tol" (an iteration's
-    # objective gain fell under tol * (1 + |obj|); theta itself is not
+    # objective gain fell under TOL * (1 + |obj|); theta itself is not
     # within a tolerance of the optimum), "line_search" (no backtracked
     # step passed the Armijo test) or "iterations" (the cap)
     stop: str
@@ -771,11 +765,11 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
                     d, slope, step = d_q, slope_q, 1.0
             md = rows.margins(d)
             accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 v_new = v + step * d
                 m_new = m + step * md
                 obj_new = log_likelihood(rows, v_new, l2, m_new)
-                if obj_new >= obj + config.armijo * step * slope:
+                if obj_new >= obj + ARMIJO * step * slope:
                     accepted = True
                     break
                 step *= 0.5
@@ -790,7 +784,7 @@ def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
                 pairs.append((s, y, sy))
             v, m, obj, grad = v_new, m_new, obj_new, grad_new
             history.append(obj)
-            if gain <= config.tol * (1.0 + abs(obj)):
+            if gain <= TOL * (1.0 + abs(obj)):
                 stop = "tol"
                 break
     except NumericError as e:

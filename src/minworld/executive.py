@@ -88,9 +88,12 @@ class ExecParams:
 
 @dataclass
 class ExecStatus:
-    state: ExecState
     trace: list[tuple[ExecState, float]]
     failure_reason: str | None = None
+
+    @property
+    def state(self) -> ExecState:
+        return self.trace[-1][0]
 
     def states(self) -> list[ExecState]:
         return [s for s, _ in self.trace]
@@ -144,8 +147,9 @@ def _drive(robot: RobotState, goal, speed: float) -> RobotState:
     return robot
 
 
-def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
-             speed: float = 0.5, obstacles=()) -> RobotState:
+def navigate(robot: RobotState, target: WorldObject,
+             standoff: float = ExecParams.standoff,
+             speed: float = ExecParams.speed, obstacles=()) -> RobotState:
     """Drive the base to the standoff point, facing the target.
 
     Already at the goal: pose unchanged, zero additional time. A goal
@@ -156,8 +160,7 @@ def navigate(robot: RobotState, target: WorldObject, standoff: float = 0.5,
 
 
 def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
-                     door: DoorSim,
-                     params: ExecParams = ExecParams()) -> ExecStatus:
+                     door: DoorSim) -> ExecStatus:
     """Dispatch one behavior request and run it to a terminal state.
 
     world_provider() yields a snapshot of the finished world; it is
@@ -174,7 +177,7 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
 
     def fail(reason: str) -> ExecStatus:
         enter(ExecState.FAILURE)
-        return ExecStatus(ExecState.FAILURE, trace, reason)
+        return ExecStatus(trace, reason)
 
     snap = world_provider()
     if b.action not in ("navigate", "open"):
@@ -184,16 +187,16 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
         return fail(f"target {b.target_a} not in world")
     try:
         # plan before moving so an unreachable goal fails at dispatch
-        goal = _standoff_goal(robot.base, target, params.standoff, snap.query())
+        goal = _standoff_goal(robot.base, target, ExecParams.standoff, snap.query())
     except NavigationError as e:
         return fail(str(e))
 
     enter(ExecState.NAVIGATING)
-    _drive(robot, goal, params.speed)
+    _drive(robot, goal, ExecParams.speed)
 
     if b.action == "navigate":
         enter(ExecState.COMPLETE)
-        return ExecStatus(ExecState.COMPLETE, trace)
+        return ExecStatus(trace)
 
     enter(ExecState.DETECTING)
     children = snap.query(parent=b.target_a)
@@ -206,28 +209,28 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
     # and within tolerance of the true handle
     reach = math.hypot(handle.pose.x - robot.base.x,
                        handle.pose.y - robot.base.y)
-    if reach > params.arm_reach:
+    if reach > ExecParams.arm_reach:
         return fail(f"handle {reach:.2f} m from base exceeds reach "
-                    f"{params.arm_reach} m")
+                    f"{ExecParams.arm_reach} m")
     error = handle.pose.distance(door.handle_pose or handle.pose)
-    if error > params.localize_tolerance:
+    if error > ExecParams.localize_tolerance:
         return fail(f"handle estimate off by {error:.2f} m, tolerance "
-                    f"{params.localize_tolerance} m")
-    robot.time += params.descend_time
+                    f"{ExecParams.localize_tolerance} m")
+    robot.time += ExecParams.descend_time
 
     enter(ExecState.TURNING)
     # turn to end of travel, which unlatches the door; a jam binds the
     # handle first. An unlatched door needs no turn.
     if door.latched:
         if door.jam_angle is not None and door.jam_angle < door.handle_limit:
-            robot.time += door.jam_angle / params.turn_rate
+            robot.time += door.jam_angle / ExecParams.turn_rate
             return fail(f"handle jammed at {door.jam_angle:.2f} rad before "
                         f"limit {door.handle_limit:.2f} rad")
         door.latched = False
-        robot.time += door.handle_limit / params.turn_rate
+        robot.time += door.handle_limit / ExecParams.turn_rate
 
     enter(ExecState.PUSHING)
-    robot.time += params.push_time
+    robot.time += ExecParams.push_time
 
     enter(ExecState.COMPLETE)
-    return ExecStatus(ExecState.COMPLETE, trace)
+    return ExecStatus(trace)

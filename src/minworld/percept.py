@@ -20,7 +20,6 @@ import numpy as np
 
 from .symbols import DetectorSet, subtype_detector_id
 from .world import (
-    ASSOC_RADIUS,
     Aabb,
     Detection,
     Pose,
@@ -139,7 +138,6 @@ class PerceptionConfig:
     mode: str = "adaptive"
     seed: int = 0
     frame_budget: int = DEFAULT_FRAME_BUDGET
-    assoc_radius: float = ASSOC_RADIUS
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -256,7 +254,7 @@ def run_perception(scene: Scene,
     robot = scene.robot_start
     rng = np.random.default_rng(config.seed)
     world = WorldModel()
-    integrate, radius = world.integrate, config.assoc_radius
+    integrate = world.integrate
     in_view: dict[str, list[WorldObject]] = {}  # label -> visible truth
     for obj in sorted(scene.objects, key=lambda o: o.id):
         if visible(obj, robot, scene.visibility):
@@ -276,8 +274,7 @@ def run_perception(scene: Scene,
                 for obj, (dx, dy) in zip(hits, noise):
                     integrate(Detection(
                         label, obj.pose.moved(dx, dy),
-                        obj.bbox.translated(dx, dy), time),
-                        links, radius)
+                        obj.bbox.translated(dx, dy), time), links)
                 emitted += len(hits)
             if det.id in false_positives:
                 if rng.random() < det.false_positive_rate:
@@ -289,7 +286,7 @@ def run_perception(scene: Scene,
                     integrate(Detection(
                         det.emits_label, Pose(x, y, 0.5),
                         Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
-                        time), links, radius)
+                        time), links)
                     emitted += 1
                     spurious += 1
     metrics = PerceptionMetrics(

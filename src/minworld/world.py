@@ -137,14 +137,14 @@ class Aabb:
         return all(a - margin <= p <= b + margin
                    for p, a, b in zip(point, self.lo, self.hi))
 
-    def translated(self, dx: float, dy: float, dz: float = 0.0) -> "Aabb":
-        """This box moved by (dx, dy, dz), under the constructor's checks.
-        The corners are already floats, so float deltas give float sums
-        and the constructor's conversion is skipped; the record is filled
-        through its slot setters, as in ``Pose.moved``."""
+    def translated(self, dx: float, dy: float) -> "Aabb":
+        """This box moved by (dx, dy) in the plane, under the constructor's
+        checks. The corners are already floats, so float deltas give float
+        sums and the constructor's conversion is skipped; the record is
+        filled through its slot setters, as in ``Pose.moved``."""
         lo, hi = self.lo, self.hi
-        lo = (lo[0] + dx, lo[1] + dy, lo[2] + dz)
-        hi = (hi[0] + dx, hi[1] + dy, hi[2] + dz)
+        lo = (lo[0] + dx, lo[1] + dy, lo[2])
+        hi = (hi[0] + dx, hi[1] + dy, hi[2])
         _check_box(lo, hi, self.degenerate)
         box = _new(Aabb)
         _set_lo(box, lo)
@@ -270,16 +270,16 @@ class WorldModel:
         # Pose and Aabb are frozen, so a shallow copy per object isolates it
         return WorldModel([copy.copy(o) for o in self.objects.values()])
 
-    def _associate(self, d: Detection, assoc_radius: float) -> WorldObject | None:
+    def _associate(self, d: Detection) -> WorldObject | None:
         best = None
         best_key = None
-        x, y, r = d.pose.x, d.pose.y, assoc_radius
+        x, y, r = d.pose.x, d.pose.y, ASSOC_RADIUS
         for obj in self._by_label.get(d.label, {}).values():
             # exact prefilter: the 3-D distance is never below |dx| or |dy|
             if not (-r <= obj.pose.x - x <= r and -r <= obj.pose.y - y <= r):
                 continue
             dist = obj.pose.distance(d.pose)
-            if dist > assoc_radius:
+            if dist > r:
                 continue
             key = (dist, obj.id)
             if best_key is None or key < best_key:
@@ -297,11 +297,11 @@ class WorldModel:
             return None
         return min(pool, key=lambda o: (o.pose.distance(d.pose), o.id)).id
 
-    def integrate(self, d: Detection, links=(), assoc_radius: float = ASSOC_RADIUS) -> "WorldModel":
+    def integrate(self, d: Detection, links=()) -> "WorldModel":
         """Fold one detection in: update the nearest same-label object
-        within assoc_radius, else create a new one; attach a parent when
+        within ASSOC_RADIUS, else create a new one; attach a parent when
         the label is a child label in links."""
-        obj = self._associate(d, assoc_radius)
+        obj = self._associate(d)
         if obj is None:
             obj = WorldObject(self._next_id, d.label, d.pose, d.bbox,
                               first_seen=d.timestamp, last_seen=d.timestamp)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import json
 import os
 import pathlib
@@ -91,10 +92,11 @@ def test_train_model_file_does_not_depend_on_the_hash_seed(corpus, tmp_path, ass
 
 
 def test_train_flag_defaults_are_the_library_defaults():
+    # TrainConfig holds exactly what train's flags set
     args = build_parser().parse_args(["train", "--corpus", "c", "--out", "o"])
-    want = dcg.TrainConfig()
-    assert (args.iterations, args.step, args.l2) == \
-        (want.iterations, want.step, want.l2)
+    want = dataclasses.asdict(dcg.TrainConfig())
+    assert list(want) == ["iterations", "step", "l2"]
+    assert {name: getattr(args, name) for name in want} == want
 
 
 @pytest.mark.parametrize("flags", [
@@ -227,17 +229,30 @@ def test_ground_non_finite_model_weights_exit_io(trees, model_dir, tmp_path,
     _one_line_error(capsys, "io")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ground_overflowing_margin_exits_grounding(trees, model_dir, tmp_path,
                                                    capsys):
-    # every weight is finite, but two that share the factor of "the door"
-    # and the door label sum to inf
-    pair = {"word:door&label:door", "tag:NN&label:door"}
-    assert pair <= set(json.loads((model_dir / "perception.json").read_text())
-                       ["weights"])
-    huge = _rewrite_weights(model_dir / "perception.json", tmp_path / "huge.json",
-                            lambda n: 1.7e308 if n in pair else 0.0)
-    assert main(["ground", "--tree", trees["open"], "--model", huge]) == 2
-    _one_line_error(capsys, "grounding")
+    # every weight is finite, but the margin of "the door" and the door
+    # label is not: two weights on the symbol's label atom sum to inf;
+    # one on each of its two atoms overflow numpy's sum of the atoms; or
+    # the label atom sums to inf and the category atom to -inf. Each
+    # prints one line and no numpy warning.
+    big = 1.7e308
+    cases = [
+        {"word:door&label:door": big, "tag:NN&label:door": big},
+        {"word:door&label:door": big, "word:door&category:semantic_label": big},
+        {"word:door&label:door": big, "phrase:NP&label:door": big,
+         "word:door&category:semantic_label": -big,
+         "phrase:NP&category:semantic_label": -big},
+    ]
+    names = set(json.loads((model_dir / "perception.json").read_text())["weights"])
+    for weights in cases:
+        assert set(weights) <= names
+        huge = _rewrite_weights(model_dir / "perception.json",
+                                tmp_path / "huge.json",
+                                lambda n: weights.get(n, 0.0))
+        assert main(["ground", "--tree", trees["open"], "--model", huge]) == 2
+        _one_line_error(capsys, "grounding")
 
 
 @pytest.mark.parametrize("name", ["word:door", "word:door&label:door&child_none&x"])
@@ -904,9 +919,15 @@ def test_every_flag_is_a_swept_file_flag_or_listed_as_other():
                         for command in FILE_FLAGS}
 
 
+# nested past the recursion limit of the JSON and tree readers
+DEEP_JSON = "[" * 2000 + "]" * 2000
+DEEP_TREE = "(VP (VB open) " + "(NP " * 999 + "(NN door)" + ")" * 1000
+
 MALFORMED = [(command, flag, text)
              for command, flags in FILE_FLAGS.items() for flag in flags
-             for text in ("{bad", "[]", "null", "3", '"x"')] + [
+             for text in ("{bad", "[]", "null", "3", '"x"', DEEP_JSON)] + [
+    *[(command, flag, DEEP_TREE) for command, flag in (
+        ("ground", "--tree"), ("run", "--tree"), ("bench", "--case"))],
     # once accepted: the labels became "d", "o", "r" and grounding exited 2
     ("run", "--space", '{"labels": "door"}'),
     ("run", "--lexicon", '{"VB": [1]}'),
@@ -975,8 +996,9 @@ def good_files(assets, model_dir, world_file, trees, tmp_path_factory) -> dict:
     }
 
 
-@pytest.mark.parametrize("command,flag,text", MALFORMED,
-                         ids=[" ".join(case) for case in MALFORMED])
+@pytest.mark.parametrize("command,flag,text", MALFORMED, ids=[
+    " ".join(case).replace(DEEP_JSON, "deep-json").replace(DEEP_TREE, "deep-tree")
+    for case in MALFORMED])
 def test_malformed_input_file_exits_io(command, flag, text, good_files, tmp_path,
                                        capsys):
     bad = tmp_path / "bad.json"

@@ -1323,13 +1323,15 @@ def _newton_optimum(corpus, l2):
     raise AssertionError("Newton solve did not converge")
 
 
-def test_training_reaches_the_newton_optimum(perception_corpus, perception_train):
+def test_training_reaches_the_newton_optimum(perception_corpus, perception_train,
+                                            monkeypatch):
     # the objective is strictly concave for l2 > 0, so L-BFGS run until
     # the objective stops rising lands on the one maximizer
     config = dcg.TrainConfig()
     w_opt, obj_opt = _newton_optimum(perception_corpus, config.l2)
     names = perception_corpus.names
-    exact = dcg.train(perception_corpus, dataclasses.replace(config, tol=0.0))
+    monkeypatch.setattr(dcg, "TOL", 0.0)
+    exact = dcg.train(perception_corpus, config)
     w_got = np.array([exact.model.weights[n] for n in names])
     assert np.abs(w_got - w_opt).max() < 1e-5
     default = perception_train.objective_history[-1]
@@ -1352,9 +1354,6 @@ def test_unregularised_training_on_separable_data_stays_finite(perception_corpus
     ("iterations", -3), ("iterations", 2.0), ("iterations", True),
     ("step", 0.0), ("step", -1.0), ("step", math.nan), ("step", math.inf),
     ("l2", -5.0), ("l2", math.nan), ("l2", math.inf),
-    ("tol", -1e-9), ("tol", math.nan),
-    ("max_backtracks", 0), ("max_backtracks", 1.5),
-    ("armijo", 0.0), ("armijo", 1.0), ("armijo", math.nan),
 ])
 def test_train_config_rejects_bad_values(field, bad):
     with pytest.raises(dcg.TrainingError, match=field):
@@ -1362,10 +1361,11 @@ def test_train_config_rejects_bad_values(field, bad):
 
 
 def test_train_config_accepts_edges():
-    dcg.TrainConfig(iterations=0, l2=0.0, tol=0.0, max_backtracks=1, step=1)
+    dcg.TrainConfig(iterations=0, l2=0.0, step=1)
 
 
-def test_training_reports_stop_reason_and_gradient_norm(perception_corpus):
+def test_training_reports_stop_reason_and_gradient_norm(perception_corpus,
+                                                         monkeypatch):
     def norm_at(result, l2):
         w = np.array([result.model.weights[n] for n in perception_corpus.names])
         g = dcg.ll_gradient(perception_corpus, w, l2)
@@ -1378,12 +1378,15 @@ def test_training_reports_stop_reason_and_gradient_norm(perception_corpus):
         ("iterations", 5, False)
     assert capped.grad_norm == pytest.approx(norm_at(capped, l2), rel=1e-9)
 
-    tol = dcg.train(perception_corpus, dcg.TrainConfig(tol=1.0))
+    with monkeypatch.context() as m:
+        m.setattr(dcg, "TOL", 1.0)
+        tol = dcg.train(perception_corpus, dcg.TrainConfig())
     assert (tol.stop, tol.iterations, tol.converged) == ("tol", 1, True)
     assert tol.grad_norm == pytest.approx(norm_at(tol, l2), rel=1e-9)
 
-    stuck = dcg.train(perception_corpus,
-                      dcg.TrainConfig(step=1e6, max_backtracks=1))
+    with monkeypatch.context() as m:
+        m.setattr(dcg, "MAX_BACKTRACKS", 1)
+        stuck = dcg.train(perception_corpus, dcg.TrainConfig(step=1e6))
     assert (stuck.stop, stuck.iterations, stuck.converged) == \
         ("line_search", 1, True)
     assert len(stuck.objective_history) == 1

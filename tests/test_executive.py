@@ -9,7 +9,6 @@ from minworld.executive import (
     ALLOWED_TRANSITIONS,
     BehaviorRequest,
     DoorSim,
-    ExecParams,
     ExecState,
     NavigationError,
     RobotState,
@@ -85,8 +84,12 @@ def test_navigate_on_footprint_faces_center():
 
 
 def test_navigate_rejects_bad_standoff():
-    with pytest.raises(ValueError):
-        navigate(_robot(), _door(), standoff=0.0)
+    # before moving: a standoff <= 0 leaves the base and clock as they were
+    for standoff in (0.0, -0.5):
+        robot = _robot()
+        with pytest.raises(ValueError, match="standoff"):
+            navigate(robot, _door(), standoff=standoff)
+        assert robot.base == Pose(0.0, 0.0) and robot.time == 0.0
 
 
 def test_navigate_blocked_goal():
@@ -103,10 +106,10 @@ def test_navigate_target_footprint_never_blocks():
 
 # -- the dispatcher ----------------------------------------------------------
 
-def _run(request, world, door=None, params=ExecParams(), robot=None):
+def _run(request, world, door=None):
     door = door or DoorSim(handle_pose=_handle().pose)
-    robot = robot or _robot()
-    return receive_behavior(request, world.snapshot, robot, door, params), door, robot
+    robot = _robot()
+    return receive_behavior(request, world.snapshot, robot, door), door, robot
 
 
 def _open(door=None, handle=None):
@@ -180,14 +183,6 @@ def test_dispatch_plans_one_goal_and_drives_to_it(monkeypatch, action):
     assert reference.base == robot.base
     if action == "navigate":
         assert robot.time == reference.time
-
-
-def test_dispatch_rejects_bad_standoff_before_moving():
-    robot = _robot()
-    with pytest.raises(ValueError, match="standoff"):
-        _run(BehaviorRequest("navigate", 1), _world(_door()),
-             params=ExecParams(standoff=0.0), robot=robot)
-    assert robot.base == Pose(0.0, 0.0) and robot.time == 0.0
 
 
 def test_missing_constituent_fails_at_detecting():

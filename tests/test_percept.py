@@ -301,14 +301,14 @@ class _FullScanWorld(WorldModel):
     """Reference world model without the label index: every detection
     scans all objects, and every integrate re-checks the whole world."""
 
-    def _associate(self, d, assoc_radius):
+    def _associate(self, d):
         best = None
         best_key = None
         for obj in self.objects.values():
             if obj.label != d.label:
                 continue
             dist = obj.pose.distance(d.pose)
-            if dist > assoc_radius:
+            if dist > ASSOC_RADIUS:
                 continue
             key = (dist, obj.id)
             if best_key is None or key < best_key:
@@ -326,8 +326,8 @@ class _FullScanWorld(WorldModel):
             return None
         return min(pool, key=lambda o: (o.pose.distance(d.pose), o.id)).id
 
-    def integrate(self, d, links=(), assoc_radius=ASSOC_RADIUS):
-        obj = self._associate(d, assoc_radius)
+    def integrate(self, d, links=()):
+        obj = self._associate(d)
         if obj is None:
             obj = WorldObject(self._next_id, d.label, d.pose, d.bbox,
                               first_seen=d.timestamp, last_seen=d.timestamp)
@@ -372,8 +372,7 @@ def _reference_perception(scene, config):
                 world.integrate(Detection(
                     det.emits_label,
                     Pose(obj.pose.x + dx, obj.pose.y + dy, obj.pose.z, obj.pose.yaw),
-                    obj.bbox.translated(dx, dy), time), links,
-                    config.assoc_radius)
+                    obj.bbox.translated(dx, dy), time), links)
                 emitted += 1
             if config.mode == "exhaustive" and det.false_positive_rate > 0.0:
                 if rng.random() < det.false_positive_rate:
@@ -385,7 +384,7 @@ def _reference_perception(scene, config):
                     world.integrate(Detection(
                         det.emits_label, Pose(x, y, 0.5),
                         Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
-                        time), links, config.assoc_radius)
+                        time), links)
                     emitted += 1
                     spurious += 1
     return world, PerceptionMetrics(
@@ -431,18 +430,17 @@ def test_perception_matches_full_scan_reference():
     for n in (0, 1, 5, 30, 90, 200):
         scene = _random_scene(n, rng)
         for mode in ("adaptive", "exhaustive"):
-            for radius in (0.5, 1.2):
-                config = PerceptionConfig(
-                    EQUIV_SPECS, active if mode == "adaptive" else None, mode,
-                    seed=n, frame_budget=8, assoc_radius=radius)
-                got_world, got = run_perception(scene, config)
-                want_world, want = _reference_perception(scene, config)
-                assert json.dumps(got_world.to_json(), sort_keys=True) == \
-                    json.dumps(want_world.to_json(), sort_keys=True), (n, config)
-                assert got.to_json() == want.to_json()
-                merged += got.detections_emitted - len(got_world.objects)
-                parented += len([o for o in got_world.query()
-                                 if o.parent is not None])
-                spurious += got.spurious_emitted
+            config = PerceptionConfig(
+                EQUIV_SPECS, active if mode == "adaptive" else None, mode,
+                seed=n, frame_budget=8)
+            got_world, got = run_perception(scene, config)
+            want_world, want = _reference_perception(scene, config)
+            assert json.dumps(got_world.to_json(), sort_keys=True) == \
+                json.dumps(want_world.to_json(), sort_keys=True), (n, config)
+            assert got.to_json() == want.to_json()
+            merged += got.detections_emitted - len(got_world.objects)
+            parented += len([o for o in got_world.query()
+                             if o.parent is not None])
+            spurious += got.spurious_emitted
     # the scenes exercised association, parent links and false positives
     assert merged > 0 and parented > 0 and spurious > 0

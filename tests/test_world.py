@@ -8,6 +8,7 @@ import random
 import pytest
 
 from minworld.world import (
+    ASSOC_RADIUS,
     Aabb,
     Detection,
     Pose,
@@ -70,9 +71,9 @@ def test_aabb_contains_and_margin():
 
 
 def test_aabb_translated():
-    box = Aabb((0, 0, 0), (1, 1, 1)).translated(2, 3, 4)
-    assert box.lo == (2.0, 3.0, 4.0)
-    assert box.hi == (3.0, 4.0, 5.0)
+    box = Aabb((0, 0, 0), (1, 1, 1)).translated(2, 3)
+    assert box.lo == (2.0, 3.0, 0.0)
+    assert box.hi == (3.0, 4.0, 1.0)
     assert not box.degenerate
     flat = Aabb((0, 0, 0), (1, 0, 1), degenerate=True).translated(0.5, -0.25)
     assert flat == Aabb((0.5, -0.25, 0.0), (1.5, -0.25, 1.0), degenerate=True)
@@ -209,11 +210,17 @@ def test_association_picks_nearest_then_lowest_id():
     assert world2.objects[2].last_seen == 0.0
 
 
-def test_association_radius_is_configurable():
-    world = WorldModel()
-    world.integrate(_det("cup", 0, 0))
-    world.integrate(_det("cup", 0.4, 0), assoc_radius=0.2)
-    assert len(world.objects) == 2
+def test_association_radius_is_inclusive():
+    # a detection exactly ASSOC_RADIUS from an object, on any side of it,
+    # updates it; one any farther starts a new object
+    beyond = math.nextafter(ASSOC_RADIUS, math.inf)
+    for dist, n_objects in ((ASSOC_RADIUS, 1), (beyond, 2)):
+        for x, y in ((dist, 0), (-dist, 0), (0, dist), (0, -dist)):
+            world = WorldModel()
+            world.integrate(_det("cup", 0, 0))
+            world.integrate(_det("cup", x, y, t=1.0))
+            assert len(world.objects) == n_objects, (x, y)
+            assert world.objects[n_objects].last_seen == 1.0
 
 
 # -- parent attachment -------------------------------------------------------
