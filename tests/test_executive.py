@@ -185,6 +185,16 @@ def test_dispatch_plans_one_goal_and_drives_to_it(monkeypatch, action):
         assert robot.time == reference.time
 
 
+def test_dispatch_rejects_bad_standoff_before_moving(monkeypatch):
+    # the dispatcher plans with ExecParams.standoff before the base moves
+    monkeypatch.setattr(executive.ExecParams, "standoff", 0.0)
+    robot = _robot()
+    with pytest.raises(ValueError, match="standoff"):
+        receive_behavior(BehaviorRequest("navigate", 1),
+                         _world(_door()).snapshot, robot, DoorSim())
+    assert robot.base == Pose(0.0, 0.0) and robot.time == 0.0
+
+
 def test_missing_constituent_fails_at_detecting():
     status, _, _ = _run(BehaviorRequest("open", 1), _world(_door()))
     assert status.states() == [S.RECEIVED, S.NAVIGATING, S.DETECTING, S.FAILURE]
