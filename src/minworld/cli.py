@@ -37,7 +37,7 @@ from .symbols import (
     load_symbol_space,
     subtype_detector_id,
 )
-from .world import Pose, WorldModel, WorldObject, is_int, json_object
+from .world import Pose, WorldError, WorldModel, WorldObject, is_int, read_json
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -69,10 +69,9 @@ def _dump_json(obj) -> str:
 def _load(label: str, path, loader):
     """``loader(path)`` for one input file; a missing or malformed file
     exits 1 with one line. The loaders report malformed content only as
-    a ValueError (bad JSON, tree, symbol space, world, scene, corpus or
-    model), a missing key, a bad detector, a corpus word grounding
-    cannot featurize, or a RecursionError (JSON or a tree nested too
-    deep for the recursive readers)."""
+    a ValueError (bad JSON, JSON nested too deep to decode, a bad tree,
+    symbol space, world, scene, corpus or model), a missing key, a bad
+    detector, or a corpus word grounding cannot featurize."""
     if path is None:
         raise StageError("io", f"no {label} given (flag or config)")
     p = Path(path)
@@ -80,8 +79,7 @@ def _load(label: str, path, loader):
         raise StageError("io", f"{label} file not found: {p}")
     try:
         return loader(p)
-    except (ValueError, KeyError, PerceptionError, dcg.GroundingError,
-            RecursionError) as e:
+    except (ValueError, KeyError, PerceptionError, dcg.GroundingError) as e:
         raise StageError("io", f"bad {label} {p}: {e}")
 
 
@@ -157,8 +155,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     flags, then give the integer flags neither set their defaults."""
     if getattr(args, "config", None) is not None:
         cfg_path = Path(args.config)
-        cfg = _load("config", cfg_path, lambda p: json_object(
-            json.loads(p.read_text(encoding="utf-8")), "config"))
+        cfg = _load("config", cfg_path, lambda p: read_json(p, "config"))
         for key, value in cfg.items():
             if key in CONFIG_PATHS and hasattr(args, key):
                 if not isinstance(value, str):
@@ -308,6 +305,9 @@ def _perceive(args, mode: str, scene: Scene, registry,
             why = (" (grounded from the symbol space, but the registry has "
                    "no detector for them)")
         raise StageError("perception", f"{e}{why}")
+    except WorldError as e:
+        # a huge noise or visibility range moved a detection past float precision
+        raise StageError("perception", f"bad detection: {e}")
 
 
 def cmd_perceive(args) -> int:

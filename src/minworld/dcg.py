@@ -55,7 +55,7 @@ from .symbols import (
     IndependentDetectorSymbol,
     SymbolSpace,
 )
-from .world import WorldModel, finite_number, is_int
+from .world import WorldModel, finite_number, is_int, read_json
 
 TEMPLATE_VERSION = 2
 # curvature pairs the L-BFGS direction in ``train`` remembers
@@ -261,9 +261,7 @@ class Model:
 
     @classmethod
     def load(cls, path: str | Path) -> "Model":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise CorpusError(f"model must be a JSON object, got {type(data).__name__}")
+        data = read_json(path, "model")
         if data.get("template_version") != TEMPLATE_VERSION:
             raise CorpusError(
                 f"model template version {data.get('template_version')!r} "
@@ -397,9 +395,7 @@ def _resolve_descriptor(desc: dict, graph: FactorGraph, space: SymbolSpace,
 
 
 def load_corpus(path: str | Path) -> tuple[str, list[dict]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise CorpusError(f"corpus must be a JSON object, got {type(data).__name__}")
+    data = read_json(path, "corpus")
     kind = data.get("kind")
     if kind not in ("perception", "behavior"):
         raise CorpusError(f"corpus kind {kind!r} must be perception or behavior")

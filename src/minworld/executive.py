@@ -75,8 +75,9 @@ class DoorSim:
     jam_angle: float | None = None
 
 
-@dataclass(frozen=True)
 class ExecParams:
+    """The executive's constants, read off the class; it takes no values."""
+
     speed: float = 0.5            # m/s base motion
     standoff: float = 0.5         # m from the target face
     arm_reach: float = 0.9        # m, base to handle in the plane
@@ -148,15 +149,14 @@ def _drive(robot: RobotState, goal, speed: float) -> RobotState:
 
 
 def navigate(robot: RobotState, target: WorldObject,
-             standoff: float = ExecParams.standoff,
-             speed: float = ExecParams.speed, obstacles=()) -> RobotState:
+             standoff: float = ExecParams.standoff, obstacles=()) -> RobotState:
     """Drive the base to the standoff point, facing the target.
 
     Already at the goal: pose unchanged, zero additional time. A goal
     inside an obstacle footprint is unreachable.
     """
     return _drive(robot, _standoff_goal(robot.base, target, standoff, obstacles),
-                  speed)
+                  ExecParams.speed)
 
 
 def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,

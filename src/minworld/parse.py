@@ -11,11 +11,15 @@ children before their parent.
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .world import json_object
+from .world import read_json
+
+# how many brackets deep a tree may nest; the bundled, corpus and generated
+# trees nest at most 8
+MAX_NESTING = 100
 
 
 class TreeError(ValueError):
@@ -64,76 +68,59 @@ def _check_label(label: str, what: str, offset: int) -> None:
 
 
 def load_parse_tree(text: str) -> ParseTree:
-    """Parse one bracketed tree; raises TreeError with a char offset."""
-    s = text
-    n = len(s)
+    """Parse one bracketed tree; raises TreeError with a char offset.
+    The reader keeps a stack of open brackets, so a tree nested deeper
+    than MAX_NESTING brackets fails at the bracket that goes past it."""
     phrases: list[Phrase] = []
     leaf_words: list[str] = []  # in text order
-
-    def skip_ws(i: int) -> int:
-        while i < n and s[i].isspace():
-            i += 1
-        return i
-
-    def read_token(i: int) -> tuple[str, int]:
-        j = i
-        while j < n and not s[j].isspace() and s[j] not in "()":
-            j += 1
-        if j == i:
-            raise TreeError("expected a token", i)
-        return s[i:j], j
-
-    def read_node(i: int) -> tuple[Phrase | tuple[str, str], int]:
-        # s[i] == '(' on entry
-        start = i
-        i = skip_ws(i + 1)
-        label, i = read_token(i)
-        i = skip_ws(i)
-        bare: list[str] = []
-        nodes: list[Phrase | tuple[str, str]] = []
-        while i < n and s[i] != ")":
-            if s[i] == "(":
-                node, i = read_node(i)
-                nodes.append(node)
+    # per open bracket: its offset, label, bare words and closed nodes
+    stack: list[tuple[int, str, list[str], list]] = []
+    root = None
+    tokens = re.finditer(r"[()]|[^\s()]+", text)
+    for m in tokens:
+        token = m.group()
+        if root is not None:
+            raise TreeError("trailing text after tree", m.start())
+        if token == "(":
+            if len(stack) == MAX_NESTING:
+                raise TreeError(f"tree nested deeper than {MAX_NESTING} "
+                                "brackets", m.start())
+            head = next(tokens, None)
+            if head is None or head.group() in "()":
+                raise TreeError("expected a token",
+                                len(text) if head is None else head.start())
+            stack.append((m.start(), head.group(), [], []))
+        elif not stack:
+            raise TreeError("expected '('", m.start())
+        elif token != ")":
+            stack[-1][2].append(token)
+        else:
+            start, label, bare, nodes = stack.pop()
+            if bare and nodes:
+                raise TreeError("bare words mixed with nested phrases", start)
+            if len(bare) > 1:
+                raise TreeError("leaf with more than one word", start)
+            if bare:
+                _check_label(label, "POS tag", start)
+                node = (bare[0].lower(), label)
+                leaf_words.append(node[0])
             else:
-                tok, i = read_token(i)
-                bare.append(tok)
-            i = skip_ws(i)
-        if i >= n:
-            raise TreeError("unbalanced bracket, missing ')'", n)
-        i += 1  # consume ')'
-        if bare and nodes:
-            raise TreeError("bare words mixed with nested phrases", start)
-        if len(bare) > 1:
-            raise TreeError("leaf with more than one word", start)
-        if bare:
-            _check_label(label, "POS tag", start)
-            word = bare[0].lower()
-            leaf_words.append(word)
-            return (word, label), i
-        if not nodes:
-            raise TreeError("empty phrase", start)
-        _check_label(label, "phrase label", start)
-        phrase = Phrase(label,
-                        tuple(x for x in nodes if not isinstance(x, Phrase)),
-                        tuple(x for x in nodes if isinstance(x, Phrase)),
-                        len(phrases))
-        phrases.append(phrase)
-        return phrase, i
-
-    try:
-        i = skip_ws(0)
-        if i >= n or s[i] != "(":
-            raise TreeError("expected '('", i)
-        node, i = read_node(i)
-    finally:
-        # read_node reaches itself through its closure cell; emptying the
-        # cell frees the closures by reference counting, not the cyclic GC
-        del read_node
-    i = skip_ws(i)
-    if i != n:
-        raise TreeError("trailing text after tree", i)
-    if not isinstance(node, Phrase):
+                if not nodes:
+                    raise TreeError("empty phrase", start)
+                _check_label(label, "phrase label", start)
+                node = Phrase(label,
+                              tuple(x for x in nodes if not isinstance(x, Phrase)),
+                              tuple(x for x in nodes if isinstance(x, Phrase)),
+                              len(phrases))
+                phrases.append(node)
+            if stack:
+                stack[-1][3].append(node)
+            else:
+                root = node
+    if root is None:
+        raise TreeError("unbalanced bracket, missing ')'" if stack
+                        else "expected '('", len(text))
+    if not isinstance(root, Phrase):
         # a single leaf like "(NN door)" is not an instruction
         raise TreeError("tree has no phrase structure", 0)
     return ParseTree(tuple(phrases), " ".join(leaf_words))
@@ -153,8 +140,7 @@ class Lexicon:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Lexicon":
-        raw = json_object(json.loads(Path(path).read_text(encoding="utf-8")),
-                          "lexicon")
+        raw = read_json(path, "lexicon")
         for tag, words in raw.items():
             if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
                 raise ValueError(f"lexicon entry {tag} must be a list of strings")

@@ -11,7 +11,6 @@ clock, so identical invocations produce identical output.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,7 @@ from .world import (
     is_int,
     json_number,
     json_object,
+    read_json,
 )
 
 DEFAULT_MAX_RANGE = 6.0
@@ -128,7 +128,7 @@ class Scene:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scene":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json(read_json(path, "scene"))
 
 
 @dataclass
@@ -170,8 +170,7 @@ class PerceptionMetrics:
 
 
 def load_registry(path: str | Path) -> tuple[DetectorSpec, ...]:
-    data = json_object(json.loads(Path(path).read_text(encoding="utf-8")),
-                       "detector registry")
+    data = read_json(path, "detector registry")
     detectors = data["detectors"]
     if not isinstance(detectors, list):
         raise PerceptionError(f"registry detectors must be a list, "
@@ -248,7 +247,9 @@ def run_perception(scene: Scene,
     """
     active, links, false_positives = perception_plan(config)
     period = sum(d.frame_cost for d in active)
-    if not math.isfinite(period * config.frame_budget):
+    # a frame budget beyond the float range has no float cost to check
+    if not (finite_number(config.frame_budget)
+            and math.isfinite(period * config.frame_budget)):
         raise PerceptionError(f"sensing cost of {config.frame_budget} frames at "
                               f"{period!r} s a frame is not finite")
     robot = scene.robot_start

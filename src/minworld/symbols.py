@@ -10,9 +10,10 @@ the perception bank in a fixed order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+
+from .world import read_json
 
 ACTIONS = ("navigate", "open", "turn", "look")
 
@@ -118,9 +119,7 @@ def _strings(value) -> bool:
 
 
 def load_symbol_space(path: str | Path) -> SymbolSpace:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise SymbolError(f"symbol space must be a JSON object, got {type(raw).__name__}")
+    raw = read_json(path, "symbol space")
     labels, actions = raw["labels"], raw.get("actions", [])
     hierarchies = raw.get("hierarchies", [])
     for key, value in (("labels", labels), ("actions", actions)):

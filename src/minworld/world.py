@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -32,15 +33,27 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``, else WorldError naming
+    ``what``. A document nested too deep for the decoder is a WorldError
+    with the decoder's message."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as e:
+        raise WorldError(str(e)) from None
+    return json_object(value, what)
+
+
 def is_int(value) -> bool:
     """Whether ``value`` is an int (bools are not numbers)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def finite_number(value) -> bool:
-    """Whether ``value`` is a finite int or float (bools are not numbers)."""
+    """Whether ``value`` is an int or float within the float range (bools
+    are not numbers)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
 
 
 def json_number(value, what: str):
@@ -334,4 +347,4 @@ class WorldModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorldModel":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json(read_json(path, "world"))

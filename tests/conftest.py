@@ -4,8 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from minworld import dcg, symbols
+
+# CI's hostile-input step: 200 mutations of each input kind
+settings.register_profile("hostile", max_examples=200)
 
 
 def pytest_terminal_summary(terminalreporter):

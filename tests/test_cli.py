@@ -13,6 +13,7 @@ import pytest
 
 from minworld import cli, dcg
 from minworld.cli import build_parser, cmd_bench, main
+from minworld.parse import MAX_NESTING
 from minworld.world import Aabb, Pose, WorldModel, WorldObject
 
 
@@ -393,6 +394,74 @@ def test_perceive_overflowing_sensing_cost_exits_perception(assets, tmp_path,
     code = main(["perceive", "--registry", str(registry), "--exhaustive", "--json"])
     assert code == 3
     assert "not finite" in _one_line_error(capsys, "perception")
+
+
+def _frames_deeper(frames: int, fn):
+    """``fn()``, called ``frames`` Python frames below this call."""
+    return fn() if frames == 0 else _frames_deeper(frames - 1, fn)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 951])
+def test_a_tree_grounds_the_same_at_any_stack_depth(depth, model_dir, tmp_path,
+                                                    capsys):
+    # a reader that recursed per phrase accepted a 951-bracket tree from
+    # the top of the stack and failed it 60 frames deeper
+    tree = tmp_path / "deep.txt"
+    tree.write_text("(VP (VB open) " + "(NP " * (depth - 2) + "(NN door)"
+                    + ")" * (depth - 1))
+    argv = ["ground", "--tree", str(tree),
+            "--model", str(model_dir / "perception.json")]
+    outcomes = []
+    for frames in (0, 600):
+        code = _frames_deeper(frames, lambda: main(argv))
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if depth <= MAX_NESTING else 1)
+
+
+@pytest.mark.parametrize("flags,name,path", [
+    (["--detectors", "door", "--registry"], "detector_registry.json",
+     ("detectors", 2, "noise_sigma")),
+    (["--exhaustive", "--scene"], "door_scene.json", ("visibility", "max_range")),
+], ids=["noise", "range"])
+def test_a_detection_past_float_precision_exits_perception(flags, name, path,
+                                                           assets, tmp_path,
+                                                           capsys):
+    # the number is finite, but a door detection moved by that noise, or
+    # a spurious one drawn out to that range, has a box of zero volume
+    data = json.loads((assets / name).read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1e308
+    assert name != "detector_registry.json" or node["id"] == "door"
+    (tmp_path / name).write_text(json.dumps(data))
+    assert main(["perceive", *flags, str(tmp_path / name)]) == 3
+    assert _one_line_error(capsys, "perception").startswith(
+        "error [perception]: bad detection: ")
+
+
+# a JSON integer beyond the float range; once an OverflowError traceback
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_frames_beyond_the_float_range_exit_perception(
+        via, trees, model_dir, tmp_path, monkeypatch, capsys):
+    # a frame count the cost check let through would start sensing
+    def sensed(*args):
+        raise AssertionError("the sensing loop started")
+    monkeypatch.setattr(cli.percept, "visible", sensed)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "tree": trees["open"], "perception_model": str(model_dir / "perception.json"),
+        "behavior_model": str(model_dir / "behavior.json"), "frames": HUGE}))
+    argv = (["perceive", "--detectors", "door", "--frames", str(HUGE)] if via == "flag"
+            else ["run", "--config", str(config)])
+    assert main(argv) == 3
+    err = _one_line_error(capsys, "perception")
+    assert err.startswith(f"error [perception]: sensing cost of {HUGE} frames at ")
+    assert err.endswith(" s a frame is not finite\n")
 
 
 def test_run_config_sets_tree(trees, model_dir, tmp_path, capsys):
@@ -919,9 +988,12 @@ def test_every_flag_is_a_swept_file_flag_or_listed_as_other():
                         for command in FILE_FLAGS}
 
 
-# nested past the recursion limit of the JSON and tree readers
+# nested past the JSON decoder's recursion limit, and a tree nested past
+# parse.MAX_NESTING
 DEEP_JSON = "[" * 2000 + "]" * 2000
 DEEP_TREE = "(VP (VB open) " + "(NP " * 999 + "(NN door)" + ")" * 1000
+DOOR = {"id": 1, "label": "door", "pose": {"x": 5, "y": 0},
+        "bbox": {"min": [4, 0, 0], "max": [5, 1, 1]}}
 
 MALFORMED = [(command, flag, text)
              for command, flags in FILE_FLAGS.items() for flag in flags
@@ -972,6 +1044,16 @@ MALFORMED = [(command, flag, text)
     # object, an example without gold
     *[("train", "--corpus", f'{{"kind": "perception", "examples": {examples}}}')
       for examples in ('{"a": 1}', "[3]", '[{"tree": "(VP (VB open))"}]')],
+    # an integer beyond the float range, once an OverflowError traceback
+    *[("perceive", "--scene", json.dumps(scene)) for scene in (
+        {"objects": [{**DOOR, "pose": {"x": HUGE, "y": 0}}]},
+        {"objects": [{**DOOR, "bbox": {"min": [HUGE, 0, 0], "max": [5, 1, 1]}}]},
+        {"visibility": {"max_range": HUGE}})],
+    *[("perceive", "--registry", json.dumps({"detectors": [{"id": "door", **d}]}))
+      for d in ({"frame_cost": HUGE}, {"frame_cost": 0.1, "false_positive_rate": HUGE})],
+    ("ground", "--world", json.dumps({"objects": [{**DOOR, "first_seen": HUGE}]})),
+    ("ground", "--model", json.dumps({"template_version": 2, "kind": "perception",
+                                      "weights": {"word:door&label:door": HUGE}})),
 ]
 
 
@@ -998,7 +1080,7 @@ def good_files(assets, model_dir, world_file, trees, tmp_path_factory) -> dict:
 
 @pytest.mark.parametrize("command,flag,text", MALFORMED, ids=[
     " ".join(case).replace(DEEP_JSON, "deep-json").replace(DEEP_TREE, "deep-tree")
-    for case in MALFORMED])
+    .replace(str(HUGE), "huge-int") for case in MALFORMED])
 def test_malformed_input_file_exits_io(command, flag, text, good_files, tmp_path,
                                        capsys):
     bad = tmp_path / "bad.json"

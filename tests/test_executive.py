@@ -195,6 +195,14 @@ def test_dispatch_rejects_bad_standoff_before_moving(monkeypatch):
     assert robot.base == Pose(0.0, 0.0) and robot.time == 0.0
 
 
+@pytest.mark.parametrize("field", list(executive.ExecParams.__annotations__))
+def test_exec_params_are_constants_no_instance_can_set(field):
+    # the executive reads the class, so a value given here would be ignored
+    assert executive.ExecParams().standoff == executive.ExecParams.standoff
+    with pytest.raises(TypeError):
+        executive.ExecParams(**{field: 0.0})
+
+
 def test_missing_constituent_fails_at_detecting():
     status, _, _ = _run(BehaviorRequest("open", 1), _world(_door()))
     assert status.states() == [S.RECEIVED, S.NAVIGATING, S.DETECTING, S.FAILURE]

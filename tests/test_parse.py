@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minworld.parse import (
+    MAX_NESTING,
     Lexicon,
     LexiconViolation,
     TreeError,
     load_parse_tree,
     validate_against_lexicon,
 )
+from minworld.world import WorldError, read_json
 
 DRIVE = "(VP (VB drive) (PP (TO to) (NP (DT the) (NN door))))"
 OPEN = "(VP (VB open) (NP (DT the) (NN door)))"
@@ -71,8 +73,8 @@ def test_words_lowercased():
 
 
 def test_a_parse_leaves_nothing_for_the_cyclic_gc():
-    # the recursive reader's closures would otherwise form a reference
-    # cycle that outlives every parse
+    # a parse frees all it built by reference counting; the reader keeps
+    # no closure or stack entry that could form a cycle
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -155,6 +157,99 @@ def test_parse_property(root, seed):
             for p in tree.phrases] == expected
     assert tree.instruction == " ".join(_leaf_words(root))
     assert load_parse_tree(_render(root, ws)) == tree
+
+
+# Every TreeError the reader raises, with its exact text and offset. An
+# error inside a phrase is raised when that phrase closes, so the first
+# bad phrase in text order wins.
+TREE_ERRORS = [
+    ("", "expected '('", 0),
+    ("  \n\t", "expected '('", 4),
+    ("door (VP (VB open))", "expected '('", 0),
+    (" ) (VP (VB open))", "expected '('", 1),
+    ("(", "expected a token", 1),
+    ("(VP (VB open) (", "expected a token", 15),
+    ("( (NN door))", "expected a token", 2),
+    ("(VP (VB open) ())", "expected a token", 15),
+    ("(NP (DT the) (NN door)", "unbalanced bracket, missing ')'", 22),
+    (OPEN[:-1], "unbalanced bracket, missing ')'", len(OPEN) - 1),
+    ("(NP the (NN door))", "bare words mixed with nested phrases", 0),
+    ("(VP (VB open) (NP (NN door) the))",
+     "bare words mixed with nested phrases", 14),
+    ("(NN door frame)", "leaf with more than one word", 0),
+    ("(VP (VB open) (NP (DT the) (NN door frame)))",
+     "leaf with more than one word", 27),
+    ("(NP (dt the) (NN door))", "POS tag 'dt' is not uppercase-alphabetic", 4),
+    ("(VP (VB open) (NP (D1 the) (NN door)))",
+     "POS tag 'D1' is not uppercase-alphabetic", 18),
+    ("(np (DT the) (NN door))",
+     "phrase label 'np' is not uppercase-alphabetic", 0),
+    ("(VP (VB open) (Np (DT the) (NN door)))",
+     "phrase label 'Np' is not uppercase-alphabetic", 14),
+    ("(VP (np (DT the)) (NN door frame)",
+     "phrase label 'np' is not uppercase-alphabetic", 4),
+    ("(NP)", "empty phrase", 0),
+    ("(VP (VB open) (NP))", "empty phrase", 14),
+    (OPEN + " extra", "trailing text after tree", len(OPEN) + 1),
+    (OPEN + ")", "trailing text after tree", len(OPEN)),
+    (OPEN + " (NN x)", "trailing text after tree", len(OPEN) + 1),
+    ("(NN door) x", "trailing text after tree", 10),
+    ("(NN door)", "tree has no phrase structure", 0),
+    (" (NN door) ", "tree has no phrase structure", 0),
+]
+
+
+@pytest.mark.parametrize("text,message,offset", TREE_ERRORS)
+def test_tree_error_message_and_offset(text, message, offset):
+    with pytest.raises(TreeError) as err:
+        load_parse_tree(text)
+    assert (str(err.value), err.value.offset) == (
+        f"{message} (offset {offset})", offset)
+
+
+def _nested(depth: int) -> str:
+    """A tree ``depth`` brackets deep: a verb over nested noun phrases."""
+    return "(VP (VB open) " + "(NP " * (depth - 2) + "(NN door)" + ")" * (depth - 1)
+
+
+def test_a_tree_at_max_nesting_parses():
+    tree = load_parse_tree(_nested(MAX_NESTING))
+    assert tree.n_phrases == MAX_NESTING - 1
+    assert tree.instruction == "open door"
+
+
+def test_one_bracket_past_max_nesting_fails_at_that_bracket():
+    text = _nested(MAX_NESTING + 1)
+    offset = text.index("(NN door)")
+    with pytest.raises(TreeError) as err:
+        load_parse_tree(text)
+    assert (str(err.value), err.value.offset) == (
+        f"tree nested deeper than {MAX_NESTING} brackets (offset {offset})",
+        offset)
+
+
+def test_a_tree_at_max_nesting_compares_hashes_and_prints():
+    # Phrase's dataclass methods recurse once per level of nesting
+    tree, again = load_parse_tree(_nested(MAX_NESTING)), load_parse_tree(
+        _nested(MAX_NESTING))
+    assert tree == again and tree is not again
+    assert hash(tree) == hash(again)
+    assert repr(tree.root).count("Phrase(") == MAX_NESTING - 1
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "3", '"x"', "true"])
+def test_read_json_requires_an_object(tmp_path, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    with pytest.raises(WorldError, match="^thing must be a JSON object, got "):
+        read_json(path, "thing")
+
+
+def test_read_json_reports_deep_nesting_as_a_world_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    with pytest.raises(WorldError, match="maximum recursion depth exceeded"):
+        read_json(path, "thing")
 
 
 def test_missing_bracket_reports_offset():
