@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import dcg, percept
+from .dcg import ground_behavior, ground_detectors
 from .executive import (
-    BehaviorRequest,
     DoorSim,
     ExecState,
     ExecStatus,
@@ -30,13 +30,7 @@ from .percept import (
     load_registry,
     run_perception,
 )
-from .symbols import (
-    DetectorSet,
-    SymbolSpace,
-    detectors_from_groundings,
-    load_symbol_space,
-    subtype_detector_id,
-)
+from .symbols import DetectorSet, load_symbol_space
 from .world import Pose, WorldError, WorldModel, WorldObject, is_int, read_json
 
 EXIT_OK = 0
@@ -47,10 +41,12 @@ EXIT_EXECUTION = 4
 
 
 class StageError(Exception):
-    """Stops a command with one ``error [stage]`` line and the stage's code."""
+    """Stops a command with one ``error [stage]`` line and the stage's code:
+    a ``PerceptionError`` or ``WorldError`` is ``io`` while a file loads and
+    ``perception`` while the loop senses. The other library errors reach
+    ``main`` as they are."""
 
-    CODES = {"io": EXIT_IO, "training": EXIT_IO, "grounding": EXIT_GROUNDING,
-             "perception": EXIT_PERCEPTION}
+    CODES = {"io": EXIT_IO, "perception": EXIT_PERCEPTION}
 
     def __init__(self, stage: str, message: str):
         super().__init__(message)
@@ -120,36 +116,6 @@ def _input(key: str, path):
     return value
 
 
-def ground_detectors(tree: ParseTree, model: dcg.Model,
-                     space: SymbolSpace) -> DetectorSet:
-    """Infer the minimal detector set the instruction needs."""
-    graph = dcg.build_perception_graph(tree, space)
-    assignment = dcg.infer(graph, model)
-    expressed = assignment.all_symbols(graph)
-    if not expressed:
-        raise StageError("grounding",
-                         f"no detector symbols expressed for {tree.instruction!r}")
-    return detectors_from_groundings(expressed)
-
-
-def ground_behavior(tree: ParseTree, model: dcg.Model, space: SymbolSpace,
-                    world: WorldModel) -> BehaviorRequest:
-    """Infer the behavior the instruction requests over this world: the
-    first expressed (action, label) at the root, on the label's lowest
-    object id."""
-    graph = dcg.build_behavior_graph(tree, space, world)
-    if not graph.bank:
-        raise StageError("grounding", "world has no objects to ground against")
-    assignment = dcg.infer(graph, model)
-    root = graph.tree.root.index
-    chosen = sorted(assignment.expressed.get(root, frozenset()))
-    if not chosen:
-        raise StageError("grounding",
-                         f"no behavior expressed at the root of {tree.instruction!r}")
-    sym = graph.bank[chosen[0]]
-    return BehaviorRequest(sym.action, world.query(sym.label)[0].id)
-
-
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay the run-config JSON, if the command takes one, under explicit
     flags, then give the integer flags neither set their defaults."""
@@ -180,11 +146,7 @@ def _apply_config(args: argparse.Namespace) -> None:
 # commands
 
 def cmd_train(args) -> int:
-    try:
-        config = dcg.TrainConfig(iterations=args.iterations, step=args.step,
-                                 l2=args.l2)
-    except dcg.TrainingError as e:
-        raise StageError("training", str(e))
+    config = dcg.TrainConfig(iterations=args.iterations, step=args.step, l2=args.l2)
     space = _input("space", args.space)
 
     def compile_corpus(path):
@@ -192,10 +154,7 @@ def cmd_train(args) -> int:
         return kind, dcg.CompiledCorpus(dcg.build_examples(kind, raw, space))
 
     kind, corpus = _load("corpus", args.corpus, compile_corpus)
-    try:
-        result = dcg.train(corpus, config, kind=kind)
-    except dcg.TrainingError as e:
-        raise StageError("training", str(e))
+    result = dcg.train(corpus, config, kind=kind)
     result.model.save(args.out)
     rec = dcg.recovery(corpus, result.model)
     summary = {
@@ -351,12 +310,7 @@ def _ground_and_perceive(args, inputs: tuple, tree: ParseTree, mode: str,
     if violations:
         v = violations[0]
         raise StageError("io", f"word {v.word!r} not in lexicon for tag {v.tag}")
-    detectors = ground_detectors(tree, model, space)
-    if dropped:
-        detectors = DetectorSet(
-            detectors.ids - dropped,
-            frozenset((p, s) for p, s in detectors.links
-                      if subtype_detector_id(p, s) not in dropped))
+    detectors = ground_detectors(tree, model, space).without(dropped)
     world, metrics = _perceive(args, mode, scene, registry, detectors,
                                grounded=True)
     return detectors, world, metrics
@@ -547,6 +501,9 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error [{e.stage}]: {e}", file=sys.stderr)
         return e.code
+    except dcg.TrainingError as e:
+        print(f"error [training]: {e}", file=sys.stderr)
+        return EXIT_IO
     except (dcg.GroundingError, dcg.NumericError) as e:
         print(f"error [grounding]: {e}", file=sys.stderr)
         return EXIT_GROUNDING

@@ -31,8 +31,7 @@ Training never folds: ``recovery`` scores the compiled corpus rows.
 A behavior symbol names an action and a label, and a factor sees only
 the symbol's atoms, never the world. A behavior bank holds one symbol
 per action and world label, so it grows with the world's labels, not its
-objects; which object of the label is acted on is chosen after inference
-(``cli.ground_behavior``).
+objects; ``ground_behavior`` acts on the chosen label's lowest object id.
 """
 
 from __future__ import annotations
@@ -48,12 +47,15 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .executive import BehaviorRequest
 from .parse import ParseTree, Phrase, load_parse_tree
 from .symbols import (
     BehaviorSymbol,
+    DetectorSet,
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolSpace,
+    detectors_from_groundings,
 )
 from .world import WorldModel, finite_number, is_int, read_json
 
@@ -345,6 +347,32 @@ def infer(graph: FactorGraph, model: Model) -> Assignment:
     if not np.isfinite(np.concatenate(margins)).all():
         raise NumericError("non-finite factor margin")
     return Assignment(expressed)
+
+
+def ground_detectors(tree: ParseTree, model: Model,
+                     space: SymbolSpace) -> DetectorSet:
+    """Infer the minimal detector set the instruction needs."""
+    graph = build_perception_graph(tree, space)
+    expressed = infer(graph, model).all_symbols(graph)
+    if not expressed:
+        raise GroundingError(f"no detector symbols expressed for {tree.instruction!r}")
+    return detectors_from_groundings(expressed)
+
+
+def ground_behavior(tree: ParseTree, model: Model, space: SymbolSpace,
+                    world: WorldModel) -> BehaviorRequest:
+    """Infer the behavior the instruction requests over this world: the
+    first expressed (action, label) at the root, on the label's lowest
+    object id."""
+    graph = build_behavior_graph(tree, space, world)
+    if not graph.bank:
+        raise GroundingError("world has no objects to ground against")
+    chosen = sorted(infer(graph, model).expressed[tree.root.index])
+    if not chosen:
+        raise GroundingError("no behavior expressed at the root of "
+                             f"{tree.instruction!r}")
+    sym = graph.bank[chosen[0]]
+    return BehaviorRequest(sym.action, world.query(sym.label)[0].id)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +730,9 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
+# an overflowing trial point is left to the checks of the objective and
+# the gradient, so it prints one error line and no warning
+@np.errstate(over="ignore", invalid="ignore")
 def train(corpus: CompiledCorpus, config: TrainConfig = TrainConfig(),
           kind: str = "perception") -> TrainResult:
     """L-BFGS ascent (Liu & Nocedal, 1989) with backtracking line search.

@@ -75,6 +75,12 @@ class DetectorSet:
     ids: frozenset[str]
     links: frozenset[tuple[str, str]] = frozenset()
 
+    def without(self, ids: frozenset[str]) -> "DetectorSet":
+        """This set less the detectors ``ids`` and every link whose
+        subtype detector is one of them."""
+        return DetectorSet(self.ids - ids, frozenset(
+            (p, s) for p, s in self.links if subtype_detector_id(p, s) not in ids))
+
 
 class SymbolSpace:
     """The labels, hierarchy pairs and actions an instruction can use.

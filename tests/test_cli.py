@@ -121,6 +121,36 @@ def test_train_rejects_bad_corpus(tmp_path, capsys):
     assert "error [io]" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("step", ["1e200", "1e308"])
+@pytest.mark.parametrize("corpus", ["perception", "behavior"])
+def test_train_overflowing_step_exits_training(corpus, step, tmp_path, assets,
+                                               capsys):
+    # the first trial step overflows the weights or the margins; the
+    # non-finite objective prints one line and no numpy warning
+    out = tmp_path / "m.json"
+    code = main(["train", "--corpus", str(assets / f"{corpus}_corpus.json"),
+                 "--out", str(out), "--step", step])
+    assert code == 1
+    assert _one_line_error(capsys, "training") == \
+        "error [training]: iteration 1: non-finite log-likelihood\n"
+    assert not out.exists()
+
+
+def test_train_gold_action_outside_space_exits_io(tmp_path, assets, capsys):
+    # the behavior corpus looks at a door, but this space has no look action
+    space = json.loads((assets / "symbol_space.json").read_text())
+    space["actions"].remove("look")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code = main(["train", "--corpus", str(assets / "behavior_corpus.json"),
+                 "--space", str(path), "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert _one_line_error(capsys, "io").endswith(
+        ": gold symbol BehaviorSymbol(action='look', label='door') not in "
+        "graph bank\n")
+
+
 # -- ground ------------------------------------------------------------------
 
 def test_ground_open_instruction(trees, model_dir, capsys):
@@ -1052,6 +1082,9 @@ MALFORMED = [(command, flag, text)
     *[("perceive", "--registry", json.dumps({"detectors": [{"id": "door", **d}]}))
       for d in ({"frame_cost": HUGE}, {"frame_cost": 0.1, "false_positive_rate": HUGE})],
     ("ground", "--world", json.dumps({"objects": [{**DOOR, "first_seen": HUGE}]})),
+    # once untested: a scene's objects not a list, a parent not an integer
+    ("perceive", "--scene", json.dumps({"objects": {"1": DOOR}})),
+    ("ground", "--world", json.dumps({"objects": [{**DOOR, "parent": "1"}]})),
     ("ground", "--model", json.dumps({"template_version": 2, "kind": "perception",
                                       "weights": {"word:door&label:door": HUGE}})),
 ]

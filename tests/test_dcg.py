@@ -488,7 +488,7 @@ def test_class_inference_matches_every_entry_scored(assets, space,
                 assert classes(per_object, ids) == classes(graph.bank, got[index])
             root = want[tree.root.index]
             if not root:
-                with pytest.raises(cli.StageError):
+                with pytest.raises(dcg.GroundingError):
                     cli.ground_behavior(tree, behavior_model, space, world)
                 continue
             assert cli.ground_behavior(tree, behavior_model, space, world) == \

@@ -146,6 +146,9 @@ EXAMPLES = (settings().max_examples
             if settings.get_current_profile_name() == "hostile" else 25)
 
 
+# pytest captures warnings, so a numpy warning a shell user would see on
+# stderr fails the property instead
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", KINDS)
 @settings(database=None, derandomize=True, deadline=None,
           max_examples=EXAMPLES)

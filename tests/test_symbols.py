@@ -7,6 +7,7 @@ import pytest
 from minworld.symbols import (
     ACTIONS,
     BehaviorSymbol,
+    DetectorSet,
     HierarchicalDetectorSymbol,
     IndependentDetectorSymbol,
     SymbolError,
@@ -105,6 +106,15 @@ def test_detectors_from_hierarchy(space):
 def test_hierarchy_alone_pulls_parent(space):
     ds = detectors_from_groundings([space.hierarchy("door", "handle")])
     assert ds.ids == frozenset({"door", "door_handle"})
+
+
+def test_without_drops_detectors_and_the_links_to_their_subtypes(space):
+    ds = detectors_from_groundings([space.hierarchy("door", "handle"),
+                                    space.hierarchy("box", "top")])
+    # dropping a subtype detector drops its link; dropping a parent keeps it
+    assert ds.without(frozenset({"door_handle", "box"})) == DetectorSet(
+        frozenset({"door", "box_top"}), frozenset({("box", "top")}))
+    assert ds.without(frozenset()) == ds
 
 
 def test_behavior_symbol_rejected_by_detector_mapping():

@@ -9,8 +9,11 @@ Every line is ``key exit-code digest``, the digest a truncated sha256
 over the exit code, stdout, stderr and every out-dir file (name and
 bytes), with the scratch and asset directories written as ``$WORK`` and
 ``$ASSETS``. Lines for both ``train --json`` summaries, the model files
-they wrote (with the train's exit code) and ``bench --json`` come first. Run from the repository root; it runs
-this checkout's ``src``:
+they wrote (with the train's exit code) and ``bench --json`` come first.
+The ``ground`` lines come last: each of the 364 trees with the
+perception model, in text and ``--json``, and ``ground --json`` with the
+behavior model over the worlds of two runs (``GROUND_WORLDS``). Run from
+the repository root; it runs this checkout's ``src``:
 
     python tools/run_matrix.py > tools/run_matrix.txt
     python tools/run_matrix.py --check tools/run_matrix.txt
@@ -43,6 +46,9 @@ ASSETS = ROOT / "src" / "minworld" / "assets"
 SEEDS = (0, 3)
 MODES = ("adaptive", "exhaustive")
 DIGEST_HEX = 16
+# the (tree, mode) runs at seed 0 whose world the behavior model grounds
+# against: the door alone, and the world with two suitcases
+GROUND_WORLDS = (("open_the_door", "adaptive"), ("drive_to_the_door", "exhaustive"))
 
 
 def _normalized(text: str, work: Path) -> str:
@@ -85,12 +91,15 @@ def matrix(work: Path) -> list[tuple[str, int, str]]:
              for i, text in enumerate(generate(load_lexicon(), depth=1))]
     trees += [(p.stem, None) for p in sorted((ASSETS / "trees").glob("*.txt"))]
     tree_file, out_dir = work / "tree.txt", work / "out"
-    for name, text in trees:
+
+    def tree_path(name: str, text: str | None) -> Path:
         if text is None:
-            path = ASSETS / "trees" / f"{name}.txt"
-        else:
-            path = tree_file
-            tree_file.write_text(text + "\n", encoding="utf-8")
+            return ASSETS / "trees" / f"{name}.txt"
+        tree_file.write_text(text + "\n", encoding="utf-8")
+        return tree_file
+
+    for name, text in trees:
+        path = tree_path(name, text)
         for seed in SEEDS:
             for mode in MODES:
                 for fmt in ("text", "json"):
@@ -102,6 +111,19 @@ def matrix(work: Path) -> list[tuple[str, int, str]]:
                     argv += ["--json"] if fmt == "json" else []
                     shutil.rmtree(out_dir, ignore_errors=True)
                     record(f"run:{name}:{mode}:seed{seed}:{fmt}", argv, out_dir)
+                if seed == 0 and (name, mode) in GROUND_WORLDS:
+                    shutil.copy(out_dir / "world.json", work / f"{name}.json")
+    for name, text in trees:
+        path = tree_path(name, text)
+        for fmt in ("text", "json"):
+            record(f"ground:perception:{name}:{fmt}",
+                   ["ground", "--tree", str(path), "--model", str(models["perception"])]
+                   + (["--json"] if fmt == "json" else []))
+    for name, mode in GROUND_WORLDS:
+        record(f"ground:behavior:{name}:{mode}:seed0:json",
+               ["ground", "--tree", str(ASSETS / "trees" / f"{name}.txt"),
+                "--model", str(models["behavior"]),
+                "--world", str(work / f"{name}.json"), "--json"])
     return rows
 
 
