@@ -143,9 +143,10 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its files and returns (exit code, the payload --json
+# prints, the text lines), and main prints one of the two
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[int, dict, list[str]]:
     config = dcg.TrainConfig(iterations=args.iterations, step=args.step, l2=args.l2)
     space = _input("space", args.space)
 
@@ -171,18 +172,15 @@ def cmd_train(args) -> int:
         "recovery": rec,
         "model": str(args.out),
     }
-    if args.json:
-        print(_dump_json(summary), end="")
-    else:
-        print(f"trained {kind} model on {len(corpus.examples)} examples "
-              f"({corpus.n_factors} factors, {corpus.dim} features)")
-        print(f"objective {summary['objective']:.4f} after "
-              f"{result.iterations} iterations, recovery {rec:.0%}")
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return EXIT_OK, summary, [
+        f"trained {kind} model on {len(corpus.examples)} examples "
+        f"({corpus.n_factors} factors, {corpus.dim} features)",
+        f"objective {summary['objective']:.4f} after "
+        f"{result.iterations} iterations, recovery {rec:.0%}",
+        f"wrote {args.out}"]
 
 
-def cmd_ground(args) -> int:
+def cmd_ground(args) -> tuple[int, dict, list[str]]:
     space = _input("space", args.space)
     tree = _input("tree", args.tree)
     model = _input("model", args.model)
@@ -195,32 +193,24 @@ def cmd_ground(args) -> int:
             "detectors": sorted(detectors.ids),
             "links": sorted(list(p) for p in detectors.links),
         }
-        if args.json:
-            print(_dump_json(out), end="")
-        else:
-            print(f"instruction: {tree.instruction}")
-            print(f"detectors:   {', '.join(sorted(detectors.ids))}")
-            for parent, sub in sorted(detectors.links):
-                print(f"link:        {parent} -> {sub}")
-    else:
-        if not args.world:
-            raise StageError("io", "behavior grounding needs --world")
-        world = _input("world", args.world)
-        request = ground_behavior(tree, model, space, world)
-        label = world.objects[request.target_a].label
-        out = {
-            "instruction": tree.instruction,
-            "action": request.action,
-            "target": request.target_a,
-            "target_label": label,
-        }
-        if args.json:
-            print(_dump_json(out), end="")
-        else:
-            print(f"instruction: {tree.instruction}")
-            print(f"behavior:    {request.action} -> object {request.target_a} "
-                  f"({label})")
-    return EXIT_OK
+        lines = [f"instruction: {tree.instruction}",
+                 f"detectors:   {', '.join(out['detectors'])}"]
+        lines += [f"link:        {parent} -> {sub}" for parent, sub in out["links"]]
+        return EXIT_OK, out, lines
+    if not args.world:
+        raise StageError("io", "behavior grounding needs --world")
+    world = _input("world", args.world)
+    request = ground_behavior(tree, model, space, world)
+    label = world.objects[request.target_a].label
+    out = {
+        "instruction": tree.instruction,
+        "action": request.action,
+        "target": request.target_a,
+        "target_label": label,
+    }
+    return EXIT_OK, out, [
+        f"instruction: {tree.instruction}",
+        f"behavior:    {request.action} -> object {request.target_a} ({label})"]
 
 
 def _parse_links(text: str | None) -> frozenset[tuple[str, str]]:
@@ -269,8 +259,8 @@ def _perceive(args, mode: str, scene: Scene, registry,
         raise StageError("perception", f"bad detection: {e}")
 
 
-def cmd_perceive(args) -> int:
-    if args.exhaustive and args.links:
+def cmd_perceive(args) -> tuple[int, dict, list[str]]:
+    if args.mode == "exhaustive" and args.links:
         raise StageError("io", "--links is unused with --exhaustive")
     _apply_config(args)
     scene = _input("scene", args.scene)
@@ -279,22 +269,17 @@ def cmd_perceive(args) -> int:
     if args.detectors:
         ids = frozenset(x.strip() for x in args.detectors.split(",") if x.strip())
         active = DetectorSet(ids, _parse_links(args.links))
-    mode = "exhaustive" if args.exhaustive else "adaptive"
-    world, metrics = _perceive(args, mode, scene, registry, active)
-    out = {"world": world.to_json(), "metrics": metrics.to_json()}
-    if args.json:
-        print(_dump_json(out), end="")
-    else:
-        print(f"mode {metrics.mode}, {metrics.frames} frames, "
-              f"period {metrics.avg_period:.3f} s, total {metrics.total_cost:.3f} s")
-        print(f"active: {', '.join(metrics.active_detectors)}")
-        for obj in world.query():
-            parent = f" (on {obj.parent})" if obj.parent is not None else ""
-            print(f"object {obj.id}: {obj.label} at "
-                  f"({obj.pose.x:.2f}, {obj.pose.y:.2f}, {obj.pose.z:.2f}){parent}")
+    world, metrics = _perceive(args, args.mode, scene, registry, active)
     if args.out_dir:
         _write_outputs(Path(args.out_dir), world, metrics)
-    return EXIT_OK
+    lines = [f"mode {metrics.mode}, {metrics.frames} frames, "
+             f"period {metrics.avg_period:.3f} s, total {metrics.total_cost:.3f} s",
+             f"active: {', '.join(metrics.active_detectors)}"]
+    for obj in world.query():
+        parent = f" (on {obj.parent})" if obj.parent is not None else ""
+        lines.append(f"object {obj.id}: {obj.label} at ({obj.pose.x:.2f}, "
+                     f"{obj.pose.y:.2f}, {obj.pose.z:.2f}){parent}")
+    return EXIT_OK, {"world": world.to_json(), "metrics": metrics.to_json()}, lines
 
 
 def _load_inputs(args) -> tuple:
@@ -326,14 +311,13 @@ def _true_handle(scene: Scene, target: WorldObject) -> Pose | None:
     return min(handles, key=lambda o: o.id).pose if handles else None
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[int, dict, list[str]]:
     _apply_config(args)
     tree = _input("tree", args.tree)
     inputs = _load_inputs(args)
     behavior_model = _input("behavior_model", args.behavior_model)
-    mode = "exhaustive" if args.exhaustive else "adaptive"
     detectors, world, metrics = _ground_and_perceive(
-        args, inputs, tree, mode, frozenset(args.drop_detector or ()))
+        args, inputs, tree, args.mode, frozenset(args.drop_detector or ()))
     space, _, scene, _, _ = inputs
     request = ground_behavior(tree, behavior_model, space, world)
 
@@ -356,20 +340,15 @@ def cmd_run(args) -> int:
     }
     if status.failure_reason:
         summary["failure_reason"] = status.failure_reason
-    if args.json:
-        print(_dump_json(summary), end="")
-    else:
-        print(f"instruction: {tree.instruction}")
-        print(f"detectors:   {', '.join(sorted(detectors.ids))} ({metrics.mode}, "
-              f"period {metrics.avg_period:.3f} s)")
-        print(f"world:       {len(world.objects)} objects")
-        print(f"behavior:    {request.action} -> object {request.target_a}")
-        for line in status.log_lines():
-            print(line)
-        print(f"result:      {status.state.value}")
-    if status.state is ExecState.FAILURE:
-        return EXIT_EXECUTION
-    return EXIT_OK
+    lines = [f"instruction: {tree.instruction}",
+             f"detectors:   {', '.join(summary['detectors'])} ({metrics.mode}, "
+             f"period {metrics.avg_period:.3f} s)",
+             f"world:       {len(world.objects)} objects",
+             f"behavior:    {request.action} -> object {request.target_a}",
+             *status.log_lines(),
+             f"result:      {status.state.value}"]
+    code = EXIT_EXECUTION if status.state is ExecState.FAILURE else EXIT_OK
+    return code, summary, lines
 
 
 def _bench_cases(args) -> list[tuple[ParseTree, str]]:
@@ -388,7 +367,7 @@ def _bench_cases(args) -> list[tuple[ParseTree, str]]:
     return [(_input("tree", path), mode) for path, mode in cases]
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[int, dict, list[str]]:
     _apply_config(args)
     cases = _bench_cases(args)
     inputs = _load_inputs(args)
@@ -401,18 +380,16 @@ def cmd_bench(args) -> int:
             "avg_period": metrics.avg_period,
             "active_detectors": list(metrics.active_detectors),
         })
-    payload = _dump_json({"rows": rows})
+    payload = {"rows": rows}
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    if args.json:
-        print(payload, end="")
-    else:
-        width = max(len(r["instruction"]) for r in rows) + 2
-        print(f"{'instruction':<{width}}{'mode':<12}{'avg period (s)':<16}active detectors")
-        for r in rows:
-            print(f"{r['instruction']:<{width}}{r['mode']:<12}"
-                  f"{r['avg_period']:<16.3f}{', '.join(r['active_detectors'])}")
-    return EXIT_OK
+        Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
+    width = max(len(r["instruction"]) for r in rows) + 2
+    lines = [f"{'instruction':<{width}}{'mode':<12}{'avg period (s)':<16}"
+             "active detectors"]
+    lines += [f"{r['instruction']:<{width}}{r['mode']:<12}"
+              f"{r['avg_period']:<16.3f}{', '.join(r['active_detectors'])}"
+              for r in rows]
+    return EXIT_OK, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perceive", help="run the sensing loop on a scene")
     _add_flags(p, "scene", "registry", *CONFIG_DEFAULTS)
     mode = p.add_mutually_exclusive_group()  # the baseline sets its own detectors
-    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--exhaustive", dest="mode", action="store_const",
+                      const="exhaustive", default="adaptive")
     mode.add_argument("--detectors", help="comma-separated detector ids")
     p.add_argument("--links", help="comma-separated parent:subtype pairs")
     p.add_argument("--out-dir")
@@ -479,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "tree", "config", *SHARED_INPUTS, "behavior_model",
                *CONFIG_DEFAULTS)
     mode = p.add_mutually_exclusive_group()  # the baseline drops no detector
-    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--exhaustive", dest="mode", action="store_const",
+                      const="exhaustive", default="adaptive")
     mode.add_argument("--drop-detector", action="append", metavar="ID",
                       help="remove a detector from the inferred set (repeatable)")
     p.add_argument("--out-dir")
@@ -497,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        print(_dump_json(payload) if args.json else "\n".join(lines) + "\n", end="")
+        return code
     except StageError as e:
         print(f"error [{e.stage}]: {e}", file=sys.stderr)
         return e.code

@@ -65,11 +65,10 @@ class DoorSim:
     """Latched door with a lever handle.
 
     handle_pose, when set, is the true handle location the arm must hit;
-    jam_angle, when set below the travel limit handle_limit, makes the
-    handle bind there before end of travel and leaves the door latched.
+    jam_angle, when set below ExecParams.handle_limit, makes the handle
+    bind there before end of travel and leaves the door latched.
     """
 
-    handle_limit: float = 0.6
     latched: bool = True
     handle_pose: Pose | None = None
     jam_angle: float | None = None
@@ -84,6 +83,7 @@ class ExecParams:
     localize_tolerance: float = 0.1
     descend_time: float = 1.5
     turn_rate: float = 0.6        # rad/s handle rotation
+    handle_limit: float = 0.6     # rad, the handle's end of travel
     push_time: float = 1.5
 
 
@@ -222,12 +222,12 @@ def receive_behavior(b: BehaviorRequest, world_provider, robot: RobotState,
     # turn to end of travel, which unlatches the door; a jam binds the
     # handle first. An unlatched door needs no turn.
     if door.latched:
-        if door.jam_angle is not None and door.jam_angle < door.handle_limit:
+        if door.jam_angle is not None and door.jam_angle < ExecParams.handle_limit:
             robot.time += door.jam_angle / ExecParams.turn_rate
             return fail(f"handle jammed at {door.jam_angle:.2f} rad before "
-                        f"limit {door.handle_limit:.2f} rad")
+                        f"limit {ExecParams.handle_limit:.2f} rad")
         door.latched = False
-        robot.time += door.handle_limit / ExecParams.turn_rate
+        robot.time += ExecParams.handle_limit / ExecParams.turn_rate
 
     enter(ExecState.PUSHING)
     robot.time += ExecParams.push_time

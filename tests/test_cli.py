@@ -767,11 +767,31 @@ def test_run_model_of_the_wrong_kind_exits_io(trees, model_dir, capsys):
     assert capsys.readouterr() == ("", "error [io]: perception model has wrong kind\n")
 
 
-def test_run_out_dir_that_is_a_file_exits_io(trees, model_dir, tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["perceive-exhaustive",
+                                     "perceive-adaptive-linked", "bench",
+                                     "train", "run"])
+def test_run_out_dir_that_is_a_file_exits_io(command, fmt, trees, model_dir,
+                                             assets, tmp_path, capsys):
+    # each command writes its files before it prints, so a failed write
+    # leaves stdout empty
     taken = tmp_path / "out"
     taken.write_text("")
-    assert main(_run_args(trees, model_dir, tmp_path)) == 1
-    assert "File exists" in _one_line_error(capsys, "io")
+    argv = {
+        "perceive-exhaustive": ["perceive", "--exhaustive",
+                                "--out-dir", str(taken / "x")],
+        "perceive-adaptive-linked": ["perceive", "--detectors", "door,door_handle",
+                                     "--links", "door:handle",
+                                     "--out-dir", str(taken / "x")],
+        "bench": ["bench", "--perception-model", str(model_dir / "perception.json"),
+                  "--out", str(taken / "x.json")],
+        "train": ["train", "--corpus", str(assets / "perception_corpus.json"),
+                  "--out", str(taken / "m.json")],
+        "run": [a for a in _run_args(trees, model_dir, tmp_path) if a != "--json"],
+    }[command]
+    assert main(argv + (["--json"] if fmt == "json" else [])) == 1
+    err = _one_line_error(capsys, "io")
+    assert ("File exists" if command == "run" else "Not a directory") in err
 
 
 def test_run_config_overlay(trees, model_dir, tmp_path, capsys):
@@ -914,15 +934,16 @@ def test_bench_custom_case(trees, model_dir, capsys):
     assert rows[0]["active_detectors"] == ["door", "door_handle"]
 
 
-def test_bench_passes_each_row_mode_without_a_flag(trees, model_dir, capsys):
+def test_bench_passes_each_row_mode_without_a_flag(trees, model_dir):
     # bench has no --exhaustive; a row's mode goes to the sensing loop as is
     args = build_parser().parse_args(
         ["bench", "--perception-model", str(model_dir / "perception.json"),
          "--case", f"{trees['drive']}=exhaustive",
          "--case", f"{trees['drive']}=adaptive", "--json"])
-    assert cmd_bench(args) == 0
-    assert not hasattr(args, "exhaustive")
-    rows = _json_out(capsys)["rows"]
+    code, payload, _ = cmd_bench(args)
+    assert code == 0
+    assert not hasattr(args, "mode")
+    rows = payload["rows"]
     assert [r["mode"] for r in rows] == ["exhaustive", "adaptive"]
     assert rows[0]["avg_period"] > rows[1]["avg_period"]
 

@@ -12,8 +12,10 @@ bytes), with the scratch and asset directories written as ``$WORK`` and
 they wrote (with the train's exit code) and ``bench --json`` come first.
 The ``ground`` lines come last: each of the 364 trees with the
 perception model, in text and ``--json``, and ``ground --json`` with the
-behavior model over the worlds of two runs (``GROUND_WORLDS``). Run from
-the repository root; it runs this checkout's ``src``:
+behavior model over the worlds of two runs (``GROUND_WORLDS``), then
+``perceive`` on the bundled scene (``PERCEIVE``) at both seeds, in text
+and ``--json``, with its out-dir files. Run from the repository root; it
+runs this checkout's ``src``:
 
     python tools/run_matrix.py > tools/run_matrix.txt
     python tools/run_matrix.py --check tools/run_matrix.txt
@@ -49,6 +51,11 @@ DIGEST_HEX = 16
 # the (tree, mode) runs at seed 0 whose world the behavior model grounds
 # against: the door alone, and the world with two suitcases
 GROUND_WORLDS = (("open_the_door", "adaptive"), ("drive_to_the_door", "exhaustive"))
+# the perceive runs: the exhaustive baseline, and the door with its handle
+# linked to it
+PERCEIVE = (("exhaustive", ["--exhaustive"]),
+            ("adaptive-linked", ["--detectors", "door,door_handle",
+                                 "--links", "door:handle"]))
 
 
 def _normalized(text: str, work: Path) -> str:
@@ -124,6 +131,14 @@ def matrix(work: Path) -> list[tuple[str, int, str]]:
                ["ground", "--tree", str(ASSETS / "trees" / f"{name}.txt"),
                 "--model", str(models["behavior"]),
                 "--world", str(work / f"{name}.json"), "--json"])
+    for name, flags in PERCEIVE:
+        for seed in SEEDS:
+            for fmt in ("text", "json"):
+                shutil.rmtree(out_dir, ignore_errors=True)
+                record(f"perceive:{name}:seed{seed}:{fmt}",
+                       ["perceive", *flags, "--seed", str(seed),
+                        "--out-dir", str(out_dir)]
+                       + (["--json"] if fmt == "json" else []), out_dir)
     return rows
 
 
