@@ -96,9 +96,6 @@ class ExecStatus:
     def state(self) -> ExecState:
         return self.trace[-1][0]
 
-    def states(self) -> list[ExecState]:
-        return [s for s, _ in self.trace]
-
     def to_json(self) -> dict:
         d = {"state": self.state.value,
              "trace": [[s.value, t] for s, t in self.trace]}

@@ -239,8 +239,9 @@ def run_perception(scene: Scene,
     Every frame, each detector of the plan (in id order) scans the
     visible ground truth for its label and emits one noisy detection per
     hit; a detector the plan lets fire false positives may additionally
-    emit one spurious detection per frame at its rate. Detections are
-    integrated immediately over the plan's links. Frame timestamps
+    emit one spurious detection per frame at its rate. Each detection is
+    integrated immediately over the plan's links: a hit as its truth
+    object and noise, a spurious one as a built Detection. Frame timestamps
     advance by the summed frame cost, so total cost is exactly frames
     times the active period. The robot stays at ``scene.robot_start``,
     so visibility is computed once, grouped by label.
@@ -268,14 +269,11 @@ def run_perception(scene: Scene,
         for det in active:
             hits = in_view.get(det.emits_label)
             if hits:
-                label = det.emits_label
                 # one (k, 2) draw reads the stream exactly as k draws of 2
                 noise = (rng.normal(0.0, 1.0, (len(hits), 2))
                          * det.noise_sigma).tolist()
                 for obj, (dx, dy) in zip(hits, noise):
-                    integrate(Detection(
-                        label, obj.pose.moved(dx, dy),
-                        obj.bbox.translated(dx, dy), time), links)
+                    integrate(obj, links, dx, dy, time)
                 emitted += len(hits)
             if det.id in false_positives:
                 if rng.random() < det.false_positive_rate:

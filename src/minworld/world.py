@@ -84,7 +84,10 @@ class Pose:
             object.__setattr__(self, "yaw", yaw)
 
     def moved(self, dx: float, dy: float) -> "Pose":
-        """This pose moved by (dx, dy): ``Pose(x + dx, y + dy, z, yaw)``.
+        """This pose moved by (dx, dy): ``Pose(x + dx, y + dy, z, yaw)``,
+        where a ground-truth object is seen under noise (dx, dy).
+        ``WorldModel.integrate`` runs this check on every such detection
+        and builds the pose once per object, when the world is read.
         z and yaw were checked and yaw normalized when this pose was
         built, so only the two new components are checked, and the
         record is filled through its slot setters rather than the frozen
@@ -152,9 +155,11 @@ class Aabb:
 
     def translated(self, dx: float, dy: float) -> "Aabb":
         """This box moved by (dx, dy) in the plane, under the constructor's
-        checks. The corners are already floats, so float deltas give float
-        sums and the constructor's conversion is skipped; the record is
-        filled through its slot setters, as in ``Pose.moved``."""
+        checks; as with ``Pose.moved``, ``WorldModel.integrate`` checks
+        every detection's box and builds it once per object. The corners
+        are already floats, so float deltas give float sums and the
+        constructor's conversion is skipped; the record is filled through
+        its slot setters, as in ``Pose.moved``."""
         lo, hi = self.lo, self.hi
         lo = (lo[0] + dx, lo[1] + dy, lo[2])
         hi = (hi[0] + dx, hi[1] + dy, hi[2])
@@ -231,10 +236,10 @@ class WorldObject:
 
 
 class Detection(NamedTuple):
-    """One detector hit. A NamedTuple rather than a frozen dataclass
-    because the sensing loop builds one per hit and it builds about three
-    times faster; unlike a dataclass it compares equal to a plain tuple of
-    its fields."""
+    """One detector hit whose pose and box are already built, as the
+    sensing loop builds a spurious detection. A hit on a ground-truth
+    object is integrated as that object and its noise instead, so the
+    loop builds no Detection for it."""
 
     label: str
     pose: Pose
@@ -243,27 +248,52 @@ class Detection(NamedTuple):
 
 
 class WorldModel:
-    """Mutable object store keyed by id and indexed by label; the
-    constructor and integrate() are its only writers, and snapshot()
-    hands out copies for readers."""
+    """Mutable object store keyed by id; the constructor and integrate()
+    are its only writers, and snapshot() hands out copies for readers.
+
+    Association reads one ``[x, y, z, id]`` row of plain numbers per
+    object, kept per label. An object's pose and box are built from its
+    last detection only when the world is read through ``objects``, so a
+    detection that a later one overwrites never builds them."""
 
     def __init__(self, objects=None):
-        self.objects: dict[int, WorldObject] = {}
-        self._by_label: dict[str, dict[int, WorldObject]] = {}
+        self._objects: dict[int, WorldObject] = {}
+        self._rows: dict[str, list[list]] = {}
+        # id -> (pose, box, dx, dy, time) of the last detection of an
+        # object whose pose and box are not built yet
+        self._pending: dict[int, tuple] = {}
         self._next_id = 1
         for obj in objects or []:
-            if obj.id in self.objects:
+            if obj.id in self._objects:
                 raise WorldError(f"duplicate object id {obj.id}")
-            self.objects[obj.id] = obj
-            self._by_label.setdefault(obj.label, {})[obj.id] = obj
+            self._objects[obj.id] = obj
+            pose = obj.pose
+            self._rows.setdefault(obj.label, []).append(
+                [pose.x, pose.y, pose.z, obj.id])
             self._next_id = max(self._next_id, obj.id + 1)
         self._check_single_layer()
 
+    @property
+    def objects(self) -> dict[int, WorldObject]:
+        """The objects by id, each with the pose and box of its last
+        detection."""
+        if self._pending:
+            for oid, (pose, box, dx, dy, time) in self._pending.items():
+                obj = self._objects[oid]
+                if dx is None:
+                    obj.pose, obj.bbox = pose, box
+                else:
+                    obj.pose = pose.moved(dx, dy)
+                    obj.bbox = box.translated(dx, dy)
+                obj.last_seen = time
+            self._pending.clear()
+        return self._objects
+
     def _check_single_layer(self) -> None:
-        for obj in self.objects.values():
+        for obj in self._objects.values():
             if obj.parent is None:
                 continue
-            parent = self.objects.get(obj.parent)
+            parent = self._objects.get(obj.parent)
             if parent is None:
                 raise WorldError(f"object {obj.id} parent {obj.parent} missing")
             if parent.parent is not None:
@@ -283,52 +313,70 @@ class WorldModel:
         # Pose and Aabb are frozen, so a shallow copy per object isolates it
         return WorldModel([copy.copy(o) for o in self.objects.values()])
 
-    def _associate(self, d: Detection) -> WorldObject | None:
-        best = None
-        best_key = None
-        x, y, r = d.pose.x, d.pose.y, ASSOC_RADIUS
-        for obj in self._by_label.get(d.label, {}).values():
-            # exact prefilter: the 3-D distance is never below |dx| or |dy|
-            if not (-r <= obj.pose.x - x <= r and -r <= obj.pose.y - y <= r):
-                continue
-            dist = obj.pose.distance(d.pose)
-            if dist > r:
-                continue
-            key = (dist, obj.id)
-            if best_key is None or key < best_key:
-                best, best_key = obj, key
-        return best
-
-    def _find_parent(self, d: Detection, parent_label: str) -> int | None:
-        candidates = [o for o in self._by_label.get(parent_label, {}).values()
+    def _find_parent(self, child: WorldObject, parent_label: str) -> int | None:
+        objects = self.objects
+        candidates = [o for o in (objects[row[3]] for row in
+                                  self._rows.get(parent_label, ()))
                       if o.parent is None]
         inside = [o for o in candidates if o.bbox.contains(
-            d.bbox.center, margin=PARENT_MARGIN)]
+            child.bbox.center, margin=PARENT_MARGIN)]
         pool = inside or [o for o in candidates
-                          if o.pose.distance(d.pose) <= PARENT_FALLBACK_RADIUS]
+                          if o.pose.distance(child.pose) <= PARENT_FALLBACK_RADIUS]
         if not pool:
             return None
-        return min(pool, key=lambda o: (o.pose.distance(d.pose), o.id)).id
+        return min(pool, key=lambda o: (o.pose.distance(child.pose), o.id)).id
 
-    def integrate(self, d: Detection, links=()) -> "WorldModel":
+    def integrate(self, d, links=(), dx=None, dy=None, time=None) -> "WorldModel":
         """Fold one detection in: update the nearest same-label object
-        within ASSOC_RADIUS, else create a new one; attach a parent when
-        the label is a child label in links."""
-        obj = self._associate(d)
-        if obj is None:
-            obj = WorldObject(self._next_id, d.label, d.pose, d.bbox,
-                              first_seen=d.timestamp, last_seen=d.timestamp)
-            self._next_id += 1
-            self.objects[obj.id] = obj
-            self._by_label.setdefault(obj.label, {})[obj.id] = obj
+        within ASSOC_RADIUS (3-D distance, lower id on ties), else create
+        a new one; attach a parent when the label is a child label in
+        links.
+
+        The detection is ``d``, a Detection, as built. Given the noise
+        ``dx, dy`` and ``time``, it is instead the ground-truth object
+        ``d`` seen at ``time``: its pose moved by ``Pose.moved(dx, dy)``
+        and its box by ``Aabb.translated(dx, dy)``, with their checks run
+        here and their records built when the world is read."""
+        pose, box = d.pose, d.bbox
+        if dx is None:
+            x, y, time = pose.x, pose.y, d.timestamp
         else:
-            obj.pose = d.pose
-            obj.bbox = d.bbox
-            obj.last_seen = d.timestamp
-        if links and obj.parent is None:
-            for parent_label in sorted(p for p, c in links if c == d.label):
-                found = self._find_parent(d, parent_label)
-                if found is not None and found != obj.id:
+            x, y = pose.x + dx, pose.y + dy
+            if not (isfinite(x) and isfinite(y)):
+                raise WorldError("non-finite pose component")
+            lo, hi = box.lo, box.hi
+            # a box that keeps a positive extent on every axis passes
+            if not (lo[0] + dx < hi[0] + dx and lo[1] + dy < hi[1] + dy
+                    and lo[2] < hi[2]):
+                _check_box((lo[0] + dx, lo[1] + dy, lo[2]),
+                           (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
+        z = pose.z
+        label = d.label
+        best = None
+        r, nr = ASSOC_RADIUS, -ASSOC_RADIUS
+        for row in self._rows.get(label, ()):
+            # exact prefilter: the 3-D distance is never below |dx| or |dy|
+            if nr <= row[0] - x <= r and nr <= row[1] - y <= r:
+                dist = math.dist((row[0], row[1], row[2]), (x, y, z))
+                if dist <= r and (best is None or dist < best_dist
+                                  or dist == best_dist and row[3] < best[3]):
+                    best, best_dist = row, dist
+        if best is None:
+            oid = self._next_id
+            self._next_id += 1
+            # pose, box and last_seen are filled in when the world is read
+            self._objects[oid] = WorldObject(oid, label, None, None,
+                                             first_seen=time)
+            self._rows.setdefault(label, []).append([x, y, z, oid])
+        else:
+            best[0], best[1], best[2] = x, y, z
+            oid = best[3]
+        self._pending[oid] = (pose, box, dx, dy, time)
+        if links and self._objects[oid].parent is None:
+            for parent_label in sorted(p for p, c in links if c == label):
+                obj = self.objects[oid]
+                found = self._find_parent(obj, parent_label)
+                if found is not None and found != oid:
                     obj.parent = found
                     # the only mutation that can chain: obj may have children
                     self._check_single_layer()

@@ -126,14 +126,14 @@ def _times(status) -> dict:
 def test_navigate_behavior_trace():
     status, _, robot = _run(BehaviorRequest("navigate", 1), _world(_door(), _handle()))
     assert status.state is S.COMPLETE
-    assert status.states() == [S.RECEIVED, S.NAVIGATING, S.COMPLETE]
+    assert [s for s, _ in status.trace] == [S.RECEIVED, S.NAVIGATING, S.COMPLETE]
     assert robot.base.x == pytest.approx(4.5)
 
 
 def test_open_behavior_trace():
     status, door, robot = _run(BehaviorRequest("open", 1), _world(_door(), _handle()))
     assert status.state is S.COMPLETE
-    assert status.states() == [
+    assert [s for s, _ in status.trace] == [
         S.RECEIVED, S.NAVIGATING, S.DETECTING, S.LOCALIZING,
         S.TURNING, S.PUSHING, S.COMPLETE,
     ]
@@ -144,13 +144,13 @@ def test_open_behavior_trace():
 def test_unsupported_action_fails_from_received():
     for action in ("turn", "look"):
         status, _, _ = _run(BehaviorRequest(action, 1), _world(_door(), _handle()))
-        assert status.states() == [S.RECEIVED, S.FAILURE]
+        assert [s for s, _ in status.trace] == [S.RECEIVED, S.FAILURE]
         assert "unsupported" in status.failure_reason
 
 
 def test_missing_target_fails_from_received():
     status, _, _ = _run(BehaviorRequest("open", 77), _world(_door(), _handle()))
-    assert status.states() == [S.RECEIVED, S.FAILURE]
+    assert [s for s, _ in status.trace] == [S.RECEIVED, S.FAILURE]
     assert "not in world" in status.failure_reason
 
 
@@ -159,7 +159,7 @@ def test_blocked_goal_fails_at_dispatch():
                        Aabb((4.2, -0.5, 0.0), (4.8, 0.5, 1.0)))
     status, _, robot = _run(BehaviorRequest("open", 1),
                             _world(_door(), _handle(), wall))
-    assert status.states() == [S.RECEIVED, S.FAILURE]
+    assert [s for s, _ in status.trace] == [S.RECEIVED, S.FAILURE]
     assert "blocked" in status.failure_reason
     assert robot.base.x == 0.0  # never moved
 
@@ -205,7 +205,8 @@ def test_exec_params_are_constants_no_instance_can_set(field):
 
 def test_missing_constituent_fails_at_detecting():
     status, _, _ = _run(BehaviorRequest("open", 1), _world(_door()))
-    assert status.states() == [S.RECEIVED, S.NAVIGATING, S.DETECTING, S.FAILURE]
+    assert [s for s, _ in status.trace] == [
+        S.RECEIVED, S.NAVIGATING, S.DETECTING, S.FAILURE]
     assert "no constituent" in status.failure_reason
 
 
@@ -213,7 +214,7 @@ def test_bad_handle_estimate_fails_at_localizing():
     door = DoorSim(handle_pose=Pose(5.0, 0.1, 0.95))
     status, door, _ = _run(BehaviorRequest("open", 1),
                            _world(_door(), _handle()), door=door)
-    assert status.states() == [
+    assert [s for s, _ in status.trace] == [
         S.RECEIVED, S.NAVIGATING, S.DETECTING, S.LOCALIZING, S.FAILURE,
     ]
     assert door.latched
@@ -223,7 +224,7 @@ def test_jam_fails_at_turning():
     door = DoorSim(handle_pose=_handle().pose, jam_angle=0.2)
     status, door, _ = _run(BehaviorRequest("open", 1),
                            _world(_door(), _handle()), door=door)
-    assert status.states() == [
+    assert [s for s, _ in status.trace] == [
         S.RECEIVED, S.NAVIGATING, S.DETECTING, S.LOCALIZING,
         S.TURNING, S.FAILURE,
     ]
@@ -243,7 +244,7 @@ def test_localize_makes_contact():
 
 def test_localize_rejects_out_of_reach():
     status, door, robot = _open(handle=_far_handle())
-    assert status.states() == [
+    assert [s for s, _ in status.trace] == [
         S.RECEIVED, S.NAVIGATING, S.DETECTING, S.LOCALIZING, S.FAILURE,
     ]
     assert status.failure_reason == "handle 1.30 m from base exceeds reach 0.9 m"
@@ -253,7 +254,7 @@ def test_localize_rejects_out_of_reach():
 
 def test_localize_rejects_bad_estimate():
     status, door, robot = _open(DoorSim(handle_pose=Pose(5.0, -0.35 + 0.2, 0.95)))
-    assert status.states()[-2:] == [S.LOCALIZING, S.FAILURE]
+    assert [s for s, _ in status.trace][-2:] == [S.LOCALIZING, S.FAILURE]
     assert status.failure_reason == "handle estimate off by 0.20 m, tolerance 0.1 m"
     assert _times(status)[S.FAILURE] == robot.time == pytest.approx(9.0)
     assert door.latched
@@ -282,7 +283,7 @@ def test_turn_unlatched_is_a_no_op():
 def test_turn_jam_fails_before_limit():
     status, door, robot = _open(DoorSim(handle_pose=_handle().pose, jam_angle=0.2))
     t = _times(status)
-    assert status.states()[-2:] == [S.TURNING, S.FAILURE]
+    assert [s for s, _ in status.trace][-2:] == [S.TURNING, S.FAILURE]
     assert status.failure_reason == "handle jammed at 0.20 rad before limit 0.60 rad"
     assert t[S.FAILURE] == robot.time == pytest.approx(t[S.TURNING] + 0.2 / 0.6)
     assert door.latched
@@ -342,7 +343,7 @@ def test_fault_matrix_takes_every_edge():
     # an edge of the graph no dispatch can take is dead
     taken = set()
     for request, world, door in _fault_matrix():
-        states = _run(request, world, door=door)[0].states()
+        states = [s for s, _ in _run(request, world, door=door)[0].trace]
         taken |= set(zip(states, states[1:]))
     assert taken == ALLOWED_TRANSITIONS
 
@@ -350,7 +351,7 @@ def test_fault_matrix_takes_every_edge():
 def test_every_trace_follows_the_transition_graph():
     for request, world, door in _fault_matrix():
         status, _, _ = _run(request, world, door=door)
-        states = status.states()
+        states = [s for s, _ in status.trace]
         assert states[0] is S.RECEIVED
         assert states[-1] in (S.COMPLETE, S.FAILURE)
         for a, b in zip(states, states[1:]):
@@ -381,7 +382,7 @@ def test_trace_json_and_log_shape():
     status, _, _ = _run(BehaviorRequest("open", 1), _world(_door(), _handle()))
     data = status.to_json()
     assert data["state"] == "COMPLETE"
-    assert [s for s, _ in data["trace"]] == [s.value for s in status.states()]
+    assert [s for s, _ in data["trace"]] == [s.value for s, _ in status.trace]
     assert "failure_reason" not in data
     lines = status.log_lines()
     assert len(lines) == len(status.trace)

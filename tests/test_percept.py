@@ -7,8 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minworld.percept import (
+    MODES,
     DetectorSpec,
     PerceptionConfig,
     PerceptionError,
@@ -28,6 +31,7 @@ from minworld.world import (
     Aabb,
     Detection,
     Pose,
+    WorldError,
     WorldModel,
     WorldObject,
 )
@@ -444,3 +448,82 @@ def test_perception_matches_full_scan_reference():
             spurious += got.spurious_emitted
     # the scenes exercised association, parent links and false positives
     assert merged > 0 and parented > 0 and spurious > 0
+
+
+def _coordinate(lo: int, hi: int):
+    """Ints and -0.0, which a pose keeps until noise moves it (moving by
+    a zero noise still makes them floats: 5 + 0.0 is 5.0, -0.0 + 0.0 is
+    0.0); multiples of 0.5, which put a hit exactly ASSOC_RADIUS from an
+    object or equally far from two; and any float in range."""
+    return st.one_of(st.integers(lo, hi), st.just(-0.0),
+                     st.integers(2 * lo, 2 * hi).map(lambda k: k / 2),
+                     st.floats(lo, hi))
+
+
+_X, _Y, _Z = _coordinate(0, 3), _coordinate(-1, 1), _coordinate(0, 1)
+# 1e308 moves a hit past float precision: an infinite pose, or a box of
+# zero volume unless the truth box is flagged degenerate
+_NOISE = st.sampled_from((0.0, 0.02, 0.3, 1e308))
+
+
+@st.composite
+def _hostile_case(draw):
+    objects = []
+    for oid in range(1, draw(st.integers(0, 16)) + 1):
+        label = draw(st.sampled_from(("box", "cup", "door", "door_handle")))
+        if objects and draw(st.booleans()):
+            # next to an earlier object, for merges, ties and parents
+            near = draw(st.sampled_from(objects))
+            label = draw(st.sampled_from((near.label, label, "door_handle")))
+            x, y, z = (v + draw(st.sampled_from((0, 0.5, -0.5)))
+                       for v in (near.pose.x, near.pose.y, near.pose.z))
+        else:
+            x, y, z = draw(_X), draw(_Y), draw(_Z)
+        hx, hy, hz = (draw(st.sampled_from((0, 0.05, 0.3))) for _ in "xyz")
+        objects.append(WorldObject(
+            oid, label, Pose(x, y, z),
+            Aabb((x - hx, y - hy, z - hz), (x + hx, y + hy, z + hz),
+                 degenerate=0 in (hx, hy, hz))))
+    registry = tuple(
+        DetectorSpec(label, label, cost, noise_sigma=draw(_NOISE),
+                     false_positive_rate=draw(st.sampled_from((0.0, 0.5))),
+                     baseline=label != "door_handle")
+        for label, cost in (("box", 0.05), ("cup", 0.03), ("door", 0.09),
+                            ("door_handle", 0.07)))
+    mode = draw(st.sampled_from(MODES))
+    active = None
+    if mode == "adaptive":
+        ids = draw(st.sets(st.sampled_from([d.id for d in registry]),
+                           min_size=1))
+        links = draw(st.sampled_from((frozenset(), {("door", "handle")})))
+        if links:
+            ids |= {"door", "door_handle"}
+        active = DetectorSet(frozenset(ids), frozenset(links))
+    config = PerceptionConfig(registry, active, mode,
+                              seed=draw(st.integers(0, 2 ** 16)),
+                              frame_budget=draw(st.integers(1, 8)))
+    return Scene(objects, Visibility(), Pose(-0.5, 0.0)), config
+
+
+def _perceived(perceive, scene, config):
+    """The world as JSON text, which tells 5 from 5.0 and -0.0 from 0.0,
+    and the metrics; or the WorldError message."""
+    try:
+        world, metrics = perceive(scene, config)
+    except WorldError as e:
+        return str(e)
+    return (json.dumps(world.to_json(), sort_keys=True),
+            json.dumps(metrics.to_json(), sort_keys=True))
+
+
+# the conftest.py "hostile" profile runs 200 scenes
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(database=None, derandomize=True, deadline=None,
+          max_examples=(settings().max_examples
+                        if settings.get_current_profile_name() == "hostile"
+                        else 40))
+@given(case=_hostile_case())
+def test_perception_matches_full_scan_reference_on_hostile_scenes(case):
+    scene, config = case
+    assert _perceived(run_perception, scene, config) == \
+        _perceived(_reference_perception, scene, config)

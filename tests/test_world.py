@@ -223,6 +223,17 @@ def test_association_radius_is_inclusive():
             assert world.objects[n_objects].last_seen == 1.0
 
 
+def test_a_match_moves_the_object_to_the_detection_in_3d():
+    # the second detection, 0.5 m above the first, updates object 1 and
+    # takes its z along; the third is then 0.5 m from it, not 0.71 m
+    world = WorldModel()
+    world.integrate(_det("cup", 0, 0, 0))
+    world.integrate(_det("cup", 0, 0, 0.5, t=1.0))
+    world.integrate(_det("cup", 0.5, 0, 0.5, t=2.0))
+    (obj,) = world.query("cup")
+    assert (obj.pose.x, obj.pose.z, obj.last_seen) == (0.5, 0.5, 2.0)
+
+
 # -- parent attachment -------------------------------------------------------
 
 LINKS = (("door", "door_handle"),)
