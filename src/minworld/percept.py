@@ -20,7 +20,6 @@ import numpy as np
 from .symbols import DetectorSet, subtype_detector_id
 from .world import (
     Aabb,
-    Detection,
     Pose,
     WorldError,
     WorldModel,
@@ -241,7 +240,8 @@ def run_perception(scene: Scene,
     hit; a detector the plan lets fire false positives may additionally
     emit one spurious detection per frame at its rate. Each detection is
     integrated immediately over the plan's links: a hit as its truth
-    object and noise, a spurious one as a built Detection. Frame timestamps
+    object and noise, a spurious one as a truth-less object (id 0, never
+    stored) with a 0.2 m box and zero noise. Frame timestamps
     advance by the summed frame cost, so total cost is exactly frames
     times the active period. The robot stays at ``scene.robot_start``,
     so visibility is computed once, grouped by label.
@@ -264,30 +264,33 @@ def run_perception(scene: Scene,
     emitted = 0
     spurious = 0
     time = 0.0
-    for _ in range(config.frame_budget):
-        time += period
-        for det in active:
-            hits = in_view.get(det.emits_label)
-            if hits:
-                # one (k, 2) draw reads the stream exactly as k draws of 2
-                noise = (rng.normal(0.0, 1.0, (len(hits), 2))
-                         * det.noise_sigma).tolist()
-                for obj, (dx, dy) in zip(hits, noise):
-                    integrate(obj, links, dx, dy, time)
-                emitted += len(hits)
-            if det.id in false_positives:
-                if rng.random() < det.false_positive_rate:
-                    r = rng.uniform(1.0, scene.visibility.max_range)
-                    bearing = robot.yaw + rng.uniform(
-                        -scene.visibility.fov / 2.0, scene.visibility.fov / 2.0)
-                    x = robot.x + r * math.cos(bearing)
-                    y = robot.y + r * math.sin(bearing)
-                    integrate(Detection(
-                        det.emits_label, Pose(x, y, 0.5),
-                        Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)),
-                        time), links)
-                    emitted += 1
-                    spurious += 1
+    # noise that overflows the float range is rejected by integrate with
+    # one error, so numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.frame_budget):
+            time += period
+            for det in active:
+                hits = in_view.get(det.emits_label)
+                if hits:
+                    # one (k, 2) draw reads the stream exactly as k draws of 2
+                    noise = (rng.normal(0.0, 1.0, (len(hits), 2))
+                             * det.noise_sigma).tolist()
+                    for obj, (dx, dy) in zip(hits, noise):
+                        integrate(obj, links, dx, dy, time)
+                    emitted += len(hits)
+                if det.id in false_positives:
+                    if rng.random() < det.false_positive_rate:
+                        r = rng.uniform(1.0, scene.visibility.max_range)
+                        bearing = robot.yaw + rng.uniform(
+                            -scene.visibility.fov / 2.0, scene.visibility.fov / 2.0)
+                        x = robot.x + r * math.cos(bearing)
+                        y = robot.y + r * math.sin(bearing)
+                        integrate(WorldObject(
+                            0, det.emits_label, Pose(x, y, 0.5),
+                            Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6))),
+                            links, 0.0, 0.0, time)
+                        emitted += 1
+                        spurious += 1
     metrics = PerceptionMetrics(
         mode=config.mode,
         frames=config.frame_budget,

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import NamedTuple
 
 ASSOC_RADIUS = 0.5
 PARENT_MARGIN = 0.1
@@ -85,22 +84,10 @@ class Pose:
 
     def moved(self, dx: float, dy: float) -> "Pose":
         """This pose moved by (dx, dy): ``Pose(x + dx, y + dy, z, yaw)``,
-        where a ground-truth object is seen under noise (dx, dy).
-        ``WorldModel.integrate`` runs this check on every such detection
-        and builds the pose once per object, when the world is read.
-        z and yaw were checked and yaw normalized when this pose was
-        built, so only the two new components are checked, and the
-        record is filled through its slot setters rather than the frozen
-        dataclass's ``object.__setattr__``."""
-        x, y = self.x + dx, self.y + dy
-        if not (isfinite(x) and isfinite(y)):
-            raise WorldError("non-finite pose component")
-        pose = _new(Pose)
-        _set_x(pose, x)
-        _set_y(pose, y)
-        _set_z(pose, self.z)
-        _set_yaw(pose, self.yaw)
-        return pose
+        where a detected object is seen under noise (dx, dy).
+        ``WorldModel.integrate`` runs this check on every detection and
+        builds the pose once per object, when the world is read."""
+        return Pose(self.x + dx, self.y + dy, self.z, self.yaw)
 
     def distance(self, other: "Pose") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
@@ -113,13 +100,6 @@ class Pose:
         d = json_object(d, "pose")
         values = (d["x"], d["y"], d.get("z", 0.0), d.get("yaw", 0.0))
         return cls(*(json_number(v, "pose component") for v in values))
-
-
-# the slot descriptors' setters, which bypass the frozen __setattr__ of
-# records built by Pose.moved and Aabb.translated
-_new = object.__new__
-_set_x, _set_y = Pose.x.__set__, Pose.y.__set__
-_set_z, _set_yaw = Pose.z.__set__, Pose.yaw.__set__
 
 
 def _check_box(lo, hi, degenerate: bool) -> None:
@@ -156,19 +136,10 @@ class Aabb:
     def translated(self, dx: float, dy: float) -> "Aabb":
         """This box moved by (dx, dy) in the plane, under the constructor's
         checks; as with ``Pose.moved``, ``WorldModel.integrate`` checks
-        every detection's box and builds it once per object. The corners
-        are already floats, so float deltas give float sums and the
-        constructor's conversion is skipped; the record is filled through
-        its slot setters, as in ``Pose.moved``."""
+        every detection's box and builds it once per object."""
         lo, hi = self.lo, self.hi
-        lo = (lo[0] + dx, lo[1] + dy, lo[2])
-        hi = (hi[0] + dx, hi[1] + dy, hi[2])
-        _check_box(lo, hi, self.degenerate)
-        box = _new(Aabb)
-        _set_lo(box, lo)
-        _set_hi(box, hi)
-        _set_degenerate(box, self.degenerate)
-        return box
+        return Aabb((lo[0] + dx, lo[1] + dy, lo[2]),
+                    (hi[0] + dx, hi[1] + dy, hi[2]), self.degenerate)
 
     def to_json(self) -> dict:
         return {"min": list(self.lo), "max": list(self.hi)}
@@ -185,10 +156,6 @@ class Aabb:
         lo, hi = tuple(lo), tuple(hi)
         degenerate = any(a == b for a, b in zip(lo, hi))
         return cls(lo, hi, degenerate)
-
-
-_set_lo, _set_hi = Aabb.lo.__set__, Aabb.hi.__set__
-_set_degenerate = Aabb.degenerate.__set__
 
 
 @dataclass
@@ -235,18 +202,6 @@ class WorldObject:
         )
 
 
-class Detection(NamedTuple):
-    """One detector hit whose pose and box are already built, as the
-    sensing loop builds a spurious detection. A hit on a ground-truth
-    object is integrated as that object and its noise instead, so the
-    loop builds no Detection for it."""
-
-    label: str
-    pose: Pose
-    bbox: Aabb
-    timestamp: float
-
-
 class WorldModel:
     """Mutable object store keyed by id; the constructor and integrate()
     are its only writers, and snapshot() hands out copies for readers.
@@ -280,11 +235,8 @@ class WorldModel:
         if self._pending:
             for oid, (pose, box, dx, dy, time) in self._pending.items():
                 obj = self._objects[oid]
-                if dx is None:
-                    obj.pose, obj.bbox = pose, box
-                else:
-                    obj.pose = pose.moved(dx, dy)
-                    obj.bbox = box.translated(dx, dy)
+                obj.pose = pose.moved(dx, dy)
+                obj.bbox = box.translated(dx, dy)
                 obj.last_seen = time
             self._pending.clear()
         return self._objects
@@ -326,32 +278,31 @@ class WorldModel:
             return None
         return min(pool, key=lambda o: (o.pose.distance(child.pose), o.id)).id
 
-    def integrate(self, d, links=(), dx=None, dy=None, time=None) -> "WorldModel":
+    def integrate(self, obj: WorldObject, links, dx: float, dy: float,
+                  time: float) -> "WorldModel":
         """Fold one detection in: update the nearest same-label object
         within ASSOC_RADIUS (3-D distance, lower id on ties), else create
         a new one; attach a parent when the label is a child label in
         links.
 
-        The detection is ``d``, a Detection, as built. Given the noise
-        ``dx, dy`` and ``time``, it is instead the ground-truth object
-        ``d`` seen at ``time``: its pose moved by ``Pose.moved(dx, dy)``
-        and its box by ``Aabb.translated(dx, dy)``, with their checks run
-        here and their records built when the world is read."""
-        pose, box = d.pose, d.bbox
-        if dx is None:
-            x, y, time = pose.x, pose.y, d.timestamp
-        else:
-            x, y = pose.x + dx, pose.y + dy
-            if not (isfinite(x) and isfinite(y)):
-                raise WorldError("non-finite pose component")
-            lo, hi = box.lo, box.hi
-            # a box that keeps a positive extent on every axis passes
-            if not (lo[0] + dx < hi[0] + dx and lo[1] + dy < hi[1] + dy
-                    and lo[2] < hi[2]):
-                _check_box((lo[0] + dx, lo[1] + dy, lo[2]),
-                           (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
+        The detection is ``obj`` seen at ``time`` under noise ``dx, dy``:
+        its pose moved by ``Pose.moved(dx, dy)`` and its box by
+        ``Aabb.translated(dx, dy)``, with their checks run here and their
+        records built when the world is read. Only ``obj``'s label, pose
+        and box are read, so a spurious detection is a truth-less object
+        seen with zero noise."""
+        pose, box = obj.pose, obj.bbox
+        x, y = pose.x + dx, pose.y + dy
+        if not (isfinite(x) and isfinite(y)):
+            raise WorldError("non-finite pose component")
+        lo, hi = box.lo, box.hi
+        # a box that keeps a positive extent on every axis passes
+        if not (lo[0] + dx < hi[0] + dx and lo[1] + dy < hi[1] + dy
+                and lo[2] < hi[2]):
+            _check_box((lo[0] + dx, lo[1] + dy, lo[2]),
+                       (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
         z = pose.z
-        label = d.label
+        label = obj.label
         best = None
         r, nr = ASSOC_RADIUS, -ASSOC_RADIUS
         for row in self._rows.get(label, ()):
@@ -374,11 +325,11 @@ class WorldModel:
         self._pending[oid] = (pose, box, dx, dy, time)
         if links and self._objects[oid].parent is None:
             for parent_label in sorted(p for p, c in links if c == label):
-                obj = self.objects[oid]
-                found = self._find_parent(obj, parent_label)
+                child = self.objects[oid]
+                found = self._find_parent(child, parent_label)
                 if found is not None and found != oid:
-                    obj.parent = found
-                    # the only mutation that can chain: obj may have children
+                    child.parent = found
+                    # the only mutation that can chain: child may have children
                     self._check_single_layer()
                     break
         return self

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,15 @@ from minworld import dcg, symbols
 
 # CI's hostile-input step: 200 mutations of each input kind
 settings.register_profile("hostile", max_examples=200)
+
+# hypothesis's pytest plugin imports this module to report a failing
+# example; where libcst is installed, that import raises a
+# DeprecationWarning, which pyproject.toml makes an error, and the session
+# ends in INTERNALERROR. Importing it once here, with warnings ignored,
+# lets a failing property print its example.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore")
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -449,16 +449,22 @@ def test_a_tree_grounds_the_same_at_any_stack_depth(depth, model_dir, tmp_path,
     assert outcomes[0][0] == (0 if depth <= MAX_NESTING else 1)
 
 
+# pytest captures warnings, so a numpy warning a shell user would see on
+# stderr fails the test instead
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags,name,path", [
     (["--detectors", "door", "--registry"], "detector_registry.json",
      ("detectors", 2, "noise_sigma")),
+    (["--detectors", "door", "--seed", "3", "--registry"],
+     "detector_registry.json", ("detectors", 2, "noise_sigma")),
     (["--exhaustive", "--scene"], "door_scene.json", ("visibility", "max_range")),
-], ids=["noise", "range"])
+], ids=["noise", "noise-overflow", "range"])
 def test_a_detection_past_float_precision_exits_perception(flags, name, path,
                                                            assets, tmp_path,
                                                            capsys):
     # the number is finite, but a door detection moved by that noise, or
-    # a spurious one drawn out to that range, has a box of zero volume
+    # a spurious one drawn out to that range, has a box of zero volume; at
+    # seed 3 the noise itself overflows to inf, with no numpy warning
     data = json.loads((assets / name).read_text())
     node = data
     for key in path[:-1]:

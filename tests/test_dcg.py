@@ -14,7 +14,7 @@ from minworld import cli, dcg
 from minworld.executive import BehaviorRequest
 from minworld.parse import load_parse_tree
 from minworld.symbols import BehaviorSymbol, SymbolSpace
-from minworld.world import Aabb, Detection, Pose, WorldModel, WorldObject
+from minworld.world import Aabb, Pose, WorldModel, WorldObject
 
 from helpers_oracle import factor_features, hash_model
 
@@ -26,8 +26,14 @@ def _door_np():
 
 
 def _det(label, x, y, z=0.0, t=0.0):
+    """A detected object, seen at time ``t`` (kept as its last_seen)."""
     box = Aabb((x - 0.5, y - 0.5, z - 0.5), (x + 0.5, y + 0.5, z + 0.5))
-    return Detection(label, Pose(x, y, z), box, t)
+    return WorldObject(0, label, Pose(x, y, z), box, last_seen=t)
+
+
+def _see(world, det, links=()):
+    """Integrate ``det`` with zero noise at its time."""
+    return world.integrate(det, links, 0.0, 0.0, det.last_seen)
 
 
 # -- feature templates -------------------------------------------------------
@@ -104,8 +110,8 @@ def test_factor_count(space):
 
 def test_behavior_bank_covers_actions_by_objects(space):
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1))
-    world.integrate(_det("box", 2, 2, 0, t=1.0))
+    _see(world, _det("door", 5, 0, 1))
+    _see(world, _det("box", 2, 2, 0, t=1.0))
     graph = dcg.build_behavior_graph(load_parse_tree(OPEN), space, world)
     assert len(graph.bank) == len(space.actions) * 2
     assert all(isinstance(sym, BehaviorSymbol) for sym in graph.bank)

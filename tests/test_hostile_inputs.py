@@ -93,18 +93,20 @@ def inputs(assets, model_dir, tmp_path_factory) -> dict:
             "out": str(d / "model.json"), "out_dir": str(d / "out")}
 
 
-def _argv(kind: str, inputs: dict) -> list[str]:
-    """The command that reads input ``kind`` from the mutated file."""
+def _argv(kind: str, inputs: dict, data) -> list[str]:
+    """The command that reads input ``kind`` from the mutated file. A run
+    takes a seed drawn from 0-7, so seed-dependent paths are reached; the
+    flag wins over a config's own seed."""
     files = dict(inputs["paths"], **{kind: inputs["bad"]})
     if kind == "corpus":
         return ["train", "--corpus", files["corpus"], "--out", inputs["out"]]
-    if kind == "config":
-        return ["run", "--config", files["config"], "--out-dir", inputs["out_dir"]]
     if kind in ("model", "world"):
         argv, keys = ["ground"], ("tree", "model", "world")
     else:
-        argv = ["run", "--out-dir", inputs["out_dir"]]
-        keys = ("tree", "perception_model", "behavior_model", kind)
+        seed = str(data.draw(st.integers(0, 7), label="seed"))
+        argv = ["run", "--seed", seed, "--out-dir", inputs["out_dir"]]
+        keys = ("config",) if kind == "config" else (
+            "tree", "perception_model", "behavior_model", kind)
     return argv + [arg for key in dict.fromkeys(keys)
                    for arg in ("--" + key.replace("_", "-"), files[key])]
 
@@ -157,7 +159,7 @@ def test_a_hostile_input_ends_in_a_documented_exit(kind, inputs, data):
     text = inputs["texts"][kind]
     mutate = _mutated_tree if kind == "tree" else _mutated_json
     Path(inputs["bad"]).write_bytes(mutate(text, data))
-    argv = _argv(kind, inputs)
+    argv = _argv(kind, inputs, data)
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3, 4)
     assert err.count("\n") == (1 if code in (1, 2, 3) else 0), err

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from minworld.world import (
     PARENT_FALLBACK_RADIUS,
     PARENT_MARGIN,
     Aabb,
-    Detection,
     Pose,
     WorldError,
     WorldModel,
@@ -300,6 +300,15 @@ def test_scene_load_shape(scene):
 
 
 # -- equivalence with the full-scan reference --------------------------------
+
+class Detection(NamedTuple):
+    """One detector hit of the reference loop, its pose and box built."""
+
+    label: str
+    pose: Pose
+    bbox: Aabb
+    timestamp: float
+
 
 class _FullScanWorld(WorldModel):
     """Reference world model without the label index: every detection

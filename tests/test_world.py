@@ -10,7 +10,6 @@ import pytest
 from minworld.world import (
     ASSOC_RADIUS,
     Aabb,
-    Detection,
     Pose,
     WorldError,
     WorldModel,
@@ -19,8 +18,14 @@ from minworld.world import (
 
 
 def _det(label, x, y, z=0.0, t=0.0, half=0.4):
+    """A detected object, seen at time ``t`` (kept as its last_seen)."""
     box = Aabb((x - half, y - half, z - half), (x + half, y + half, z + half))
-    return Detection(label, Pose(x, y, z), box, t)
+    return WorldObject(0, label, Pose(x, y, z), box, last_seen=t)
+
+
+def _see(world, det, links=()):
+    """Integrate ``det`` with zero noise at its time."""
+    return world.integrate(det, links, 0.0, 0.0, det.last_seen)
 
 
 # -- geometry ----------------------------------------------------------------
@@ -150,8 +155,7 @@ def test_moved_rejects_an_overflowing_sum():
     (Pose(1.0, 2.0, 3.0, 0.5), "x"),
     (Pose(1.0, 2.0, 3.0, 0.5).moved(0.25, 0.5), "x"),
     (Aabb((0, 0, 0), (1, 1, 1)), "lo"),
-    (_det("door", 1.0, 2.0), "label"),
-], ids=["Pose", "moved Pose", "Aabb", "Detection"])
+], ids=["Pose", "moved Pose", "Aabb"])
 def test_records_are_immutable_hashable_and_deepcopyable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
@@ -164,7 +168,7 @@ def test_records_are_immutable_hashable_and_deepcopyable(record, field):
 
 def test_new_detection_creates_object():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0))
+    _see(world, _det("door", 5, 0))
     (obj,) = world.query("door")
     assert obj.id == 1
     assert obj.first_seen == obj.last_seen == 0.0
@@ -172,8 +176,8 @@ def test_new_detection_creates_object():
 
 def test_nearby_same_label_updates_in_place():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, t=0.0))
-    world.integrate(_det("door", 5.2, 0, t=1.0))
+    _see(world, _det("door", 5, 0, t=0.0))
+    _see(world, _det("door", 5.2, 0, t=1.0))
     (obj,) = world.query("door")
     assert obj.pose.x == pytest.approx(5.2)
     assert obj.first_seen == 0.0
@@ -182,30 +186,30 @@ def test_nearby_same_label_updates_in_place():
 
 def test_far_same_label_creates_second_object():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0))
-    world.integrate(_det("door", 8, 0))
+    _see(world, _det("door", 5, 0))
+    _see(world, _det("door", 8, 0))
     assert [o.id for o in world.query("door")] == [1, 2]
 
 
 def test_same_position_different_label_stays_separate():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0))
-    world.integrate(_det("box", 5, 0))
+    _see(world, _det("door", 5, 0))
+    _see(world, _det("box", 5, 0))
     assert len(world.objects) == 2
 
 
 def test_association_picks_nearest_then_lowest_id():
     world = WorldModel()
-    world.integrate(_det("cup", 0, 0))
-    world.integrate(_det("cup", 1.0, 0))
-    world.integrate(_det("cup", 0.3, 0, t=2.0))  # nearer object 1
+    _see(world, _det("cup", 0, 0))
+    _see(world, _det("cup", 1.0, 0))
+    _see(world, _det("cup", 0.3, 0, t=2.0))  # nearer object 1
     assert world.objects[1].last_seen == 2.0
     assert world.objects[2].last_seen == 0.0
     # equidistant between two objects: lowest id wins
     world2 = WorldModel()
-    world2.integrate(_det("cup", 0, 0))
-    world2.integrate(_det("cup", 0.8, 0))
-    world2.integrate(_det("cup", 0.4, 0, t=3.0))
+    _see(world2, _det("cup", 0, 0))
+    _see(world2, _det("cup", 0.8, 0))
+    _see(world2, _det("cup", 0.4, 0, t=3.0))
     assert world2.objects[1].last_seen == 3.0
     assert world2.objects[2].last_seen == 0.0
 
@@ -217,8 +221,8 @@ def test_association_radius_is_inclusive():
     for dist, n_objects in ((ASSOC_RADIUS, 1), (beyond, 2)):
         for x, y in ((dist, 0), (-dist, 0), (0, dist), (0, -dist)):
             world = WorldModel()
-            world.integrate(_det("cup", 0, 0))
-            world.integrate(_det("cup", x, y, t=1.0))
+            _see(world, _det("cup", 0, 0))
+            _see(world, _det("cup", x, y, t=1.0))
             assert len(world.objects) == n_objects, (x, y)
             assert world.objects[n_objects].last_seen == 1.0
 
@@ -227,9 +231,9 @@ def test_a_match_moves_the_object_to_the_detection_in_3d():
     # the second detection, 0.5 m above the first, updates object 1 and
     # takes its z along; the third is then 0.5 m from it, not 0.71 m
     world = WorldModel()
-    world.integrate(_det("cup", 0, 0, 0))
-    world.integrate(_det("cup", 0, 0, 0.5, t=1.0))
-    world.integrate(_det("cup", 0.5, 0, 0.5, t=2.0))
+    _see(world, _det("cup", 0, 0, 0))
+    _see(world, _det("cup", 0, 0, 0.5, t=1.0))
+    _see(world, _det("cup", 0.5, 0, 0.5, t=2.0))
     (obj,) = world.query("cup")
     assert (obj.pose.x, obj.pose.z, obj.last_seen) == (0.5, 0.5, 2.0)
 
@@ -241,44 +245,44 @@ LINKS = (("door", "door_handle"),)
 
 def test_child_attaches_inside_parent_box():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=1.0))
-    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
+    _see(world, _det("door", 5, 0, 1, half=1.0))
+    _see(world, _det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
     (handle,) = world.query("door_handle")
     assert handle.parent == world.query("door")[0].id
 
 
 def test_child_attaches_by_proximity_fallback():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=0.05))
+    _see(world, _det("door", 5, 0, 1, half=0.05))
     # outside the box even with margin, but within 0.75 m
-    world.integrate(_det("door_handle", 5, 0.6, 1, half=0.05), links=LINKS)
+    _see(world, _det("door_handle", 5, 0.6, 1, half=0.05), links=LINKS)
     (handle,) = world.query("door_handle")
     assert handle.parent == world.query("door")[0].id
 
 
 def test_child_beyond_fallback_stays_orphan():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=0.05))
-    world.integrate(_det("door_handle", 5, 2.0, 1, half=0.05), links=LINKS)
+    _see(world, _det("door", 5, 0, 1, half=0.05))
+    _see(world, _det("door_handle", 5, 2.0, 1, half=0.05), links=LINKS)
     (handle,) = world.query("door_handle")
     assert handle.parent is None
 
 
 def test_no_parent_without_link():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=1.0))
-    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05))
+    _see(world, _det("door", 5, 0, 1, half=1.0))
+    _see(world, _det("door_handle", 5, -0.35, 0.95, half=0.05))
     (handle,) = world.query("door_handle")
     assert handle.parent is None
 
 
 def test_parents_never_chain():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=1.0))
-    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.1), links=LINKS)
+    _see(world, _det("door", 5, 0, 1, half=1.0))
+    _see(world, _det("door_handle", 5, -0.35, 0.95, half=0.1), links=LINKS)
     # a second-level link may not produce a grandchild chain
     chained = LINKS + (("door_handle", "screw"),)
-    world.integrate(_det("screw", 5, -0.35, 0.95, half=0.02), links=chained)
+    _see(world, _det("screw", 5, -0.35, 0.95, half=0.02), links=chained)
     (screw,) = world.query("screw")
     assert screw.parent is None  # candidate parents must be top-level
     for obj in world.objects.values():
@@ -288,12 +292,12 @@ def test_parents_never_chain():
 
 def test_linking_a_parent_under_another_raises():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=1.0))
-    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
-    world.integrate(_det("wall", 5, 0, 1, half=2.0))
+    _see(world, _det("door", 5, 0, 1, half=1.0))
+    _see(world, _det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
+    _see(world, _det("wall", 5, 0, 1, half=2.0))
     # the door already has a child, so hanging it on the wall would chain
     with pytest.raises(WorldError):
-        world.integrate(_det("door", 5, 0, 1, half=1.0), links=(("wall", "door"),))
+        _see(world, _det("door", 5, 0, 1, half=1.0), links=(("wall", "door"),))
 
 
 def test_constructor_rejects_bad_graphs():
@@ -313,9 +317,9 @@ def test_constructor_rejects_bad_graphs():
 
 def test_query_filters_and_sorts():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=1.0))
-    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
-    world.integrate(_det("box", 0, 3))
+    _see(world, _det("door", 5, 0, 1, half=1.0))
+    _see(world, _det("door_handle", 5, -0.35, 0.95, half=0.05), links=LINKS)
+    _see(world, _det("box", 0, 3))
     door_id = world.query("door")[0].id
     assert [o.label for o in world.query()] == ["door", "door_handle", "box"]
     assert [o.id for o in world.query()] == [1, 2, 3]
@@ -325,16 +329,16 @@ def test_query_filters_and_sorts():
 
 def test_snapshot_is_isolated():
     world = WorldModel()
-    world.integrate(_det("door", 5, 0))
+    _see(world, _det("door", 5, 0))
     snap = world.snapshot()
-    world.integrate(_det("box", 1, 1))
-    world.integrate(_det("door", 5.1, 0, t=9.0))
+    _see(world, _det("box", 1, 1))
+    _see(world, _det("door", 5.1, 0, t=9.0))
     assert len(snap.objects) == 1
     assert snap.objects[1].last_seen == 0.0
-    snap.integrate(_det("cup", 0, 0))
+    _see(snap, _det("cup", 0, 0))
     assert not world.query("cup")
     # the copy carries its own label index: a nearby door updates object 1
-    snap.integrate(_det("door", 5.2, 0, t=4.0))
+    _see(snap, _det("door", 5.2, 0, t=4.0))
     assert [o.id for o in snap.query("door")] == [1]
     assert world.objects[1].last_seen == 9.0
     # mutating an object of the snapshot leaves the source untouched
@@ -355,7 +359,7 @@ def test_integration_order_invariant_when_far_apart():
         rng.shuffle(order)
         world = WorldModel()
         for label, x, y in order:
-            world.integrate(_det(label, x, y))
+            _see(world, _det(label, x, y))
         summary = sorted((o.label, round(o.pose.x, 6), round(o.pose.y, 6))
                          for o in world.query())
         if base is None:
@@ -365,8 +369,8 @@ def test_integration_order_invariant_when_far_apart():
 
 def test_world_json_roundtrip(tmp_path):
     world = WorldModel()
-    world.integrate(_det("door", 5, 0, 1, half=1.0, t=2.0))
-    world.integrate(_det("door_handle", 5, -0.35, 0.95, half=0.05, t=3.0),
+    _see(world, _det("door", 5, 0, 1, half=1.0, t=2.0))
+    _see(world, _det("door_handle", 5, -0.35, 0.95, half=0.05, t=3.0),
                     links=LINKS)
     path = tmp_path / "world.json"
     path.write_text(json.dumps(world.to_json()), encoding="utf-8")
@@ -383,10 +387,10 @@ def test_world_json_roundtrip(tmp_path):
 
 def test_loaded_world_keeps_ids_fresh(tmp_path):
     world = WorldModel()
-    world.integrate(_det("door", 5, 0))
-    world.integrate(_det("box", 1, 1))
+    _see(world, _det("door", 5, 0))
+    _see(world, _det("box", 1, 1))
     path = tmp_path / "world.json"
     path.write_text(json.dumps(world.to_json()), encoding="utf-8")
     loaded = WorldModel.load(path)
-    loaded.integrate(_det("cup", 9, 9))
+    _see(loaded, _det("cup", 9, 9))
     assert max(loaded.objects) == 3
