@@ -35,6 +35,9 @@ DEFAULT_MAX_RANGE = 6.0
 DEFAULT_FOV_DEG = 87.0
 DEFAULT_FRAME_BUDGET = 30
 MODES = ("adaptive", "exhaustive")
+# noise rows drawn at once when no detector of the plan can fire a false
+# positive, so memory stays flat in the frame budget
+NOISE_CHUNK_ROWS = 4096
 
 
 class PerceptionError(RuntimeError):
@@ -238,13 +241,18 @@ def run_perception(scene: Scene,
     Every frame, each detector of the plan (in id order) scans the
     visible ground truth for its label and emits one noisy detection per
     hit; a detector the plan lets fire false positives may additionally
-    emit one spurious detection per frame at its rate. Each detection is
-    integrated immediately over the plan's links: a hit as its truth
-    object and noise, a spurious one as a truth-less object (id 0, never
-    stored) with a 0.2 m box and zero noise. Frame timestamps
-    advance by the summed frame cost, so total cost is exactly frames
-    times the active period. The robot stays at ``scene.robot_start``,
-    so visibility is computed once, grouped by label.
+    emit one spurious detection per frame at its rate. Each detector's
+    hits of a frame are integrated at once over the plan's links, as
+    their truth objects and noise; a spurious detection is a batch of
+    one truth-less object (id 0, never stored) with a 0.2 m box and zero
+    noise. Frame timestamps advance by the summed frame cost, so total
+    cost is exactly frames times the active period. The robot stays at
+    ``scene.robot_start``, so visibility is computed once, grouped by
+    label.
+
+    Noise is drawn as two standard normals per hit, in the order the hits
+    are integrated, times the detector's ``noise_sigma``. With no false
+    positives to interleave, one draw covers the hits of many frames.
     """
     active, links, false_positives = perception_plan(config)
     period = sum(d.frame_cost for d in active)
@@ -261,23 +269,39 @@ def run_perception(scene: Scene,
     for obj in sorted(scene.objects, key=lambda o: o.id):
         if visible(obj, robot, scene.visibility):
             in_view.setdefault(obj.label, []).append(obj)
+    plan = [(det, in_view.get(det.emits_label, ())) for det in active]
+    # with no false positives to interleave, one draw covers the hits of
+    # chunk frames, per_frame hits each: a column of each hit's sigma
+    per_frame = 0 if false_positives else sum(len(hits) for _, hits in plan)
+    if per_frame:
+        chunk = max(1, min(config.frame_budget, NOISE_CHUNK_ROWS // per_frame))
+        sigmas = np.tile(np.repeat([float(d.noise_sigma) for d in active],
+                                   [len(hits) for _, hits in plan]),
+                         chunk)[:, None]
     emitted = 0
     spurious = 0
     time = 0.0
     # noise that overflows the float range is rejected by integrate with
     # one error, so numpy need not warn of it first
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.frame_budget):
+        for frame in range(config.frame_budget):
             time += period
-            for det in active:
-                hits = in_view.get(det.emits_label)
+            if per_frame and frame % chunk == 0:
+                # one (k, 2) draw reads the stream exactly as k draws of 2
+                n = min(chunk, config.frame_budget - frame) * per_frame
+                dxs, dys = (rng.normal(0.0, 1.0, (n, 2)) * sigmas[:n]).T.tolist()
+                at = 0
+            for det, hits in plan:
                 if hits:
-                    # one (k, 2) draw reads the stream exactly as k draws of 2
-                    noise = (rng.normal(0.0, 1.0, (len(hits), 2))
-                             * det.noise_sigma).tolist()
-                    for obj, (dx, dy) in zip(hits, noise):
-                        integrate(obj, links, dx, dy, time)
-                    emitted += len(hits)
+                    k = len(hits)
+                    if per_frame:
+                        noise = zip(dxs[at:at + k], dys[at:at + k])
+                        at += k
+                    else:
+                        noise = zip(*(rng.normal(0.0, 1.0, (k, 2))
+                                      * det.noise_sigma).T.tolist())
+                    integrate(hits, links, noise, time)
+                    emitted += k
                 if det.id in false_positives:
                     if rng.random() < det.false_positive_rate:
                         r = rng.uniform(1.0, scene.visibility.max_range)
@@ -285,10 +309,10 @@ def run_perception(scene: Scene,
                             -scene.visibility.fov / 2.0, scene.visibility.fov / 2.0)
                         x = robot.x + r * math.cos(bearing)
                         y = robot.y + r * math.sin(bearing)
-                        integrate(WorldObject(
+                        integrate([WorldObject(
                             0, det.emits_label, Pose(x, y, 0.5),
-                            Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6))),
-                            links, 0.0, 0.0, time)
+                            Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)))],
+                            links, ((0.0, 0.0),), time)
                         emitted += 1
                         spurious += 1
     metrics = PerceptionMetrics(

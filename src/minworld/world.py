@@ -3,22 +3,25 @@
 One writer (the perception loop) integrates detections; readers take
 snapshots, independent mutable copies. Objects may carry a parent link
 one level deep (a handle on a door), never chains. Objects are indexed
-by label, so a detection is compared only with the objects of its label.
+by label, and within a label by unit cells of the plane, so a detection
+is compared only with the nearby objects of its label.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import sys
 from dataclasses import dataclass
-from math import isfinite
+from math import floor, isfinite
 from pathlib import Path
 
 ASSOC_RADIUS = 0.5
 PARENT_MARGIN = 0.1
 PARENT_FALLBACK_RADIUS = 0.75
+# how far past its unit cell an object's row may move and keep the cell;
+# association is exact while ASSOC_RADIUS + CELL_SLACK < 1
+CELL_SLACK = 0.25
 
 
 class WorldError(ValueError):
@@ -202,6 +205,38 @@ class WorldObject:
         )
 
 
+def _place(cells: dict, row: list) -> None:
+    """Home ``row`` in the unit cell of its ``x, y`` and list it in the
+    3x3 cells around that one. The row keeps the cell while its ``x`` and
+    ``y`` stay within CELL_SLACK of it: ``row[4:8]`` are those bounds and
+    ``row[8]`` the cell."""
+    cx, cy = floor(row[0]), floor(row[1])
+    # the bounds may round, but a float between them stays within
+    # CELL_SLACK of the cell: rounding is monotone, and cx - CELL_SLACK
+    # rounds, if at all, up to cx, the float nearest it
+    row[4:] = (cx - CELL_SLACK, cx + 1 + CELL_SLACK,
+               cy - CELL_SLACK, cy + 1 + CELL_SLACK, (cx, cy))
+    for i in (cx - 1, cx, cx + 1):
+        for j in (cy - 1, cy, cy + 1):
+            cell = cells.get((i, j))
+            if cell is None:
+                cells[i, j] = [row]
+            else:
+                cell.append(row)
+
+
+def _unplace(cells: dict, row: list) -> None:
+    """Take ``row`` out of the cells ``_place`` listed it in."""
+    cx, cy = row[8]
+    for i in (cx - 1, cx, cx + 1):
+        for j in (cy - 1, cy, cy + 1):
+            cell = cells[i, j]
+            # rows differ in id, so only row itself equals row
+            cell.remove(row)
+            if not cell:
+                del cells[i, j]
+
+
 class WorldModel:
     """Mutable object store keyed by id; the constructor and integrate()
     are its only writers, and snapshot() hands out copies for readers.
@@ -209,11 +244,21 @@ class WorldModel:
     Association reads one ``[x, y, z, id]`` row of plain numbers per
     object, kept per label. An object's pose and box are built from its
     last detection only when the world is read through ``objects``, so a
-    detection that a later one overwrites never builds them."""
+    detection that a later one overwrites never builds them.
+
+    A label's rows get a grid of unit cells at the label's first
+    integrate: each cell lists every row homed in it or in one of its 8
+    neighbours, so a detection reads the one cell it falls in. A row
+    that passes the association prefilter (``|dx|, |dy| <=
+    ASSOC_RADIUS``) lies within ASSOC_RADIUS + CELL_SLACK < 1 of the
+    detection's cell, so that cell lists it: at any float magnitude, as
+    ``floor`` is exact and rounding is monotone."""
 
     def __init__(self, objects=None):
         self._objects: dict[int, WorldObject] = {}
         self._rows: dict[str, list[list]] = {}
+        # label -> (column, row) cell -> rows, for integrated labels
+        self._grid: dict[str, dict[tuple[int, int], list[list]]] = {}
         # id -> (pose, box, dx, dy, time) of the last detection of an
         # object whose pose and box are not built yet
         self._pending: dict[int, tuple] = {}
@@ -262,8 +307,10 @@ class WorldModel:
         return out
 
     def snapshot(self) -> "WorldModel":
-        # Pose and Aabb are frozen, so a shallow copy per object isolates it
-        return WorldModel([copy.copy(o) for o in self.objects.values()])
+        # Pose and Aabb are frozen, so a new record per object isolates it
+        return WorldModel([WorldObject(o.id, o.label, o.pose, o.bbox, o.parent,
+                                       o.first_seen, o.last_seen)
+                           for o in self.objects.values()])
 
     def _find_parent(self, child: WorldObject, parent_label: str) -> int | None:
         objects = self.objects
@@ -278,60 +325,79 @@ class WorldModel:
             return None
         return min(pool, key=lambda o: (o.pose.distance(child.pose), o.id)).id
 
-    def integrate(self, obj: WorldObject, links, dx: float, dy: float,
-                  time: float) -> "WorldModel":
-        """Fold one detection in: update the nearest same-label object
-        within ASSOC_RADIUS (3-D distance, lower id on ties), else create
-        a new one; attach a parent when the label is a child label in
-        links.
+    def integrate(self, objs, links, noise, time: float) -> "WorldModel":
+        """Fold in one detector's hits of one frame (at least one, all of
+        one label), in order. Each updates the nearest same-label object
+        within ASSOC_RADIUS (3-D distance, lower id on ties), else creates
+        a new one; then it attaches a parent when the label is a child
+        label in links.
 
-        The detection is ``obj`` seen at ``time`` under noise ``dx, dy``:
-        its pose moved by ``Pose.moved(dx, dy)`` and its box by
-        ``Aabb.translated(dx, dy)``, with their checks run here and their
-        records built when the world is read. Only ``obj``'s label, pose
-        and box are read, so a spurious detection is a truth-less object
-        seen with zero noise."""
-        pose, box = obj.pose, obj.bbox
-        x, y = pose.x + dx, pose.y + dy
-        if not (isfinite(x) and isfinite(y)):
-            raise WorldError("non-finite pose component")
-        lo, hi = box.lo, box.hi
-        # a box that keeps a positive extent on every axis passes
-        if not (lo[0] + dx < hi[0] + dx and lo[1] + dy < hi[1] + dy
-                and lo[2] < hi[2]):
-            _check_box((lo[0] + dx, lo[1] + dy, lo[2]),
-                       (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
-        z = pose.z
-        label = obj.label
-        best = None
+        Hit ``i`` is ``objs[i]`` seen at ``time`` under the ``i``-th
+        ``(dx, dy)`` of the iterable ``noise``: its pose moved by
+        ``Pose.moved(dx, dy)`` and its box by ``Aabb.translated(dx, dy)``,
+        with their checks run here and their records built when the world
+        is read. Only the label, pose and box of ``objs[i]`` are read, and
+        the label of ``objs[0]`` stands for all, so a spurious hit is a
+        truth-less object seen with zero noise, in a batch of one."""
+        label = objs[0].label
+        cells = self._grid.get(label)
+        if cells is None:
+            cells = self._grid[label] = {}
+            for row in self._rows.setdefault(label, []):
+                _place(cells, row)
+        parent_labels = sorted(p for p, c in links if c == label) if links else ()
+        objects, pending = self._objects, self._pending
         r, nr = ASSOC_RADIUS, -ASSOC_RADIUS
-        for row in self._rows.get(label, ()):
-            # exact prefilter: the 3-D distance is never below |dx| or |dy|
-            if nr <= row[0] - x <= r and nr <= row[1] - y <= r:
-                dist = math.dist((row[0], row[1], row[2]), (x, y, z))
-                if dist <= r and (best is None or dist < best_dist
-                                  or dist == best_dist and row[3] < best[3]):
-                    best, best_dist = row, dist
-        if best is None:
-            oid = self._next_id
-            self._next_id += 1
-            # pose, box and last_seen are filled in when the world is read
-            self._objects[oid] = WorldObject(oid, label, None, None,
-                                             first_seen=time)
-            self._rows.setdefault(label, []).append([x, y, z, oid])
-        else:
-            best[0], best[1], best[2] = x, y, z
-            oid = best[3]
-        self._pending[oid] = (pose, box, dx, dy, time)
-        if links and self._objects[oid].parent is None:
-            for parent_label in sorted(p for p, c in links if c == label):
+        for obj, (dx, dy) in zip(objs, noise):
+            pose, box = obj.pose, obj.bbox
+            x, y = pose.x + dx, pose.y + dy
+            if not (isfinite(x) and isfinite(y)):
+                raise WorldError("non-finite pose component")
+            lo, hi = box.lo, box.hi
+            # a box that keeps a positive extent on every axis passes
+            if not (lo[0] + dx < hi[0] + dx and lo[1] + dy < hi[1] + dy
+                    and lo[2] < hi[2]):
+                _check_box((lo[0] + dx, lo[1] + dy, lo[2]),
+                           (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
+            z = pose.z
+            best = None
+            cell = cells.get((floor(x), floor(y)))
+            if cell:
+                for row in cell:
+                    # exact prefilter: the 3-D distance is never below
+                    # |dx| or |dy|
+                    if nr <= row[0] - x <= r and nr <= row[1] - y <= r:
+                        dist = math.dist((row[0], row[1], row[2]), (x, y, z))
+                        if dist <= r and (best is None or dist < best_dist
+                                          or dist == best_dist
+                                          and row[3] < best[3]):
+                            best, best_dist = row, dist
+            if best is None:
+                oid = self._next_id
+                self._next_id += 1
+                # pose, box and last_seen are filled in when the world is read
+                objects[oid] = WorldObject(oid, label, None, None,
+                                           first_seen=time)
+                row = [x, y, z, oid]
+                self._rows[label].append(row)
+                _place(cells, row)
+            else:
+                best[0], best[1], best[2] = x, y, z
+                oid = best[3]
+                if not (best[4] <= x < best[5] and best[6] <= y < best[7]):
+                    _unplace(cells, best)
+                    _place(cells, best)
+            pending[oid] = (pose, box, dx, dy, time)
+            if parent_labels and objects[oid].parent is None:
                 child = self.objects[oid]
-                found = self._find_parent(child, parent_label)
-                if found is not None and found != oid:
-                    child.parent = found
-                    # the only mutation that can chain: child may have children
-                    self._check_single_layer()
-                    break
+                for parent_label in parent_labels:
+                    found = self._find_parent(child, parent_label)
+                    if found is not None and found != oid:
+                        child.parent = found
+                        # the only mutation that can chain: child may have
+                        # children
+                        self._check_single_layer()
+                        break
         return self
 
     def to_json(self) -> dict:

@@ -33,7 +33,7 @@ def _det(label, x, y, z=0.0, t=0.0):
 
 def _see(world, det, links=()):
     """Integrate ``det`` with zero noise at its time."""
-    return world.integrate(det, links, 0.0, 0.0, det.last_seen)
+    return world.integrate([det], links, [(0.0, 0.0)], det.last_seen)
 
 
 # -- feature templates -------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minworld import percept
 from minworld.percept import (
     MODES,
     DetectorSpec,
@@ -534,5 +535,65 @@ def _perceived(perceive, scene, config):
 @given(case=_hostile_case())
 def test_perception_matches_full_scan_reference_on_hostile_scenes(case):
     scene, config = case
+    assert _perceived(run_perception, scene, config) == \
+        _perceived(_reference_perception, scene, config)
+
+
+@st.composite
+def _crowded_case(draw):
+    """30 to 48 objects, nearly all of one label, in a 2 m square at an
+    integer corner: on the half-metre lattice, each coordinate moved by up
+    to an ulp, so hits fall on cell corners, at exactly ASSOC_RADIUS and
+    equally far from two objects."""
+    ox, oy = draw(st.sampled_from(((1, -1), (2, 0), (3, -2))))
+
+    def coordinate(origin):
+        v = origin + draw(st.integers(0, 4)) / 2
+        return draw(st.sampled_from((v, math.nextafter(v, math.inf),
+                                     math.nextafter(v, -math.inf))))
+
+    objects = []
+    for oid in range(1, draw(st.integers(30, 48)) + 1):
+        x, y = coordinate(ox), coordinate(oy)
+        label = draw(st.sampled_from(("cup",) * 7 + ("box",)))
+        objects.append(WorldObject(oid, label, Pose(x, y, 0.5),
+                                   Aabb((x - 0.05, y - 0.05, 0.45),
+                                        (x + 0.05, y + 0.05, 0.55))))
+    registry = tuple(
+        DetectorSpec(label, label, 0.05,
+                     noise_sigma=draw(st.sampled_from((0.0, 0.02, 0.3))),
+                     false_positive_rate=draw(st.sampled_from((0.0, 0.5))))
+        for label in ("box", "cup"))
+    mode = draw(st.sampled_from(MODES))
+    active = _active("box", "cup") if mode == "adaptive" else None
+    config = PerceptionConfig(registry, active, mode,
+                              seed=draw(st.integers(0, 2 ** 16)),
+                              frame_budget=draw(st.sampled_from((1, 5, 8))))
+    return Scene(objects, Visibility(), Pose(0.0, 0.0)), config
+
+
+@settings(database=None, derandomize=True, deadline=None,
+          max_examples=(settings().max_examples
+                        if settings.get_current_profile_name() == "hostile"
+                        else 25))
+@given(case=_crowded_case())
+def test_perception_matches_full_scan_reference_on_crowded_cells(case):
+    scene, config = case
+    assert _perceived(run_perception, scene, config) == \
+        _perceived(_reference_perception, scene, config)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 20, 50, 4096])
+def test_chunked_noise_draws_match_the_reference(monkeypatch, chunk_rows):
+    # adaptive, so no false positives interleave and a draw spans frames:
+    # at 6 hits a frame, 1, 3, 8 or all 13 of them, the last draw cut
+    # short at 3 and 8; the stream and the world are those of one draw
+    # per hit
+    scene = _random_scene(12, random.Random(11))
+    monkeypatch.setattr(percept, "NOISE_CHUNK_ROWS", chunk_rows)
+    active = DetectorSet(frozenset({"box", "cup", "door", "door_handle"}),
+                         frozenset({("door", "handle")}))
+    config = PerceptionConfig(EQUIV_SPECS, active, "adaptive", seed=5,
+                              frame_budget=13)
     assert _perceived(run_perception, scene, config) == \
         _perceived(_reference_perception, scene, config)

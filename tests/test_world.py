@@ -25,7 +25,7 @@ def _det(label, x, y, z=0.0, t=0.0, half=0.4):
 
 def _see(world, det, links=()):
     """Integrate ``det`` with zero noise at its time."""
-    return world.integrate(det, links, 0.0, 0.0, det.last_seen)
+    return world.integrate([det], links, [(0.0, 0.0)], det.last_seen)
 
 
 # -- geometry ----------------------------------------------------------------
@@ -236,6 +236,114 @@ def test_a_match_moves_the_object_to_the_detection_in_3d():
     _see(world, _det("cup", 0.5, 0, 0.5, t=2.0))
     (obj,) = world.query("cup")
     assert (obj.pose.x, obj.pose.z, obj.last_seen) == (0.5, 0.5, 2.0)
+
+
+def test_a_batch_integrates_its_hits_in_order():
+    # one call, three hits of one label: the second creates object 2, the
+    # third updates object 1, and each hit's noise moves only that hit
+    world = WorldModel()
+    hits = [_det("cup", 0, 0), _det("cup", 3, 0), _det("cup", 0.2, 0)]
+    world.integrate(hits, (), [(0.0, 0.0), (0.0, 0.5), (0.1, 0.0)], 2.0)
+    got = [(o.id, o.pose.x, o.pose.y, o.first_seen) for o in world.query()]
+    assert got == [(1, pytest.approx(0.3), 0.0, 2.0), (2, 3.0, 0.5, 2.0)]
+
+
+def test_grid_index_is_built_at_a_labels_first_integrate():
+    world = WorldModel([WorldObject(1, "door", Pose(5, 0), _det("door", 5, 0).bbox),
+                        WorldObject(2, "box", Pose(1, 1), _det("box", 1, 1).bbox)])
+    assert world._grid == {}
+    assert world.snapshot()._grid == {}
+    _see(world, _det("door", 5.2, 0))
+    assert set(world._grid) == {"door"}
+    assert world.objects[1].pose.x == 5.2
+
+
+def test_a_drifting_object_follows_its_cell():
+    # 0.28 m a step along an axis, 0.40 m along a diagonal: every hit is
+    # within the radius of the last, so one object follows it across many
+    # cells
+    for sx, sy in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1)):
+        world = WorldModel()
+        for k in range(40):
+            _see(world, _det("cup", 0.9 + 0.28 * k * sx, -0.1 + 0.28 * k * sy,
+                             t=float(k)))
+        (obj,) = world.query()
+        assert obj.last_seen == 39.0, (sx, sy)
+        row = world._rows["cup"][0]
+        cells = world._grid["cup"]
+        assert sum(row in cell for cell in cells.values()) == 9
+
+
+def _brute_force(hits):
+    """Each hit (x, y, z) to the id of the nearest earlier object within
+    ASSOC_RADIUS, under the same prefilter and ties as WorldModel, with
+    every row scanned; the final rows as (id, x, y, z, first, last)."""
+    rows = []
+    for t, (x, y, z) in enumerate(hits):
+        best = None
+        for row in rows:
+            if -ASSOC_RADIUS <= row[1] - x <= ASSOC_RADIUS \
+                    and -ASSOC_RADIUS <= row[2] - y <= ASSOC_RADIUS:
+                d = math.dist(row[1:4], (x, y, z))
+                if d <= ASSOC_RADIUS and (best is None or (d, row[0]) < best[0]):
+                    best = ((d, row[0]), row)
+        if best is None:
+            rows.append([len(rows) + 1, x, y, z, float(t), float(t)])
+        else:
+            best[1][1:4] = [x, y, z]
+            best[1][5] = float(t)
+    return [tuple(r) for r in rows]
+
+
+def _integrated(hits, batch):
+    """The same hits through WorldModel.integrate, ``batch`` hits a call
+    (each call at one time, so a hit's time is its call's first index).
+    Point boxes, as no box of positive width survives at 2**53."""
+    world = WorldModel()
+    for i in range(0, len(hits), batch):
+        chunk = hits[i:i + batch]
+        world.integrate([WorldObject(0, "cup", Pose(x, y, z),
+                                     Aabb((x, y, z), (x, y, z), degenerate=True))
+                         for x, y, z in chunk],
+                        (), [(0.0, 0.0)] * len(chunk), float(i))
+    return [(o.id, o.pose.x, o.pose.y, o.pose.z, o.first_seen, o.last_seen)
+            for o in world.query()]
+
+
+def _jittered(rng, base, offsets):
+    """``base`` plus one of ``offsets``, then up to 2 ulps either way."""
+    v = base + rng.choice(offsets)
+    for _ in range(rng.randrange(3)):
+        v = math.nextafter(v, rng.choice((math.inf, -math.inf)))
+    return v
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 2.0 ** 51, 2.0 ** 52, 2.0 ** 53,
+                                       1e15, -2.0 ** 52, -1e15])
+def test_grid_association_matches_brute_force(magnitude):
+    # integer cell corners and the half and quarter metres around them,
+    # each moved by an ulp or two: far out, where floats are 0.5 or 2
+    # apart, these collapse onto corners and ties
+    rng = random.Random(int(magnitude) % 1000 + 17)
+    offsets = [k / 4 for k in range(-8, 9)]
+    steps = [k / 4 for k in range(-2, 3)]
+    for _ in range(40):
+        hits = []
+        for _ in range(60):
+            if hits and rng.random() < 0.6:
+                # a step of at most the radius from an earlier hit: chains
+                # of these drag an object across cells
+                x, y, z = rng.choice(hits[-5:])
+                hits.append((_jittered(rng, x, steps), _jittered(rng, y, steps), z))
+            else:
+                hits.append((_jittered(rng, magnitude, offsets),
+                             _jittered(rng, -magnitude, offsets),
+                             rng.choice((0.0, 0.25, 0.5))))
+        want = _brute_force(hits)
+        assert _integrated(hits, 1) == want
+        # in batches, the times are those of each batch's first hit
+        batched = _integrated(hits, 7)
+        assert [r[:4] for r in batched] == [r[:4] for r in want]
 
 
 # -- parent attachment -------------------------------------------------------
