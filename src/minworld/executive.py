@@ -129,10 +129,7 @@ def _standoff_goal(robot: Pose, target: WorldObject, standoff: float,
         ux, uy = dx / dist, dy / dist
         gx, gy, yaw = px + standoff * ux, py + standoff * uy, math.atan2(-uy, -ux)
     for obs in obstacles:
-        lo, hi = obs.bbox.lo, obs.bbox.hi
-        # the box's own mid-height, which reads as outside if it overflows
-        if (obs.id != target.id and lo[0] <= gx <= hi[0] and lo[1] <= gy <= hi[1]
-                and lo[2] <= (lo[2] + hi[2]) / 2.0 <= hi[2]):
+        if obs.id != target.id and obs.bbox.contains((gx, gy, obs.bbox.center[2])):
             raise NavigationError(
                 f"standoff point blocked by object {obs.id} ({obs.label})")
     return gx, gy, yaw

@@ -35,9 +35,6 @@ DEFAULT_MAX_RANGE = 6.0
 DEFAULT_FOV_DEG = 87.0
 DEFAULT_FRAME_BUDGET = 30
 MODES = ("adaptive", "exhaustive")
-# noise rows drawn at once when no detector of the plan can fire a false
-# positive, so memory stays flat in the frame budget
-NOISE_CHUNK_ROWS = 4096
 
 
 class PerceptionError(RuntimeError):
@@ -249,10 +246,6 @@ def run_perception(scene: Scene,
     cost is exactly frames times the active period. The robot stays at
     ``scene.robot_start``, so visibility is computed once, grouped by
     label.
-
-    Noise is drawn as two standard normals per hit, in the order the hits
-    are integrated, times the detector's ``noise_sigma``. With no false
-    positives to interleave, one draw covers the hits of many frames.
     """
     active, links, false_positives = perception_plan(config)
     period = sum(d.frame_cost for d in active)
@@ -270,38 +263,20 @@ def run_perception(scene: Scene,
         if visible(obj, robot, scene.visibility):
             in_view.setdefault(obj.label, []).append(obj)
     plan = [(det, in_view.get(det.emits_label, ())) for det in active]
-    # with no false positives to interleave, one draw covers the hits of
-    # chunk frames, per_frame hits each: a column of each hit's sigma
-    per_frame = 0 if false_positives else sum(len(hits) for _, hits in plan)
-    if per_frame:
-        chunk = max(1, min(config.frame_budget, NOISE_CHUNK_ROWS // per_frame))
-        sigmas = np.tile(np.repeat([float(d.noise_sigma) for d in active],
-                                   [len(hits) for _, hits in plan]),
-                         chunk)[:, None]
     emitted = 0
     spurious = 0
     time = 0.0
     # noise that overflows the float range is rejected by integrate with
     # one error, so numpy need not warn of it first
     with np.errstate(over="ignore", invalid="ignore"):
-        for frame in range(config.frame_budget):
+        for _ in range(config.frame_budget):
             time += period
-            if per_frame and frame % chunk == 0:
-                # one (k, 2) draw reads the stream exactly as k draws of 2
-                n = min(chunk, config.frame_budget - frame) * per_frame
-                dxs, dys = (rng.normal(0.0, 1.0, (n, 2)) * sigmas[:n]).T.tolist()
-                at = 0
             for det, hits in plan:
                 if hits:
-                    k = len(hits)
-                    if per_frame:
-                        noise = zip(dxs[at:at + k], dys[at:at + k])
-                        at += k
-                    else:
-                        noise = zip(*(rng.normal(0.0, 1.0, (k, 2))
-                                      * det.noise_sigma).T.tolist())
-                    integrate(hits, links, noise, time)
-                    emitted += k
+                    # one (k, 2) draw reads the stream exactly as k draws of 2
+                    integrate(hits, links, (rng.normal(0.0, 1.0, (len(hits), 2))
+                                            * det.noise_sigma).tolist(), time)
+                    emitted += len(hits)
                 if det.id in false_positives:
                     if rng.random() < det.false_positive_rate:
                         r = rng.uniform(1.0, scene.visibility.max_range)

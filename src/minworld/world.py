@@ -22,6 +22,9 @@ PARENT_FALLBACK_RADIUS = 0.75
 # how far past its unit cell an object's row may move and keep the cell;
 # association is exact while ASSOC_RADIUS + CELL_SLACK < 1
 CELL_SLACK = 0.25
+# a label's rows are scanned whole until it holds more than this many
+# objects; then it gets a grid
+GRID_MIN_ROWS = 8
 
 
 class WorldError(ValueError):
@@ -130,11 +133,15 @@ class Aabb:
 
     @property
     def center(self) -> tuple[float, float, float]:
-        return tuple((a + b) / 2.0 for a, b in zip(self.lo, self.hi))
+        lo, hi = self.lo, self.hi
+        return ((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0,
+                (lo[2] + hi[2]) / 2.0)
 
     def contains(self, point, margin: float = 0.0) -> bool:
-        return all(a - margin <= p <= b + margin
-                   for p, a, b in zip(point, self.lo, self.hi))
+        (x, y, z), lo, hi = point, self.lo, self.hi
+        return (lo[0] - margin <= x <= hi[0] + margin
+                and lo[1] - margin <= y <= hi[1] + margin
+                and lo[2] - margin <= z <= hi[2] + margin)
 
     def translated(self, dx: float, dy: float) -> "Aabb":
         """This box moved by (dx, dy) in the plane, under the constructor's
@@ -246,18 +253,20 @@ class WorldModel:
     last detection only when the world is read through ``objects``, so a
     detection that a later one overwrites never builds them.
 
-    A label's rows get a grid of unit cells at the label's first
-    integrate: each cell lists every row homed in it or in one of its 8
-    neighbours, so a detection reads the one cell it falls in. A row
-    that passes the association prefilter (``|dx|, |dy| <=
-    ASSOC_RADIUS``) lies within ASSOC_RADIUS + CELL_SLACK < 1 of the
-    detection's cell, so that cell lists it: at any float magnitude, as
-    ``floor`` is exact and rounding is monotone."""
+    A label with few objects is scanned whole. Once it holds more than
+    GRID_MIN_ROWS, its rows get a grid of unit cells: each cell lists
+    every row homed in it or in one of its 8 neighbours, so a detection
+    reads the one cell it falls in. A row that passes the association
+    prefilter (``|dx|, |dy| <= ASSOC_RADIUS``) lies within ASSOC_RADIUS +
+    CELL_SLACK < 1 of the detection's cell, so that cell lists it: at
+    any float magnitude, as ``floor`` is exact and rounding is
+    monotone."""
 
     def __init__(self, objects=None):
         self._objects: dict[int, WorldObject] = {}
         self._rows: dict[str, list[list]] = {}
-        # label -> (column, row) cell -> rows, for integrated labels
+        # label -> (column, row) cell -> rows, for labels grown past
+        # GRID_MIN_ROWS by integrate
         self._grid: dict[str, dict[tuple[int, int], list[list]]] = {}
         # id -> (pose, box, dx, dy, time) of the last detection of an
         # object whose pose and box are not built yet
@@ -340,12 +349,8 @@ class WorldModel:
         the label of ``objs[0]`` stands for all, so a spurious hit is a
         truth-less object seen with zero noise, in a batch of one."""
         label = objs[0].label
+        rows = self._rows.setdefault(label, [])
         cells = self._grid.get(label)
-        if cells is None:
-            cells = self._grid[label] = {}
-            for row in self._rows.setdefault(label, []):
-                _place(cells, row)
-        parent_labels = sorted(p for p, c in links if c == label) if links else ()
         objects, pending = self._objects, self._pending
         r, nr = ASSOC_RADIUS, -ASSOC_RADIUS
         for obj, (dx, dy) in zip(objs, noise):
@@ -361,17 +366,16 @@ class WorldModel:
                            (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
             z = pose.z
             best = None
-            cell = cells.get((floor(x), floor(y)))
-            if cell:
-                for row in cell:
-                    # exact prefilter: the 3-D distance is never below
-                    # |dx| or |dy|
-                    if nr <= row[0] - x <= r and nr <= row[1] - y <= r:
-                        dist = math.dist((row[0], row[1], row[2]), (x, y, z))
-                        if dist <= r and (best is None or dist < best_dist
-                                          or dist == best_dist
-                                          and row[3] < best[3]):
-                            best, best_dist = row, dist
+            for row in (rows if cells is None
+                        else cells.get((floor(x), floor(y)), ())):
+                # exact prefilter: the 3-D distance is never below |dx|
+                # or |dy|
+                if nr <= row[0] - x <= r and nr <= row[1] - y <= r:
+                    dist = math.dist((row[0], row[1], row[2]), (x, y, z))
+                    if dist <= r and (best is None or dist < best_dist
+                                      or dist == best_dist
+                                      and row[3] < best[3]):
+                        best, best_dist = row, dist
             if best is None:
                 oid = self._next_id
                 self._next_id += 1
@@ -379,18 +383,24 @@ class WorldModel:
                 objects[oid] = WorldObject(oid, label, None, None,
                                            first_seen=time)
                 row = [x, y, z, oid]
-                self._rows[label].append(row)
-                _place(cells, row)
+                rows.append(row)
+                if cells is not None:
+                    _place(cells, row)
+                elif len(rows) > GRID_MIN_ROWS:
+                    cells = self._grid[label] = {}
+                    for row in rows:
+                        _place(cells, row)
             else:
                 best[0], best[1], best[2] = x, y, z
                 oid = best[3]
-                if not (best[4] <= x < best[5] and best[6] <= y < best[7]):
+                if cells is not None and not (best[4] <= x < best[5]
+                                              and best[6] <= y < best[7]):
                     _unplace(cells, best)
                     _place(cells, best)
             pending[oid] = (pose, box, dx, dy, time)
-            if parent_labels and objects[oid].parent is None:
-                child = self.objects[oid]
-                for parent_label in parent_labels:
+            if links and objects[oid].parent is None:
+                for parent_label in sorted(p for p, c in links if c == label):
+                    child = self.objects[oid]
                     found = self._find_parent(child, parent_label)
                     if found is not None and found != oid:
                         child.parent = found

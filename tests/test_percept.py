@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minworld import percept
 from minworld.percept import (
     MODES,
     DetectorSpec,
@@ -579,21 +578,5 @@ def _crowded_case(draw):
 @given(case=_crowded_case())
 def test_perception_matches_full_scan_reference_on_crowded_cells(case):
     scene, config = case
-    assert _perceived(run_perception, scene, config) == \
-        _perceived(_reference_perception, scene, config)
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 20, 50, 4096])
-def test_chunked_noise_draws_match_the_reference(monkeypatch, chunk_rows):
-    # adaptive, so no false positives interleave and a draw spans frames:
-    # at 6 hits a frame, 1, 3, 8 or all 13 of them, the last draw cut
-    # short at 3 and 8; the stream and the world are those of one draw
-    # per hit
-    scene = _random_scene(12, random.Random(11))
-    monkeypatch.setattr(percept, "NOISE_CHUNK_ROWS", chunk_rows)
-    active = DetectorSet(frozenset({"box", "cup", "door", "door_handle"}),
-                         frozenset({("door", "handle")}))
-    config = PerceptionConfig(EQUIV_SPECS, active, "adaptive", seed=5,
-                              frame_budget=13)
     assert _perceived(run_perception, scene, config) == \
         _perceived(_reference_perception, scene, config)
