@@ -19,7 +19,9 @@ import numpy as np
 
 from .symbols import DetectorSet, subtype_detector_id
 from .world import (
+    GRID_MIN_ROWS,
     Aabb,
+    HoldRule,
     Pose,
     WorldError,
     WorldModel,
@@ -231,6 +233,61 @@ def visible(obj: WorldObject, robot: Pose, vis: Visibility) -> bool:
     return abs(off) <= vis.fov / 2.0
 
 
+class _Held:
+    """One label's hits in a run and which of them are held
+    (``world.HoldRule``): the loop integrates every hit in frame 1 and
+    only the hits not held after that. A hit that stops being held, and
+    at the end of the run every hit still held, has its last held
+    detection integrated, the one that would have reached the world
+    last; from then on it is integrated every frame."""
+
+    def __init__(self, hits, integrate, links):
+        self.hits, self.integrate, self.links = hits, integrate, links
+        self.rule = HoldRule(hits)
+        self.held = None  # until frame 2
+        self.free, self.free_at = hits, None  # the hits not held, and where
+        self.last = self.time = None  # the latest frame's noise and time
+
+    def sense(self, noise, time: float) -> None:
+        """Integrate one frame's hits that are not held, under ``noise``
+        (one ``(dx, dy)`` row per hit), at ``time``."""
+        grew = self.rule.see_noise(noise)
+        if self.held is None:
+            if self.last is not None:
+                self._hold(self.rule.held())
+        elif grew:
+            self._release(self.rule.held())
+        if self.free:
+            self.integrate(self.free, self.links, (
+                noise if self.free_at is None else noise[self.free_at]).tolist(),
+                time)
+        self.last, self.time = noise, time
+
+    def spurious(self, x: float, y: float) -> None:
+        """Release the held hits a spurious detection at (x, y) may reach,
+        before it is integrated."""
+        self.rule.see_spurious(x, y)
+        if self.held is not None:
+            self._release(self.rule.held())
+
+    def finish(self) -> None:
+        """Integrate the last detection of every hit still held."""
+        if self.held is not None:
+            self._release(np.zeros(len(self.hits), dtype=bool))
+
+    def _release(self, keep) -> None:
+        drop = np.flatnonzero(self.held & ~keep)
+        if len(drop):
+            self.integrate([self.hits[i] for i in drop], self.links,
+                           self.last[drop].tolist(), self.time)
+            self._hold(self.held & keep)
+
+    def _hold(self, held) -> None:
+        self.held = held
+        self.free_at = np.flatnonzero(~held)
+        self.free = [self.hits[i] for i in self.free_at]
+
+
 def run_perception(scene: Scene,
                    config: PerceptionConfig) -> tuple[WorldModel, PerceptionMetrics]:
     """Run the sensing loop and build a world model.
@@ -246,6 +303,15 @@ def run_perception(scene: Scene,
     cost is exactly frames times the active period. The robot stays at
     ``scene.robot_start``, so visibility is computed once, grouped by
     label.
+
+    Because the robot stands still, a hit that ``world.HoldRule`` holds
+    cannot change the world but by its last detection. For a label with
+    more than GRID_MIN_ROWS visible objects, one active detector and no
+    link, frame 1 integrates every hit and later frames only the hits
+    not held. A hit stops being held when the label's noise grows or a
+    spurious detection lands near it, and then, or at the end of the
+    run, its last held detection is integrated. The world is the one
+    integrating every hit builds.
     """
     active, links, false_positives = perception_plan(config)
     period = sum(d.frame_cost for d in active)
@@ -262,20 +328,31 @@ def run_perception(scene: Scene,
     for obj in sorted(scene.objects, key=lambda o: o.id):
         if visible(obj, robot, scene.visibility):
             in_view.setdefault(obj.label, []).append(obj)
-    plan = [(det, in_view.get(det.emits_label, ())) for det in active]
     emitted = 0
     spurious = 0
     time = 0.0
     # noise that overflows the float range is rejected by integrate with
-    # one error, so numpy need not warn of it first
+    # one error, and a hold rule whose arithmetic overflows holds
+    # nothing, so numpy need not warn of either
     with np.errstate(over="ignore", invalid="ignore"):
+        plan = []
+        for det in active:
+            label = det.emits_label
+            hits = in_view.get(label, ())
+            plan.append((det, hits, _Held(hits, integrate, links)
+                         if len(hits) > GRID_MIN_ROWS
+                         and sum(d.emits_label == label for d in active) == 1
+                         and not any(label in link for link in links) else None))
         for _ in range(config.frame_budget):
             time += period
-            for det, hits in plan:
+            for det, hits, held in plan:
                 if hits:
                     # one (k, 2) draw reads the stream exactly as k draws of 2
-                    integrate(hits, links, (rng.normal(0.0, 1.0, (len(hits), 2))
-                                            * det.noise_sigma).tolist(), time)
+                    noise = rng.normal(0.0, 1.0, (len(hits), 2)) * det.noise_sigma
+                    if held is None:
+                        integrate(hits, links, noise.tolist(), time)
+                    else:
+                        held.sense(noise, time)
                     emitted += len(hits)
                 if det.id in false_positives:
                     if rng.random() < det.false_positive_rate:
@@ -284,12 +361,17 @@ def run_perception(scene: Scene,
                             -scene.visibility.fov / 2.0, scene.visibility.fov / 2.0)
                         x = robot.x + r * math.cos(bearing)
                         y = robot.y + r * math.sin(bearing)
-                        integrate([WorldObject(
+                        hit = WorldObject(
                             0, det.emits_label, Pose(x, y, 0.5),
-                            Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)))],
-                            links, ((0.0, 0.0),), time)
+                            Aabb((x - 0.1, y - 0.1, 0.4), (x + 0.1, y + 0.1, 0.6)))
+                        if held is not None:
+                            held.spurious(x, y)
+                        integrate([hit], links, ((0.0, 0.0),), time)
                         emitted += 1
                         spurious += 1
+        for _, _, held in plan:
+            if held is not None:
+                held.finish()
     metrics = PerceptionMetrics(
         mode=config.mode,
         frames=config.frame_budget,

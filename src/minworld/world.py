@@ -4,7 +4,9 @@ One writer (the perception loop) integrates detections; readers take
 snapshots, independent mutable copies. Objects may carry a parent link
 one level deep (a handle on a door), never chains. Objects are indexed
 by label, and within a label by unit cells of the plane, so a detection
-is compared only with the nearby objects of its label.
+is compared only with the nearby objects of its label. The hold rule
+(``HoldRule``) says which detections of a standing robot's sensing loop
+cannot change the world but by their last one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from math import floor, isfinite
 from pathlib import Path
 
+import numpy as np
+
 ASSOC_RADIUS = 0.5
 PARENT_MARGIN = 0.1
 PARENT_FALLBACK_RADIUS = 0.75
@@ -25,6 +29,10 @@ CELL_SLACK = 0.25
 # a label's rows are scanned whole until it holds more than this many
 # objects; then it gets a grid
 GRID_MIN_ROWS = 8
+# the hold rule's margin, relative to the magnitude of a label's
+# coordinates: far above the few roundings between a truth pose and a
+# distance that integrate computes
+HOLD_MARGIN = 2.0 ** -32
 
 
 class WorldError(ValueError):
@@ -244,6 +252,94 @@ def _unplace(cells: dict, row: list) -> None:
                 del cells[i, j]
 
 
+def _nearest(x, y):
+    """The L-infinity distance from each point ``(x[i], y[i])`` to its
+    nearest other one, where that is below 2 * ASSOC_RADIUS; elsewhere a
+    larger distance, or inf. Each block of 64 points in x order is
+    compared with the points within 4 * ASSOC_RADIUS of it in x (twice
+    the distance needed, which absorbs the rounding of the bounds), so
+    the work and memory grow with the points near each one, not with all
+    pairs."""
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    gap = np.empty(len(x))
+    for a in range(0, len(x), 64):
+        b = min(a + 64, len(x))
+        lo = np.searchsorted(x, x[a] - 4 * ASSOC_RADIUS, "left")
+        hi = np.searchsorted(x, x[b - 1] + 4 * ASSOC_RADIUS, "right")
+        d = np.maximum(np.abs(x[a:b, None] - x[lo:hi]),
+                       np.abs(y[a:b, None] - y[lo:hi]))
+        d[np.arange(b - a), np.arange(a - lo, b - lo)] = np.inf  # itself
+        gap[a:b] = d.min(axis=1)
+    out = np.empty_like(gap)
+    out[order] = gap
+    return out
+
+
+class HoldRule:
+    """Which truth objects of one label a sensing loop that stands still
+    need not integrate again: *held* ones, whose every detection provably
+    associates with the object its first one made, and which no other
+    detection can reach. Then only a held object's last detection
+    reaches the world, and the loop may skip the rest.
+
+    With ``m`` the largest noise component (|dx| or |dy|) of the label
+    seen so far and ``eps`` HOLD_MARGIN times one plus the largest
+    planar coordinate of the label's truth poses and boxes, object ``i``
+    is held while all of these hold:
+    - ``2√2·m + eps < ASSOC_RADIUS``: two detections of it lie within
+      the radius of each other (their z are equal);
+    - every other truth object of the label is farther than
+      ``ASSOC_RADIUS + 2m + eps`` from it in L-infinity, so no detection
+      of one comes within the radius of a detection of the other;
+    - every spurious detection of the label so far is farther than
+      ``ASSOC_RADIUS + m + eps`` from it in L-infinity;
+    - its box is wider than ``eps`` in x and y, so every detection of it
+      passes integrate's box check (noise leaves z alone, and a box flat
+      in z is flagged degenerate); ``eps`` below the radius keeps every
+      detection of it finite.
+
+    The rule is for a label that one detector emits, every frame, from
+    a robot that stands still, and that no link names (the parent
+    search reads a parent label's objects and runs on a child label's
+    detections). ``m`` only grows and spurious detections only
+    accumulate, so an object that stops being held is never held again.
+    The arrays are float64, so int coordinates of any size in the float
+    range convert."""
+
+    def __init__(self, truth):
+        v = np.array([(o.pose.x, o.pose.y, *o.bbox.lo[:2], *o.bbox.hi[:2])
+                      for o in truth], dtype=np.float64)
+        self.xy = v[:, :2]
+        self.eps = eps = HOLD_MARGIN * (1.0 + np.abs(v).max())
+        self.boxed = (v[:, 4] - v[:, 2] > eps) & (v[:, 5] - v[:, 3] > eps)
+        self.gap = _nearest(v[:, 0], v[:, 1])
+        self.spurious_gap = np.full(len(v), np.inf)
+        self.m = 0.0
+
+    def see_noise(self, noise) -> bool:
+        """Take in the ``(dx, dy)`` rows of one frame's detections of the
+        label; whether ``m`` grew (a NaN counts as growth)."""
+        m = float(np.abs(noise).max())
+        if m <= self.m:
+            return False
+        self.m = m
+        return True
+
+    def see_spurious(self, x: float, y: float) -> None:
+        """Take in a spurious detection of the label at ``(x, y)``."""
+        np.minimum(self.spurious_gap, np.abs(self.xy - (x, y)).max(axis=1),
+                   out=self.spurious_gap)
+
+    def held(self):
+        """The held objects, as a bool per truth object."""
+        m, eps, r = self.m, self.eps, ASSOC_RADIUS
+        if not 2.0 * math.sqrt(2.0) * m + eps < r:
+            return np.zeros(len(self.xy), dtype=bool)
+        return (self.boxed & (self.gap > r + 2.0 * m + eps)
+                & (self.spurious_gap > r + m + eps))
+
+
 class WorldModel:
     """Mutable object store keyed by id; the constructor and integrate()
     are its only writers, and snapshot() hands out copies for readers.
@@ -347,7 +443,11 @@ class WorldModel:
         with their checks run here and their records built when the world
         is read. Only the label, pose and box of ``objs[i]`` are read, and
         the label of ``objs[0]`` stands for all, so a spurious hit is a
-        truth-less object seen with zero noise, in a batch of one."""
+        truth-less object seen with zero noise, in a batch of one.
+
+        A caller may leave out detections that ``HoldRule`` holds: each
+        would only move its own object, so handing in its last one, when
+        it stops being held, builds the same world."""
         label = objs[0].label
         rows = self._rows.setdefault(label, [])
         cells = self._grid.get(label)

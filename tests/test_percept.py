@@ -27,6 +27,7 @@ from minworld.percept import (
 from minworld.symbols import DetectorSet
 from minworld.world import (
     ASSOC_RADIUS,
+    GRID_MIN_ROWS,
     PARENT_FALLBACK_RADIUS,
     PARENT_MARGIN,
     Aabb,
@@ -580,3 +581,264 @@ def test_perception_matches_full_scan_reference_on_crowded_cells(case):
     scene, config = case
     assert _perceived(run_perception, scene, config) == \
         _perceived(_reference_perception, scene, config)
+
+
+# -- held tracks --------------------------------------------------------------
+
+@st.composite
+def _lone_track_case(draw):
+    """9 to 30 objects of one label on a lattice whose step straddles the
+    hold rule's bound (ASSOC_RADIUS plus twice the noise), and one object
+    of another label among them; int coordinates where a lattice value is
+    whole. The robot stands in the middle with a 3 to 6 m view all round,
+    so spurious detections land among the objects."""
+    step = draw(st.sampled_from((0.62, 0.66, 0.7, 0.55, 0.8, 1.2)))
+    n = draw(st.integers(9, 30))
+    columns = draw(st.integers(3, 6))
+    ox, oy = draw(st.sampled_from(((1, -2), (0, 0), (-3, 1))))
+
+    def coordinate(v):
+        return int(v) if v == int(v) and draw(st.booleans()) else v
+
+    objects = []
+    for k in range(n):
+        x = coordinate(ox + (k % columns) * step)
+        y = coordinate(oy + (k // columns) * step)
+        half = draw(st.sampled_from((0.05, 0.2, 0)))
+        objects.append(WorldObject(k + 1, "cup", Pose(x, y, 0.5),
+                                   Aabb((x - half, y - half, 0.4),
+                                        (x + half, y + 0.1, 0.6),
+                                        degenerate=half == 0)))
+    near = draw(st.sampled_from(objects))
+    x, y = near.pose.x + draw(st.sampled_from((0, 0.3, step / 2))), near.pose.y
+    objects.insert(draw(st.integers(0, n)), WorldObject(
+        n + 1, "box", Pose(x, y, 0.5), Aabb((x - 0.2, y - 0.2, 0.3),
+                                            (x + 0.2, y + 0.2, 0.7))))
+    registry = (
+        DetectorSpec("box", "box", 0.05, noise_sigma=0.02,
+                     false_positive_rate=draw(st.sampled_from((0.0, 0.5)))),
+        # hypothesis draws the first values most: sigmas under which
+        # tracks are held, then released as the noise grows
+        DetectorSpec("cup", "cup", 0.03, noise_sigma=draw(st.sampled_from(
+            (0.02, 0.05, 0.005, 0.0, 0.09, 0.3, 1e308))),
+            false_positive_rate=draw(st.sampled_from((0.0, 0.5, 0.9)))),
+    )
+    mode = draw(st.sampled_from(MODES))
+    config = PerceptionConfig(registry,
+                              _active("box", "cup") if mode == "adaptive" else None,
+                              mode, seed=draw(st.integers(0, 2 ** 16)),
+                              frame_budget=draw(st.sampled_from((12, 5, 2, 1))))
+    robot = Pose(ox + (columns - 1) * step / 2, oy + (n // columns) * step / 2)
+    view = Visibility(draw(st.sampled_from((3, 4.5, 6.0))), 2 * math.pi)
+    return Scene(objects, view, robot), config
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(database=None, derandomize=True, deadline=None,
+          max_examples=(settings().max_examples
+                        if settings.get_current_profile_name() == "hostile"
+                        else 40))
+@given(case=_lone_track_case())
+def test_perception_matches_full_scan_reference_on_lone_tracks(case):
+    scene, config = case
+    assert _perceived(run_perception, scene, config) == \
+        _perceived(_reference_perception, scene, config)
+
+
+class _ScriptedRng:
+    """Stands in for numpy's Generator: ``normal`` hands out the given
+    standard normals in order, as the generator reads its stream, and
+    ``random`` and ``uniform`` the given draws in order."""
+
+    def __init__(self, normals, draws):
+        self.normals, self.draws = list(normals), list(draws)
+
+    def normal(self, loc, scale, size):
+        n = int(np.prod(size))
+        out, self.normals = self.normals[:n], self.normals[n:]
+        return np.array(out).reshape(size) * scale + loc
+
+    def random(self):
+        return self.draws.pop(0)
+
+    def uniform(self, lo, hi):
+        return self.draws.pop(0)
+
+
+def _cups(n=9, second=None):
+    """``n`` cups 3 m apart in y at x = 3, from (3, 0), except that the
+    second, if given, sits at ``second``; all in view."""
+    objects = []
+    for k in range(n):
+        x, y = second if k == 1 and second else (3.0, 3.0 * k)
+        objects.append(WorldObject(k + 1, "cup", Pose(x, y, 0.5),
+                                   Aabb((x - 0.05, y - 0.05, 0.45),
+                                        (x + 0.05, y + 0.05, 0.55))))
+    return Scene(objects, Visibility(1e7, 2 * math.pi), Pose(0.0, 0.0))
+
+
+def _scripted(monkeypatch, scene, mode, first, second=None, draws=()):
+    """Run the loop and the reference over a cup detector with unit noise
+    on ``scene``, where frame ``f`` moves the first cup by ``first[f]``,
+    the second by ``second[f]`` if given, and every other cup not at
+    all; a move is a ``(dx, dy)`` or a ``dx``. ``draws`` feed the false
+    positives. Both must build the same world, or fail with the same
+    error; returns its objects, or the error, and how many hits the loop
+    handed to ``integrate``."""
+    normals = []
+    for f, move in enumerate(first):
+        noise = [(0.0, 0.0)] * len(scene.objects)
+        noise[0] = move
+        if second is not None:
+            noise[1] = second[f]
+        normals.extend(v for d in noise
+                       for v in (d if isinstance(d, tuple) else (d, 0.0)))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _ScriptedRng(normals, draws))
+    registry = (DetectorSpec("cup", "cup", 0.05, noise_sigma=1.0,
+                             false_positive_rate=0.5),)
+    config = PerceptionConfig(registry, _active("cup"), mode,
+                              frame_budget=len(first))
+    integrated, got = _integrated_hits(monkeypatch, _perceived, scene, config)
+    assert got == _perceived(_reference_perception, scene, config)
+    return (json.loads(got[0])["objects"] if isinstance(got, tuple) else got,
+            integrated)
+
+
+def test_held_cups_skip_all_but_their_last_detection(monkeypatch):
+    objects, integrated = _scripted(monkeypatch, _cups(), "adaptive",
+                                    (0.0, 0.01, -0.02, 0.0, 0.01))
+    # frame 1, then each cup's last detection at the end of the run
+    assert integrated == 9 + 9
+    assert len(objects) == 9
+    assert objects[0]["pose"]["x"] == 3.01
+
+
+def test_own_track_bound_releases_a_cup_whose_detections_can_part(monkeypatch):
+    # 2 * sqrt(2) * 0.1768 just exceeds ASSOC_RADIUS: detections at
+    # (+m, +m) and (-m, -m) are more than the radius apart
+    m = 0.1768
+    assert 2 * math.sqrt(2) * m > ASSOC_RADIUS
+    objects, _ = _scripted(monkeypatch, _cups(), "adaptive",
+                           ((m, m), (-m, -m), (m, m)))
+    # the second detection of the first cup made an object of its own
+    assert len(objects) == 10
+
+
+def test_other_cup_bound_counts_twice_the_noise(monkeypatch):
+    # 0.6 m apart: farther than ASSOC_RADIUS, nearer than ASSOC_RADIUS +
+    # 2 * 0.17. The second cup's detections take the first cup's object,
+    # out of reach of the first cup's frame 2 detection, which makes an
+    # object of its own
+    m = 0.17
+    objects, integrated = _scripted(
+        monkeypatch, _cups(second=(3.6, 0.0)), "adaptive",
+        (m, -m, m), second=(-m, -m, -m))
+    assert len(objects) == 9
+    assert [objects[i]["pose"]["x"] for i in (0, -1)] == [3.6 - m, 3.0 - m]
+    # the seven far cups are held
+    assert integrated == 9 + 2 + 2 + 7
+
+
+def test_spurious_margin_counts_the_noise(monkeypatch):
+    # a spurious cup 0.55 m from the first cup: farther than
+    # ASSOC_RADIUS, nearer than ASSOC_RADIUS + 0.1, the noise so far; it
+    # lands within reach of the cup's detection of its own frame
+    draws = (0.9, 0.0, 3.55, 0.0, 0.9)
+    objects, _ = _scripted(monkeypatch, _cups(), "exhaustive",
+                           (0.0, 0.1, 0.0), draws=draws)
+    assert len(objects) == 10
+    first = objects[0]
+    assert first["pose"]["x"] == 3.55 and first["bbox"]["min"][2] == 0.4
+
+
+def test_noise_growth_releases_held_cups(monkeypatch):
+    # held after frame 2; frame 3's noise of 0.6 breaks the own-track
+    # bound, so frame 2's detections reach the world before frame 3's
+    objects, _ = _scripted(monkeypatch, _cups(), "adaptive", (0.0, 0.01, 0.6))
+    assert len(objects) == 10
+    assert objects[0]["pose"]["x"] == 3.01 and objects[0]["last_seen"] == 0.1
+
+
+def test_released_cup_is_written_with_its_last_held_noise(monkeypatch):
+    # held in frame 2 at 0.15; frame 3's -0.4 releases it: written at
+    # +0.15, its frame 3 detection at -0.4 is 0.55 away, a new object;
+    # written at -0.4 it would have stayed one object
+    objects, _ = _scripted(monkeypatch, _cups(), "adaptive", (0.0, 0.15, -0.4))
+    assert len(objects) == 10
+    assert objects[0]["pose"]["x"] == 3.15
+
+
+def test_box_bound_integrates_a_box_noise_may_flatten(monkeypatch):
+    # a box one ulp wide at 2**22 - 0.05: moved by 0.07 its x bounds round
+    # to one float, and integrate raises on frame 2, as the reference does
+    x = 2.0 ** 22 - 0.05
+    scene = _cups()
+    scene.objects[0] = WorldObject(1, "cup", Pose(x, 0.0, 0.5), Aabb(
+        (x, -0.05, 0.45), (math.nextafter(x, math.inf), 0.05, 0.55)))
+    error, _ = _scripted(monkeypatch, scene, "adaptive", (0.0, 0.07, 0.0))
+    assert error == "zero-volume box not flagged degenerate"
+
+
+def _integrated_hits(monkeypatch, perceive, scene, config):
+    """How many hits ``run_perception`` hands to integrate, and what
+    ``perceive(run_perception, scene, config)`` returns."""
+    integrated = []
+    integrate = WorldModel.integrate
+
+    def counted(self, objs, links, noise, time):
+        integrated.append(len(objs))
+        return integrate(self, objs, links, noise, time)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WorldModel, "integrate", counted)
+        out = perceive(run_perception, scene, config)
+    return sum(integrated), out
+
+
+def _emitted(perceive, scene, config):
+    return perceive(scene, config)[1].detections_emitted
+
+
+@pytest.mark.parametrize("n, held", [(GRID_MIN_ROWS, False),
+                                     (GRID_MIN_ROWS + 1, True)])
+def test_nothing_is_held_at_grid_min_rows_objects(monkeypatch, n, held):
+    registry = (DetectorSpec("cup", "cup", 0.05, noise_sigma=0.02),)
+    config = PerceptionConfig(registry, _active("cup"), "adaptive",
+                              frame_budget=5)
+    integrated, emitted = _integrated_hits(monkeypatch, _emitted, _cups(n=n),
+                                           config)
+    assert emitted == 5 * n
+    assert integrated == (2 * n if held else emitted)
+
+
+def test_nothing_is_held_for_a_label_of_two_detectors(monkeypatch):
+    registry = tuple(DetectorSpec(i, "cup", 0.05, noise_sigma=0.02)
+                     for i in ("cup", "cup_2"))
+    config = PerceptionConfig(registry, None, "exhaustive", frame_budget=5)
+    integrated, emitted = _integrated_hits(monkeypatch, _emitted, _cups(),
+                                           config)
+    assert integrated == emitted == 2 * 5 * 9
+
+
+def test_nothing_is_held_for_a_linked_label(monkeypatch):
+    cups = _cups().objects
+    objects = cups + [WorldObject(10 + k, "door_handle",
+                                  Pose(o.pose.x + 0.05, o.pose.y, 0.3),
+                                  Aabb((o.pose.x, o.pose.y - 0.03, 0.27),
+                                       (o.pose.x + 0.1, o.pose.y + 0.03, 0.33)))
+                      for k, o in enumerate(cups)]
+    scene = Scene([dataclasses.replace(o, label="door") if o.label == "cup"
+                   else o for o in objects], Visibility(40.0, 2 * math.pi),
+                  Pose(0.0, 0.0))
+    registry = (DetectorSpec("door", "door", 0.05, noise_sigma=0.02),
+                DetectorSpec("door_handle", "door_handle", 0.05,
+                             noise_sigma=0.01))
+    linked = PerceptionConfig(registry, _active("door", "door_handle",
+                                                links={("door", "handle")}),
+                              "adaptive", frame_budget=5)
+    integrated, emitted = _integrated_hits(monkeypatch, _emitted, scene, linked)
+    assert integrated == emitted == 5 * 18
+    unlinked = dataclasses.replace(linked, active=_active("door", "door_handle"))
+    assert _integrated_hits(monkeypatch, _emitted, scene, unlinked) == \
+        (2 * 18, 5 * 18)
