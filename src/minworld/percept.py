@@ -19,7 +19,6 @@ import numpy as np
 
 from .symbols import DetectorSet, subtype_detector_id
 from .world import (
-    GRID_MIN_ROWS,
     Aabb,
     HoldRule,
     Pose,
@@ -36,6 +35,10 @@ from .world import (
 DEFAULT_MAX_RANGE = 6.0
 DEFAULT_FOV_DEG = 87.0
 DEFAULT_FRAME_BUDGET = 30
+# a label is held only with more visible objects than this: on a few
+# hits, a HoldRule's numpy set-up and per-frame see_noise cost more than
+# they save (the door scene has one object per label)
+HOLD_MIN_HITS = 8
 MODES = ("adaptive", "exhaustive")
 
 
@@ -306,7 +309,7 @@ def run_perception(scene: Scene,
 
     Because the robot stands still, a hit that ``world.HoldRule`` holds
     cannot change the world but by its last detection. For a label with
-    more than GRID_MIN_ROWS visible objects, one active detector and no
+    more than HOLD_MIN_HITS visible objects, one active detector and no
     link, frame 1 integrates every hit and later frames only the hits
     not held. A hit stops being held when the label's noise grows or a
     spurious detection lands near it, and then, or at the end of the
@@ -340,7 +343,7 @@ def run_perception(scene: Scene,
             label = det.emits_label
             hits = in_view.get(label, ())
             plan.append((det, hits, _Held(hits, integrate, links)
-                         if len(hits) > GRID_MIN_ROWS
+                         if len(hits) > HOLD_MIN_HITS
                          and sum(d.emits_label == label for d in active) == 1
                          and not any(label in link for link in links) else None))
         for _ in range(config.frame_budget):

@@ -3,10 +3,9 @@
 One writer (the perception loop) integrates detections; readers take
 snapshots, independent mutable copies. Objects may carry a parent link
 one level deep (a handle on a door), never chains. Objects are indexed
-by label, and within a label by unit cells of the plane, so a detection
-is compared only with the nearby objects of its label. The hold rule
-(``HoldRule``) says which detections of a standing robot's sensing loop
-cannot change the world but by their last one.
+by label, so a detection is compared only with the objects of its
+label. The hold rule (``HoldRule``) says which detections of a standing
+robot's sensing loop cannot change the world but by their last one.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from math import floor, isfinite
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +22,6 @@ import numpy as np
 ASSOC_RADIUS = 0.5
 PARENT_MARGIN = 0.1
 PARENT_FALLBACK_RADIUS = 0.75
-# how far past its unit cell an object's row may move and keep the cell;
-# association is exact while ASSOC_RADIUS + CELL_SLACK < 1
-CELL_SLACK = 0.25
-# a label's rows are scanned whole until it holds more than this many
-# objects; then it gets a grid
-GRID_MIN_ROWS = 8
 # the hold rule's margin, relative to the magnitude of a label's
 # coordinates: far above the few roundings between a truth pose and a
 # distance that integrate computes
@@ -220,38 +213,6 @@ class WorldObject:
         )
 
 
-def _place(cells: dict, row: list) -> None:
-    """Home ``row`` in the unit cell of its ``x, y`` and list it in the
-    3x3 cells around that one. The row keeps the cell while its ``x`` and
-    ``y`` stay within CELL_SLACK of it: ``row[4:8]`` are those bounds and
-    ``row[8]`` the cell."""
-    cx, cy = floor(row[0]), floor(row[1])
-    # the bounds may round, but a float between them stays within
-    # CELL_SLACK of the cell: rounding is monotone, and cx - CELL_SLACK
-    # rounds, if at all, up to cx, the float nearest it
-    row[4:] = (cx - CELL_SLACK, cx + 1 + CELL_SLACK,
-               cy - CELL_SLACK, cy + 1 + CELL_SLACK, (cx, cy))
-    for i in (cx - 1, cx, cx + 1):
-        for j in (cy - 1, cy, cy + 1):
-            cell = cells.get((i, j))
-            if cell is None:
-                cells[i, j] = [row]
-            else:
-                cell.append(row)
-
-
-def _unplace(cells: dict, row: list) -> None:
-    """Take ``row`` out of the cells ``_place`` listed it in."""
-    cx, cy = row[8]
-    for i in (cx - 1, cx, cx + 1):
-        for j in (cy - 1, cy, cy + 1):
-            cell = cells[i, j]
-            # rows differ in id, so only row itself equals row
-            cell.remove(row)
-            if not cell:
-                del cells[i, j]
-
-
 def _nearest(x, y):
     """The L-infinity distance from each point ``(x[i], y[i])`` to its
     nearest other one, where that is below 2 * ASSOC_RADIUS; elsewhere a
@@ -347,23 +308,14 @@ class WorldModel:
     Association reads one ``[x, y, z, id]`` row of plain numbers per
     object, kept per label. An object's pose and box are built from its
     last detection only when the world is read through ``objects``, so a
-    detection that a later one overwrites never builds them.
-
-    A label with few objects is scanned whole. Once it holds more than
-    GRID_MIN_ROWS, its rows get a grid of unit cells: each cell lists
-    every row homed in it or in one of its 8 neighbours, so a detection
-    reads the one cell it falls in. A row that passes the association
-    prefilter (``|dx|, |dy| <= ASSOC_RADIUS``) lies within ASSOC_RADIUS +
-    CELL_SLACK < 1 of the detection's cell, so that cell lists it: at
-    any float magnitude, as ``floor`` is exact and rounding is
-    monotone."""
+    detection that a later one overwrites never builds them. A detection
+    scans every row of its label, so its cost grows with the label's
+    objects; ``HoldRule`` keeps most of a standing robot's detections
+    out of ``integrate``."""
 
     def __init__(self, objects=None):
         self._objects: dict[int, WorldObject] = {}
         self._rows: dict[str, list[list]] = {}
-        # label -> (column, row) cell -> rows, for labels grown past
-        # GRID_MIN_ROWS by integrate
-        self._grid: dict[str, dict[tuple[int, int], list[list]]] = {}
         # id -> (pose, box, dx, dy, time) of the last detection of an
         # object whose pose and box are not built yet
         self._pending: dict[int, tuple] = {}
@@ -432,10 +384,10 @@ class WorldModel:
 
     def integrate(self, objs, links, noise, time: float) -> "WorldModel":
         """Fold in one detector's hits of one frame (at least one, all of
-        one label), in order. Each updates the nearest same-label object
-        within ASSOC_RADIUS (3-D distance, lower id on ties), else creates
-        a new one; then it attaches a parent when the label is a child
-        label in links.
+        one label), in order. Each scans its label's rows and updates the
+        nearest object within ASSOC_RADIUS (3-D distance, lower id on
+        ties), else creates a new one; then it attaches a parent when the
+        label is a child label in links.
 
         Hit ``i`` is ``objs[i]`` seen at ``time`` under the ``i``-th
         ``(dx, dy)`` of the iterable ``noise``: its pose moved by
@@ -450,7 +402,6 @@ class WorldModel:
         it stops being held, builds the same world."""
         label = objs[0].label
         rows = self._rows.setdefault(label, [])
-        cells = self._grid.get(label)
         objects, pending = self._objects, self._pending
         r, nr = ASSOC_RADIUS, -ASSOC_RADIUS
         for obj, (dx, dy) in zip(objs, noise):
@@ -466,8 +417,7 @@ class WorldModel:
                            (hi[0] + dx, hi[1] + dy, hi[2]), box.degenerate)
             z = pose.z
             best = None
-            for row in (rows if cells is None
-                        else cells.get((floor(x), floor(y)), ())):
+            for row in rows:
                 # exact prefilter: the 3-D distance is never below |dx|
                 # or |dy|
                 if nr <= row[0] - x <= r and nr <= row[1] - y <= r:
@@ -482,21 +432,10 @@ class WorldModel:
                 # pose, box and last_seen are filled in when the world is read
                 objects[oid] = WorldObject(oid, label, None, None,
                                            first_seen=time)
-                row = [x, y, z, oid]
-                rows.append(row)
-                if cells is not None:
-                    _place(cells, row)
-                elif len(rows) > GRID_MIN_ROWS:
-                    cells = self._grid[label] = {}
-                    for row in rows:
-                        _place(cells, row)
+                rows.append([x, y, z, oid])
             else:
                 best[0], best[1], best[2] = x, y, z
                 oid = best[3]
-                if cells is not None and not (best[4] <= x < best[5]
-                                              and best[6] <= y < best[7]):
-                    _unplace(cells, best)
-                    _place(cells, best)
             pending[oid] = (pose, box, dx, dy, time)
             if links and objects[oid].parent is None:
                 for parent_label in sorted(p for p, c in links if c == label):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minworld.percept import (
+    HOLD_MIN_HITS,
     MODES,
     DetectorSpec,
     PerceptionConfig,
@@ -27,7 +28,6 @@ from minworld.percept import (
 from minworld.symbols import DetectorSet
 from minworld.world import (
     ASSOC_RADIUS,
-    GRID_MIN_ROWS,
     PARENT_FALLBACK_RADIUS,
     PARENT_MARGIN,
     Aabb,
@@ -543,8 +543,9 @@ def test_perception_matches_full_scan_reference_on_hostile_scenes(case):
 def _crowded_case(draw):
     """30 to 48 objects, nearly all of one label, in a 2 m square at an
     integer corner: on the half-metre lattice, each coordinate moved by up
-    to an ulp, so hits fall on cell corners, at exactly ASSOC_RADIUS and
-    equally far from two objects."""
+    to an ulp, so hits fall on integer corners, at exactly ASSOC_RADIUS
+    and equally far from two objects, and the label is packed too tightly
+    to be held."""
     ox, oy = draw(st.sampled_from(((1, -1), (2, 0), (3, -2))))
 
     def coordinate(origin):
@@ -800,9 +801,9 @@ def _emitted(perceive, scene, config):
     return perceive(scene, config)[1].detections_emitted
 
 
-@pytest.mark.parametrize("n, held", [(GRID_MIN_ROWS, False),
-                                     (GRID_MIN_ROWS + 1, True)])
-def test_nothing_is_held_at_grid_min_rows_objects(monkeypatch, n, held):
+@pytest.mark.parametrize("n, held", [(HOLD_MIN_HITS, False),
+                                     (HOLD_MIN_HITS + 1, True)])
+def test_nothing_is_held_at_hold_min_hits_objects(monkeypatch, n, held):
     registry = (DetectorSpec("cup", "cup", 0.05, noise_sigma=0.02),)
     config = PerceptionConfig(registry, _active("cup"), "adaptive",
                               frame_budget=5)

@@ -9,7 +9,6 @@ import pytest
 
 from minworld.world import (
     ASSOC_RADIUS,
-    GRID_MIN_ROWS,
     Aabb,
     Pose,
     WorldError,
@@ -249,50 +248,16 @@ def test_a_batch_integrates_its_hits_in_order():
     assert got == [(1, pytest.approx(0.3), 0.0, 2.0), (2, 3.0, 0.5, 2.0)]
 
 
-def _far_cups(n):
-    """``n`` cups 2 m apart on the line y = 100, one integrate call."""
-    return [_det("cup", 2.0 * k, 100.0) for k in range(n)]
-
-
-def test_grid_index_is_built_once_a_label_passes_the_row_bound():
-    world = WorldModel([WorldObject(1, "door", Pose(5, 0), _det("door", 5, 0).bbox),
-                        WorldObject(2, "box", Pose(1, 1), _det("box", 1, 1).bbox)])
-    assert world._grid == {}
-    assert world.snapshot()._grid == {}
-    _see(world, _det("door", 5.2, 0))
-    assert world._grid == {}
-    assert world.objects[1].pose.x == 5.2
-    # the grid is built in the middle of a batch, and the hits after that
-    # one associate through it
-    cups = _far_cups(GRID_MIN_ROWS + 2)
-    world.integrate(cups + [_det("cup", 0.1, 100.0)], (),
-                    [(0.0, 0.0)] * (len(cups) + 1), 1.0)
-    assert set(world._grid) == {"cup"}
-    assert len(world.query("cup")) == GRID_MIN_ROWS + 2
-    assert world.objects[3].pose.x == 0.1
-    cells = world._grid["cup"]
-    for row in world._rows["cup"]:
-        assert sum(row in cell for cell in cells.values()) == 9
-
-
 def test_a_drifting_object_follows_its_cell():
     # 0.28 m a step along an axis, 0.40 m along a diagonal: every hit is
-    # within the radius of the last, so one object follows it across many
-    # cells
+    # within the radius of the last, so one object follows it for 11 m
     for sx, sy in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1)):
-        # the far cups give the label its grid before the drift starts
         world = WorldModel()
-        world.integrate(_far_cups(GRID_MIN_ROWS), (),
-                        [(0.0, 0.0)] * GRID_MIN_ROWS, 0.0)
         for k in range(40):
             _see(world, _det("cup", 0.9 + 0.28 * k * sx, -0.1 + 0.28 * k * sy,
                              t=float(k)))
-        obj = world.query()[-1]
+        (obj,) = world.query()
         assert (obj.first_seen, obj.last_seen) == (0.0, 39.0), (sx, sy)
-        assert len(world.query()) == GRID_MIN_ROWS + 1
-        row = world._rows["cup"][-1]
-        cells = world._grid["cup"]
-        assert sum(row in cell for cell in cells.values()) == 9
 
 
 def _brute_force(hits):
@@ -341,8 +306,8 @@ def _jittered(rng, base, offsets):
 
 @pytest.mark.parametrize("magnitude", [0.0, 2.0 ** 51, 2.0 ** 52, 2.0 ** 53,
                                        1e15, -2.0 ** 52, -1e15])
-def test_grid_association_matches_brute_force(magnitude):
-    # integer cell corners and the half and quarter metres around them,
+def test_association_matches_brute_force(magnitude):
+    # integer corners and the half and quarter metres around them,
     # each moved by an ulp or two: far out, where floats are 0.5 or 2
     # apart, these collapse onto corners and ties
     rng = random.Random(int(magnitude) % 1000 + 17)
@@ -353,7 +318,7 @@ def test_grid_association_matches_brute_force(magnitude):
         for _ in range(60):
             if hits and rng.random() < 0.6:
                 # a step of at most the radius from an earlier hit: chains
-                # of these drag an object across cells
+                # of these drag an object across the plane
                 x, y, z = rng.choice(hits[-5:])
                 hits.append((_jittered(rng, x, steps), _jittered(rng, y, steps), z))
             else:
